@@ -9,6 +9,7 @@ cache and measures device reads, hit rate, and simulated latency.
 import numpy as np
 
 from benchmarks.conftest import DIM, run_once, spfresh_config
+from repro.api import QueryRequest
 from repro.bench.reporting import format_table
 from repro.core.index import SPFreshIndex
 from repro.datasets import make_spacev_like
@@ -39,7 +40,7 @@ def test_ablation_posting_cache(benchmark, scale):
             index.searcher.controller = cache
         io_before = index.ssd.stats.snapshot()
         latencies = [
-            index.search(q + np.float32(0.01), 10, nprobe=8).latency_us
+            index.query(QueryRequest.single(q + np.float32(0.01), k=10, nprobe=8)).result.latency_us
             for q in stream
         ]
         window = index.ssd.stats.snapshot().delta(io_before)

@@ -9,6 +9,7 @@ latency) vs recall, across pruning strengths.
 import numpy as np
 
 from benchmarks.conftest import DIM, run_once, spfresh_config
+from repro.api import QueryRequest
 from repro.bench.reporting import format_table
 from repro.core.index import SPFreshIndex
 from repro.datasets import exact_knn, make_spacev_like
@@ -29,7 +30,7 @@ def test_ablation_query_aware_pruning(benchmark, scale):
         index = SPFreshIndex.build(dataset.base, config=config)
         ids, latencies, probed = [], [], []
         for q in queries:
-            r = index.search(q, 10, nprobe=16)
+            r = index.query(QueryRequest.single(q, k=10, nprobe=16)).result
             ids.append(r.ids)
             latencies.append(r.latency_us)
             probed.append(r.postings_probed)

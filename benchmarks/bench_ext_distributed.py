@@ -14,6 +14,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from benchmarks.conftest import DIM, run_once, spfresh_config
+from repro.api import QueryRequest
 from repro.bench.reporting import format_table
 from repro.core.index import SPFreshIndex
 from repro.datasets import exact_knn, make_sift_like
@@ -49,7 +50,7 @@ def test_ext_distributed_scaling(benchmark, scale):
             )
             ids, latencies = [], []
             for q in queries:
-                r = index.search(q, 10, 8)
+                r = index.query(QueryRequest.single(q, k=10, nprobe=8)).result
                 ids.append(r.ids)
                 latencies.append(r.latency_us)
             recall = recall_at_k(ids, truth, 10)

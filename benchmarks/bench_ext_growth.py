@@ -11,6 +11,7 @@ rebuild-style spikes).
 import numpy as np
 
 from benchmarks.conftest import DIM, run_once, spfresh_config
+from repro.api import QueryRequest
 from repro.bench.harness import SPFreshAdapter, run_update_simulation
 from repro.bench.reporting import format_series
 from repro.core.index import SPFreshIndex
@@ -37,7 +38,7 @@ def test_ext_insert_only_growth(benchmark, scale):
         # Freshness probe: the final epoch's inserts must be recallable now.
         last = workload.epochs[-1]
         probes = last.insert_vectors[:40] + np.float32(0.01)
-        ids = [index.search(q, 10).ids for q in probes]
+        ids = [index.query(QueryRequest.single(q, k=10)).result.ids for q in probes]
         truth = [[vid] for vid in last.insert_ids[:40]]
         fresh_recall = recall_at_k(ids, truth, 1)
         return series, fresh_recall, index

@@ -11,6 +11,7 @@ high-water mark and queries keep paying for dead entries until GC runs.
 import numpy as np
 
 from benchmarks.conftest import DIM, run_once, spfresh_config
+from repro.api import QueryRequest
 from repro.baselines import build_spann_plus
 from repro.bench.reporting import format_table
 from repro.core.index import SPFreshIndex
@@ -37,7 +38,7 @@ def test_ext_delete_heavy_shrink(benchmark, scale):
         gt = tracker.ground_truth(queries, 10)
         ids, latencies = [], []
         for q in queries:
-            r = index.search(q, 10, nprobe=8)
+            r = index.query(QueryRequest.single(q, k=10, nprobe=8)).result
             ids.append(r.ids)
             latencies.append(r.latency_us)
         snap = index.stats.snapshot()

@@ -12,6 +12,7 @@ absorbing the same stream with no rebuild at all.
 import numpy as np
 
 from benchmarks.conftest import DIM, run_once, spfresh_config
+from repro.api import QueryRequest
 from repro.baselines.vearch import VearchLikeIndex
 from repro.bench.reporting import format_table
 from repro.core.index import SPFreshIndex
@@ -25,11 +26,11 @@ def test_ext_vearch_rebuild_story(benchmark, scale):
     dataset = make_spacev_like(total, churn, dim=DIM, seed=23, drift=0.9)
     queries = dataset.base[: scale.queries] + 0.01
 
-    def run_system(system, tracker, nprobe=8):
+    def run_system(search, tracker, nprobe=8):
         gt = tracker.ground_truth(queries, 10)
         ids, latencies = [], []
         for q in queries:
-            r = system.search(q, 10, nprobe)
+            r = search(q, 10, nprobe)
             ids.append(r.ids)
             latencies.append(r.latency_us)
         return recall_at_k(ids, gt, 10), float(np.mean(latencies))
@@ -38,9 +39,13 @@ def test_ext_vearch_rebuild_story(benchmark, scale):
         vearch = VearchLikeIndex.build(dataset.base, num_partitions=64, seed=2)
         spfresh = SPFreshIndex.build(dataset.base, config=spfresh_config())
         tracker = GroundTruthTracker(np.arange(total), dataset.base)
+
+        def spfresh_search(q, k, nprobe):
+            return spfresh.query(QueryRequest.single(q, k=k, nprobe=nprobe)).result
+
         before = {
-            "vearch": run_system(vearch, tracker),
-            "spfresh": run_system(spfresh, tracker),
+            "vearch": run_system(vearch.search, tracker),
+            "spfresh": run_system(spfresh_search, tracker),
         }
         for i in range(churn):
             vid = total + i
@@ -52,14 +57,14 @@ def test_ext_vearch_rebuild_story(benchmark, scale):
             tracker.delete(i)
         spfresh.drain()
         after_churn = {
-            "vearch": run_system(vearch, tracker),
-            "spfresh": run_system(spfresh, tracker),
+            "vearch": run_system(vearch.search, tracker),
+            "spfresh": run_system(spfresh_search, tracker),
         }
         skew_before_rebuild = float(
             vearch.partition_sizes().max() / max(vearch.partition_sizes().mean(), 1)
         )
         rebuild_seconds = vearch.rebuild()
-        after_rebuild = run_system(vearch, tracker)
+        after_rebuild = run_system(vearch.search, tracker)
         skew_after_rebuild = float(
             vearch.partition_sizes().max() / max(vearch.partition_sizes().mean(), 1)
         )

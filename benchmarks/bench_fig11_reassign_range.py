@@ -18,6 +18,7 @@ placement matter at all, the sweep runs with minimal replication.
 import numpy as np
 
 from benchmarks.conftest import DIM, run_once, spfresh_config
+from repro.api import QueryRequest
 from repro.bench.reporting import format_table
 from repro.core.index import SPFreshIndex
 from repro.datasets import GroundTruthTracker, make_spacev_like
@@ -76,7 +77,7 @@ def test_fig11_reassign_range(benchmark, scale):
             tracker.delete(i)
         index.drain()
         gt = tracker.ground_truth(queries, 10)
-        ids = [index.search(q, 10, nprobe=4).ids for q in queries]
+        ids = [index.query(QueryRequest.single(q, k=10, nprobe=4)).result.ids for q in queries]
         snap = index.stats.snapshot()
         return (
             recall_at_k(ids, gt, 10),

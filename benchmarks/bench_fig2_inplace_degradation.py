@@ -11,6 +11,7 @@ matched nprobe settings.
 import numpy as np
 
 from benchmarks.conftest import DIM, run_once, spfresh_config
+from repro.api import QueryRequest
 from repro.baselines import build_spann_plus
 from repro.bench.reporting import format_table
 from repro.core.index import SPFreshIndex
@@ -57,7 +58,7 @@ def test_fig2_inplace_degradation(benchmark, scale):
             lat = LatencyTracker()
             ids = []
             for q in queries:
-                r = index.search(q, 10, nprobe=nprobe)
+                r = index.query(QueryRequest.single(q, k=10, nprobe=nprobe)).result
                 lat.record(r.latency_us)
                 ids.append(r.ids)
             rows.append(

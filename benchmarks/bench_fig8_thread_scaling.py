@@ -12,6 +12,7 @@ import threading
 import time
 
 from benchmarks.conftest import DIM, run_once, spfresh_config
+from repro.api import QueryRequest
 from repro.bench.reporting import format_table
 from repro.core.index import SPFreshIndex
 from repro.datasets import make_sift_like
@@ -32,7 +33,7 @@ def test_fig8_search_thread_scaling(benchmark, scale):
         def worker(slot: int):
             i = slot
             while not stop.is_set():
-                index.search(queries[i % len(queries)], 10, nprobe=8)
+                index.query(QueryRequest.single(queries[i % len(queries)], k=10, nprobe=8))
                 counts[slot] += 1
                 i += num_threads
 

@@ -11,6 +11,7 @@ Run:  python examples/crash_recovery.py
 
 import numpy as np
 
+from repro.api import QueryRequest
 from repro import SPFreshConfig, SPFreshIndex
 from repro.storage.snapshot import SnapshotManager
 from repro.storage.wal import WriteAheadLog
@@ -56,7 +57,9 @@ def main() -> None:
 
     # Every post-checkpoint insert is searchable again.
     probe_id, probe_vec = next(iter(post_crash_vectors.items()))
-    result = recovered.search(probe_vec, 1, nprobe=recovered.num_postings)
+    result = recovered.query(
+        QueryRequest.single(probe_vec, k=1, nprobe=recovered.num_postings)
+    ).result
     assert result.ids[0] == probe_id
     # Every post-checkpoint delete stayed deleted.
     assert recovered.version_map.is_deleted(0)

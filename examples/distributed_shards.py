@@ -10,6 +10,7 @@ Run:  python examples/distributed_shards.py
 
 import numpy as np
 
+from repro.api import QueryRequest
 from repro import SPFreshConfig
 from repro.datasets import exact_knn, make_spacev_like
 from repro.distributed import ShardedSPFresh
@@ -33,7 +34,7 @@ def main() -> None:
         # shard (one ParallelGET each).
         queries = dataset.base[:40] + 0.01
         truth = exact_knn(dataset.base, np.arange(6000), queries, 10)
-        results = cluster.search_many(queries, 10, nprobe=8)
+        results = cluster.query(QueryRequest(vectors=queries, k=10, nprobe=8)).results
         ids = [r.ids for r in results]
         latencies = [r.latency_us for r in results]
         print(f"recall10@10 = {recall_at_k(ids, truth, 10):.3f}, "
@@ -50,7 +51,7 @@ def main() -> None:
               f"(hash routing keeps them balanced)")
 
         probe = dataset.pool[0]
-        result = cluster.search(probe, 1)
+        result = cluster.query(QueryRequest.single(probe, k=1)).result
         assert result.ids[0] == 100_000
         print("freshly inserted vector is the top hit — done.")
 

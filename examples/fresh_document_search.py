@@ -13,6 +13,7 @@ Run:  python examples/fresh_document_search.py
 
 import numpy as np
 
+from repro.api import QueryRequest
 from repro import SPFreshConfig, SPFreshIndex
 from repro.datasets import make_spacev_like
 
@@ -45,7 +46,7 @@ def main() -> None:
             scale=0.05, size=(50, DIM)
         ).astype(np.float32)
         hits = sum(
-            int(pid) in set(map(int, index.search(vec, 10).ids))
+            int(pid) in set(map(int, index.query(QueryRequest.single(vec, k=10)).result.ids))
             for pid, vec in zip(probe_ids, probe_vecs)
         )
         snap = index.stats.snapshot()

@@ -13,6 +13,7 @@ Run:  python examples/inner_product_search.py
 
 import numpy as np
 
+from repro.api import QueryRequest
 from repro import SPFreshConfig
 from repro.util.mips import MipsSPFreshIndex
 
@@ -36,7 +37,7 @@ def main() -> None:
           f"norm bound {index.transform.norm_bound:.2f})")
 
     query = RNG.normal(size=DIM).astype(np.float32)
-    result = index.search(query, 5, nprobe=16)
+    result = index.query(QueryRequest.single(query, k=5, nprobe=16)).result
     exact = corpus @ query
     exact_top = np.argsort(-exact)[:5]
     print(f"top-5 by index:  {result.ids.tolist()}")
@@ -50,7 +51,7 @@ def main() -> None:
         index.transform.norm_bound * 0.9
     )
     index.insert(10_000, strong_doc.astype(np.float32))
-    result = index.search(query, 1, nprobe=16)
+    result = index.query(QueryRequest.single(query, k=1, nprobe=16)).result
     assert int(result.ids[0]) == 10_000
     print("a freshly inserted high-dot-product document is now the top hit.")
 

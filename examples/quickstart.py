@@ -5,6 +5,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
+from repro.api import QueryRequest
 from repro import SPFreshConfig, SPFreshIndex
 
 RNG = np.random.default_rng(0)
@@ -22,7 +23,7 @@ def main() -> None:
 
     # --- 2. Search -------------------------------------------------------
     query = base_vectors[42] + RNG.normal(scale=0.01, size=DIM).astype(np.float32)
-    result = index.search(query, k=10)
+    result = index.query(QueryRequest.single(query, k=10)).result
     print(f"top-10 for a query near vector 42: {result.ids.tolist()}")
     print(f"simulated latency: {result.latency_us:.0f} us "
           f"({result.postings_probed} postings, "
@@ -44,13 +45,14 @@ def main() -> None:
           f"(of {snap.reassign_evaluated} evaluated)")
 
     # --- 4. New vectors are immediately searchable ------------------------
-    result = index.search(fresh[0], k=5)
+    result = index.query(QueryRequest.single(fresh[0], k=5)).result
     assert result.ids[0] == 5000, "the newly inserted vector should be #1"
     print(f"nearest to the first inserted vector: {result.ids.tolist()}")
 
     # --- 5. Deleted vectors never come back -------------------------------
-    result = index.search(base_vectors[0], k=10,
-                          nprobe=index.num_postings)
+    result = index.query(
+        QueryRequest.single(base_vectors[0], k=10, nprobe=index.num_postings)
+    ).result
     assert 0 not in set(int(x) for x in result.ids)
     print("deleted vector 0 is gone from results — done.")
 

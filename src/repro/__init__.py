@@ -2,7 +2,7 @@
 
 Public entry points:
 
-* :class:`repro.SPFreshIndex` — the paper's system (build / search /
+* :class:`repro.SPFreshIndex` — the paper's system (build / query /
   insert / delete / checkpoint / recover);
 * :class:`repro.SPFreshConfig` — every tunable, with ablation presets;
 * :mod:`repro.baselines` — SPANN+ and DiskANN/FreshDiskANN comparators;

@@ -1,52 +1,25 @@
 """Typed query surface shared by every search facade.
 
 One request object — :class:`QueryRequest` — travels unchanged through
-``SPFreshIndex``, ``ShardedSPFresh``, the MIPS wrapper, tracing, and the
-serving frontend, so adding a knob (rerank width, quantized toggle,
+``SPFreshIndex``, ``ShardedSPFresh``, ``ClusterSPFresh``, the MIPS
+wrapper, tracing, and the serving frontend, so adding a knob (rerank width, quantized toggle,
 tenant tag) is one field here instead of a signature change in six
 places. Facades answer with a :class:`SearchResponse` that keeps the
 per-query :class:`~repro.spann.searcher.SearchResult` objects and the
 request that produced them.
 
-The old positional signatures (``index.search(vector, k, nprobe)``)
-still work for external callers but emit ``DeprecationWarning``; code
-*inside* ``repro.*`` must build a ``QueryRequest`` — a legacy call from
-an internal module raises ``TypeError`` so the deprecated surface cannot
-quietly re-grow (tests enforce this; see ``docs/api.md``).
+``facade.query(QueryRequest)`` is the only search entry point of every
+facade; there is no positional ``search(vector, k, nprobe)`` form (see
+``docs/api.md``).
 """
 
 from __future__ import annotations
 
-import sys
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-__all__ = ["QueryRequest", "SearchResponse", "warn_legacy_query"]
-
-
-def warn_legacy_query(api_name: str) -> None:
-    """Flag one use of a deprecated positional search signature.
-
-    External callers get a ``DeprecationWarning`` pointing at their call
-    site. Callers inside the ``repro`` package raise ``TypeError``
-    instead: first-party code has no migration window, and the hard
-    failure is what keeps the deprecated surface from re-growing.
-    """
-    caller = sys._getframe(2).f_globals.get("__name__", "")
-    if caller == "repro" or caller.startswith("repro."):
-        raise TypeError(
-            f"{api_name}: internal callers must pass a QueryRequest; the "
-            f"positional (vector, k, nprobe) signature is deprecated "
-            f"(docs/api.md)"
-        )
-    warnings.warn(
-        f"{api_name}(vector, k, ...) is deprecated; pass a "
-        f"repro.api.QueryRequest instead (docs/api.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+__all__ = ["QueryRequest", "SearchResponse"]
 
 
 @dataclass(frozen=True)
@@ -122,7 +95,7 @@ class SearchResponse:
     :class:`~repro.spann.searcher.SearchResult`. For single-vector
     requests the result's fields are mirrored as properties
     (``response.ids``, ``response.latency_us``, ...) so the common case
-    reads like the old API; accessing them on a batch response raises.
+    reads like a bare result; accessing them on a batch response raises.
     """
 
     results: tuple = field(default_factory=tuple)
@@ -150,7 +123,7 @@ class SearchResponse:
             )
         return self.results[0]
 
-    # Single-result conveniences — the old API's return fields.
+    # Single-result conveniences.
     @property
     def ids(self) -> np.ndarray:
         return self.result.ids

@@ -677,13 +677,13 @@ def scenario_quantized(scale: PerfScale, seed: int) -> ScenarioResult:
     def batched_sweep(index, runs=3):
         """Batched sweep: wall clock + per-stage profiler attribution."""
         request = QueryRequest(vectors=queries, k=scale.k, nprobe=nprobe)
-        response = index.search(request)  # warm caches before timing
+        response = index.query(request)  # warm caches before timing
         index.profiler.enabled = True
         best_wall, best_stages = math.inf, {}
         for _ in range(runs):
             index.profiler.reset()
             start = time.perf_counter()
-            response = index.search(request)
+            response = index.query(request)
             wall = time.perf_counter() - start
             if wall < best_wall:
                 best_wall = wall

@@ -47,7 +47,7 @@ class PerfScale:
     base_vectors: int
     dim: int
     queries: int  # single-query search probes
-    batch_size: int  # queries per search_batch submission
+    batch_size: int  # queries per batched query() submission
     updates: int  # insert/delete ops in the update scenario
     storm_inserts: int  # hot-cluster burst size in the rebalance scenario
     recovery_updates: int  # WAL'd updates replayed in the recovery scenario

@@ -103,7 +103,7 @@ class StressConfig:
     ops_per_thread: int = 150
     insert_weight: float = 0.55
     delete_weight: float = 0.15  # remainder of the mix is searches
-    batch_search_every: int = 10  # every Nth search goes through search_batch
+    batch_search_every: int = 10  # every Nth search is a batched query
     seed: int = 0
     chaos_yield_probability: float = 0.2
     chaos_sleep_probability: float = 0.05

@@ -12,9 +12,8 @@ vector-database user expects::
     response.ids, response.distances, response.latency_us
 
 Queries travel as typed :class:`~repro.api.QueryRequest` objects (knobs:
-``nprobe``, ``rerank_k``, ``quantized``, ``tenant``); the positional
-``search(vector, k)`` form survives for external callers but is
-deprecated — see ``docs/api.md``.
+``nprobe``, ``rerank_k``, ``quantized``, ``tenant``) through
+:meth:`query`, the only search entry point — see ``docs/api.md``.
 
 Construction paths: :meth:`build` (static SPANN build), :meth:`recover`
 (snapshot + WAL replay after a crash). Rebuild jobs run inline by default
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api import QueryRequest, SearchResponse, warn_legacy_query
+from repro.api import QueryRequest, SearchResponse
 from repro.centroids import make_centroid_index
 from repro.core.config import SPFreshConfig
 from repro.core.fresh_tier import FreshTier
@@ -259,10 +258,11 @@ class SPFreshIndex:
     def query(self, request: QueryRequest) -> SearchResponse:
         """Answer a typed :class:`~repro.api.QueryRequest`.
 
-        The one search entry point every other signature funnels into:
-        single-vector requests run the scalar searcher path, batches the
-        vectorized one, and both share the maintenance side effect
-        (undersized postings seen during navigation schedule merge jobs).
+        The one search entry point. Single-vector requests and batches
+        run the same searcher pipeline; a single query is additionally
+        subject to the latency budget. Both share the maintenance side
+        effect (undersized postings seen during the scan schedule merge
+        jobs).
         """
         if not isinstance(request, QueryRequest):
             raise TypeError(
@@ -301,26 +301,6 @@ class SPFreshIndex:
                 self.rebuilder.drain()
         return SearchResponse(results=tuple(results), request=request)
 
-    def search(self, query, k: int | None = None, nprobe: int | None = None):
-        """Search facade: ``QueryRequest`` in, :class:`SearchResponse` out.
-
-        The positional form ``search(vector, k, nprobe)`` returning a
-        bare ``SearchResult`` is deprecated (kept for external callers).
-        """
-        if isinstance(query, QueryRequest):
-            if k is not None or nprobe is not None:
-                raise TypeError(
-                    "pass k/nprobe inside the QueryRequest, not alongside it"
-                )
-            return self.query(query)
-        warn_legacy_query("SPFreshIndex.search")
-        if k is None:
-            raise TypeError("search(vector, k) requires k")
-        request = QueryRequest.single(
-            as_vector(query, self.config.dim), k=k, nprobe=nprobe
-        )
-        return self.query(request).result
-
     def insert(self, vector_id: int, vector: np.ndarray) -> float:
         """Insert one vector; returns foreground simulated latency (us)."""
         latency = self.updater.insert(vector_id, vector)
@@ -332,30 +312,6 @@ class SPFreshIndex:
         latency = self.updater.delete(vector_id)
         self._maybe_drain()
         return latency
-
-    def search_batch(self, queries, k: int | None = None, nprobe: int | None = None):
-        """Batched search facade: one ParallelGET serves all queries.
-
-        ``QueryRequest`` in → :class:`SearchResponse` out. The positional
-        ``search_batch(matrix, k, nprobe)`` form returning a list of
-        ``SearchResult`` is deprecated (kept for external callers).
-        """
-        if isinstance(queries, QueryRequest):
-            if k is not None or nprobe is not None:
-                raise TypeError(
-                    "pass k/nprobe inside the QueryRequest, not alongside it"
-                )
-            return self.query(queries)
-        warn_legacy_query("SPFreshIndex.search_batch")
-        if k is None:
-            raise TypeError("search_batch(queries, k) requires k")
-        queries = as_matrix(queries, self.config.dim)
-        request = QueryRequest(vectors=queries, k=k, nprobe=nprobe)
-        return list(self.query(request).results)
-
-    # Batched alias so engine-shaped callers (serving frontend, sharded
-    # scatter-gather) can duck-type either name.
-    search_many = search_batch
 
     def insert_batch(self, ids: np.ndarray, vectors: np.ndarray) -> list[float]:
         vectors = as_matrix(vectors, self.config.dim)

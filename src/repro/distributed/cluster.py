@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.api import QueryRequest, SearchResponse, warn_legacy_query
+from repro.api import QueryRequest, SearchResponse
 from repro.core.config import SPFreshConfig
 from repro.core.index import SPFreshIndex
 from repro.distributed.placement import CentroidPlacement
@@ -426,56 +426,6 @@ class ClusterSPFresh:
         ) & 0xFFFFFFFFFFFFFFFF
         pick = live[(mixed >> 32) % len(live)]
         return pick
-
-    def search(
-        self,
-        query,
-        k: int | None = None,
-        nprobe: int | None = None,
-        parallel: bool = False,
-        broadcast: bool = False,
-    ):
-        """Search facade; positional form deprecated (see docs/api.md)."""
-        if isinstance(query, QueryRequest):
-            if k is not None or nprobe is not None:
-                raise TypeError(
-                    "pass k/nprobe inside the QueryRequest, not alongside it"
-                )
-            return self.query(query, parallel=parallel, broadcast=broadcast)
-        warn_legacy_query("ClusterSPFresh.search")
-        if k is None:
-            raise TypeError("search(vector, k) requires k")
-        request = QueryRequest.single(
-            as_vector(query, self.config.dim), k=k, nprobe=nprobe
-        )
-        return self.query(request, parallel=parallel, broadcast=broadcast).result
-
-    def search_many(
-        self,
-        queries,
-        k: int | None = None,
-        nprobe: int | None = None,
-        parallel: bool = False,
-        broadcast: bool = False,
-    ):
-        """Batched facade; positional form deprecated (see docs/api.md)."""
-        if isinstance(queries, QueryRequest):
-            if k is not None or nprobe is not None:
-                raise TypeError(
-                    "pass k/nprobe inside the QueryRequest, not alongside it"
-                )
-            return self.query(queries, parallel=parallel, broadcast=broadcast)
-        warn_legacy_query("ClusterSPFresh.search_many")
-        if k is None:
-            raise TypeError("search_many(queries, k) requires k")
-        queries = as_matrix(queries, self.config.dim)
-        request = QueryRequest(vectors=queries, k=k, nprobe=nprobe)
-        return list(
-            self.query(request, parallel=parallel, broadcast=broadcast).results
-        )
-
-    # ``ServingFrontend`` resolves engines by this name too.
-    search_batch = search_many
 
     # ------------------------------------------------------------------
     # updates

@@ -19,12 +19,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.api import QueryRequest, SearchResponse, warn_legacy_query
+from repro.api import QueryRequest, SearchResponse
 from repro.core.config import SPFreshConfig
 from repro.core.index import SPFreshIndex
 from repro.spann.postings import dedup_top_k
 from repro.spann.searcher import SearchResult
-from repro.util.distance import as_matrix, as_vector
+from repro.util.distance import as_matrix
 
 
 class ShardRouter:
@@ -166,52 +166,6 @@ class ShardedSPFresh:
                 )
             )
         return SearchResponse(results=tuple(merged), request=request)
-
-    def search(
-        self,
-        query,
-        k: int | None = None,
-        nprobe: int | None = None,
-        parallel: bool = False,
-    ):
-        """Search facade; positional form deprecated (see docs/api.md)."""
-        if isinstance(query, QueryRequest):
-            if k is not None or nprobe is not None:
-                raise TypeError(
-                    "pass k/nprobe inside the QueryRequest, not alongside it"
-                )
-            return self.query(query, parallel=parallel)
-        warn_legacy_query("ShardedSPFresh.search")
-        if k is None:
-            raise TypeError("search(vector, k) requires k")
-        request = QueryRequest.single(
-            as_vector(query, self.shards[0].config.dim), k=k, nprobe=nprobe
-        )
-        return self.query(request, parallel=parallel).result
-
-    def search_many(
-        self,
-        queries,
-        k: int | None = None,
-        nprobe: int | None = None,
-        parallel: bool = False,
-    ):
-        """Batched facade; positional form deprecated (see docs/api.md)."""
-        if isinstance(queries, QueryRequest):
-            if k is not None or nprobe is not None:
-                raise TypeError(
-                    "pass k/nprobe inside the QueryRequest, not alongside it"
-                )
-            return self.query(queries, parallel=parallel)
-        warn_legacy_query("ShardedSPFresh.search_many")
-        if k is None:
-            raise TypeError("search_many(queries, k) requires k")
-        queries = as_matrix(queries, self.shards[0].config.dim)
-        request = QueryRequest(vectors=queries, k=k, nprobe=nprobe)
-        return list(self.query(request, parallel=parallel).results)
-
-    # ``ServingFrontend`` resolves engines by this name too.
-    search_batch = search_many
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:

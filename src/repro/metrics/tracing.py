@@ -119,7 +119,7 @@ class TraceLog:
 class TracedIndex:
     """Transparent tracing wrapper around an SPFresh-like index.
 
-    Delegates everything; intercepts search/insert/delete to record their
+    Delegates everything; intercepts query/insert/delete to record their
     simulated latencies into a :class:`TraceLog`.
     """
 
@@ -136,20 +136,6 @@ class TracedIndex:
                 detail={"postings": result.postings_probed},
             )
         return response
-
-    def search(self, query, k=None, nprobe=None):
-        from repro.api import QueryRequest, warn_legacy_query
-
-        if isinstance(query, QueryRequest):
-            if k is not None or nprobe is not None:
-                raise TypeError(
-                    "pass k/nprobe inside the QueryRequest, not alongside it"
-                )
-            return self.query(query)
-        warn_legacy_query("TracedIndex.search")
-        if k is None:
-            raise TypeError("search(vector, k) requires k")
-        return self.query(QueryRequest.single(query, k=k, nprobe=nprobe)).result
 
     def insert(self, vector_id, vector):
         latency = self._index.insert(vector_id, vector)

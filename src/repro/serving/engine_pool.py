@@ -66,11 +66,9 @@ def answer_batch(engine, vectors: np.ndarray, k: int, nprobe: int | None):
     if query is not None:
         request = QueryRequest(vectors=vectors, k=k, nprobe=nprobe)
         return list(query(request).results)
-    search = getattr(engine, "search_many", None) or getattr(
-        engine, "search_batch", None
-    )
+    search = getattr(engine, "search_many", None)
     if search is None:
-        raise TypeError("engine must expose query, search_many, or search_batch")
+        raise TypeError("engine must expose query or search_many")
     return search(vectors, k, nprobe)
 
 

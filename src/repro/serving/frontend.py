@@ -268,16 +268,12 @@ class ServingFrontend:
             )
         # Typed-API engines (SPFreshIndex, ShardedSPFresh) take a
         # QueryRequest through ``query``; bare searcher-level engines
-        # (SpannSearcher) keep their internal positional signature.
+        # (SpannSearcher) take (queries, k, nprobe).
         self._query = getattr(engine, "query", None)
         if self._query is None:
-            self._search = getattr(engine, "search_many", None) or getattr(
-                engine, "search_batch", None
-            )
+            self._search = getattr(engine, "search_many", None)
             if self._search is None:
-                raise TypeError(
-                    "engine must expose query, search_many, or search_batch"
-                )
+                raise TypeError("engine must expose query or search_many")
             if rerank_k is not None or quantized is not None:
                 raise TypeError(
                     "rerank_k/quantized knobs need a QueryRequest-capable "

@@ -1,11 +1,21 @@
 """Disk-posting searcher (SPANN's searcher, reused by SPFresh §4.1).
 
-Query flow: in-memory centroid navigation → ParallelGET of candidate
-postings → stale-replica filtering via the version map → vectorized scan →
-replica-deduplicated top-k. The simulated latency of a query is
+One staged pipeline answers every query, single or batched, exact or
+quantized:
 
-    io (ParallelGET waves on the device)  +
-    modelled CPU (fixed navigation cost + per-entry scan cost)
+    fresh-tier snapshot → centroid navigation → per-query pruning
+    (+ latency-budget prefix) → one unioned ParallelGET → one version-map
+    round trip → scan → [quantized: rerank] → replica-deduplicated top-k
+
+A single query is a batch of one. Exact and quantized scans differ in two
+stages only: which section of a posting is fetched and scored (vectors
+with ``pairwise_sq_l2_exact``, or codes with the fused ADC kernel), and
+whether the scan distances are final (exact) or select ``k * rerank_k``
+candidates per query for an exact rerank against row-targeted vector
+reads (quantized). The simulated latency of a query is
+
+    io (ParallelGET waves on the device, shared by the batch)  +
+    modelled CPU (fixed navigation cost + per-entry scan/rerank cost)
 
 and the paper's 10 ms hard cut is honoured by *truncating the probe list*:
 when the full candidate fetch would blow the budget, only the prefix of
@@ -23,16 +33,18 @@ import numpy as np
 from repro.centroids.base import CentroidIndex, CentroidSearchResult
 from repro.metrics.profiling import NULL_PROFILER, Profiler
 from repro.quantize.base import adc_scan
-from repro.spann.postings import dedup_top_k, live_view
+from repro.spann.postings import dedup_top_k
 from repro.storage.controller import BlockController
 from repro.util.distance import (
     as_matrix,
     as_vector,
     pairwise_sq_l2_exact,
-    sq_l2_batch,
     top_k_smallest,
 )
 from repro.util.errors import StalePostingError
+
+# One query's scored rows of one posting: (vector ids, distances).
+Candidates = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -94,9 +106,169 @@ class SpannSearcher:
         # distance — easy queries touch fewer postings. None disables.
         self.prune_epsilon = prune_epsilon
         # Optional in-memory fresh tier (repro.core.fresh_tier): its rows
-        # join the candidate pool as one extra pseudo-posting, scanned with
-        # the same kernels as disk postings so merged top-k stays exact.
+        # join the candidate pool as one extra pseudo-posting, always
+        # scored exactly, so merged top-k matches an eagerly flushed index.
         self.fresh_tier = fresh_tier
+
+    def search(
+        self,
+        query: np.ndarray,
+        k: int,
+        nprobe: int | None = None,
+        *,
+        rerank_k: int | None = None,
+        quantized: bool | None = None,
+    ) -> SearchResult:
+        """Return the approximate ``k`` nearest live vectors to ``query``.
+
+        ``quantized`` overrides the codec-derived default (compressed scan
+        iff the index stores codes); ``rerank_k`` overrides the searcher's
+        rerank candidate multiplier for this query only. The latency
+        budget applies here and only here.
+        """
+        query = as_vector(query, self.centroid_index.dim)
+        return self._run(
+            query.reshape(1, -1), k, nprobe, rerank_k, quantized, apply_budget=True
+        )[0]
+
+    def search_many(
+        self,
+        queries,
+        k: int,
+        nprobe: int | None = None,
+        *,
+        rerank_k: int | None = None,
+        quantized: bool | None = None,
+    ) -> list[SearchResult]:
+        """Batched search: one device submission serves many queries.
+
+        Candidate postings of all queries are unioned and fetched with a
+        single ParallelGET, so the device queue amortizes across the batch
+        (the paper's ParallelGET rationale, applied cross-query). Each
+        result carries the *shared* batch I/O latency — the completion
+        time of the batched submission — plus its own CPU term. The latency
+        budget is not applied; everything else is :meth:`search`.
+        """
+        if not (isinstance(queries, np.ndarray) and queries.ndim == 2):
+            queries = [as_vector(q, self.centroid_index.dim) for q in queries]
+        if len(queries) == 0:
+            return []
+        queries = as_matrix(queries, self.centroid_index.dim)
+        return self._run(queries, k, nprobe, rerank_k, quantized, apply_budget=False)
+
+    def _run(
+        self, queries: np.ndarray, k, nprobe, rerank_k, quantized, *, apply_budget: bool
+    ) -> list[SearchResult]:
+        """The pipeline behind both entry points; ``queries`` is ``(n, dim)``."""
+        profiler = self.profiler
+        nprobe = nprobe or self.default_nprobe
+        use_quant = self._resolve_quantized(quantized)
+
+        # Fresh tier: one pseudo-posting scored exactly against the batch.
+        fresh_ids = fresh_dists = None
+        fresh_entries = 0
+        if self.fresh_tier is not None and len(self.fresh_tier) > 0:
+            fresh_ids, fresh_matrix = self.fresh_tier.live_snapshot()
+            fresh_entries = len(fresh_ids)
+            if fresh_entries:
+                with profiler.section("scan"):
+                    fresh_dists = pairwise_sq_l2_exact(queries, fresh_matrix)
+
+        # Navigate, then prune (and budget-cut) each query's probe list.
+        with profiler.section("navigate"):
+            nav = self.centroid_index.search_batch(queries, nprobe)
+        probes: list[list[int]] = []
+        cut: list[bool] = []
+        queries_of: dict[int, list[int]] = {}  # posting -> queries probing it
+        for qi, hits in enumerate(nav):
+            pids, truncated = self._prune(hits), False
+            if apply_budget:
+                pids, truncated = self._budget_prefix(pids, fresh_entries, use_quant)
+            probes.append(pids)
+            cut.append(truncated)
+            for pid in pids:
+                queries_of.setdefault(pid, []).append(qi)
+
+        # One unioned fetch: code sections only under a quantized scan.
+        # Postings deleted concurrently are absent from the reply; their
+        # vectors live elsewhere.
+        if use_quant:
+            fetched, io_latency = self.controller.parallel_get_codes(list(queries_of))
+        else:
+            fetched, io_latency = self.controller.parallel_get(list(queries_of))
+        present = [(pid, fetched[pid]) for pid in queries_of if pid in fetched]
+
+        tables = None
+        if use_quant and present:
+            with profiler.section("tables"):
+                tables = self.controller.codec.quantizer.distance_tables(queries)
+        with profiler.section("scan"):
+            masks = self._live_masks(present)
+            sizes, scored = self._scan(queries, queries_of, present, masks, tables)
+        if use_quant:
+            scored, rerank_io = self._rerank(
+                queries, probes, scored, masks, k * (rerank_k or self.rerank_k)
+            )
+            io_latency += rerank_io
+
+        # Disk rows scored from codes cost the cheaper ADC rate; every other
+        # scored row (exact scan, rerank, fresh tier) costs a full distance.
+        code_cost = self._scan_entry_cost(True) if use_quant else 0.0
+        results: list[SearchResult] = []
+        for qi, pids in enumerate(probes):
+            # Assemble in this query's candidate order, fresh tier last:
+            # concatenation order is the stable top-k tie-break.
+            parts: list[Candidates] = []
+            disk_entries = 0
+            undersized: list[int] = []
+            for pid in pids:
+                size = sizes.get(pid)
+                if size is None:
+                    continue
+                disk_entries += size[0]
+                if self.min_posting_size and size[1] < self.min_posting_size:
+                    undersized.append(pid)
+                got = scored[qi].get(pid)
+                if got is not None:
+                    parts.append(got)
+            reranked = sum(len(ids) for ids, _ in parts) if use_quant else 0
+            if fresh_entries:
+                parts.append((fresh_ids, fresh_dists[qi]))
+            with profiler.section("topk"):
+                if parts:
+                    top_ids, top_dists = dedup_top_k(
+                        np.concatenate([ids for ids, _ in parts]),
+                        np.concatenate([dists for _, dists in parts]),
+                        k,
+                        max_dup=len(parts),
+                    )
+                else:
+                    top_ids = np.empty(0, dtype=np.int64)
+                    top_dists = np.empty(0, dtype=np.float32)
+            full_rows = fresh_entries + (reranked if use_quant else disk_entries)
+            cpu = self.cpu_cost_per_query_us + self.cpu_cost_per_entry_us * full_rows
+            latency = io_latency + (cpu + code_cost * disk_entries)
+            if cut[qi]:
+                # The hard cut charges truncated queries exactly the budget
+                # (degraded results at budget latency, Figure 2/7 semantics).
+                # Non-truncated queries report their true cost — clamping them
+                # too would hide over-budget outliers from the measurements.
+                latency = self.latency_budget_us
+            results.append(
+                SearchResult(
+                    ids=top_ids,
+                    distances=top_dists,
+                    latency_us=latency,
+                    postings_probed=len(pids),
+                    entries_scanned=disk_entries + fresh_entries,
+                    io_latency_us=io_latency,
+                    truncated=cut[qi],
+                    undersized_postings=undersized,
+                    fresh_entries_scanned=fresh_entries,
+                    reranked_entries=reranked,
+                )
+            )
+        return results
 
     # ------------------------------------------------------------------
     def _resolve_quantized(self, quantized: bool | None) -> bool:
@@ -119,6 +291,19 @@ class SpannSearcher:
             return self.cpu_cost_per_entry_us
         codec = self.controller.codec
         return self.cpu_cost_per_entry_us * min(1.0, codec.code_bytes / codec.dim)
+
+    def _prune(self, hits: CentroidSearchResult) -> list[int]:
+        """Candidate posting ids after SPANN's query-aware dynamic pruning."""
+        if self.prune_epsilon is not None and len(hits) > 1:
+            limit = (1.0 + self.prune_epsilon) ** 2 * float(hits.distances[0])
+            return [
+                pid
+                for pid, dist in zip(
+                    hits.posting_ids.tolist(), hits.distances.tolist()
+                )
+                if dist <= limit
+            ]
+        return hits.posting_ids.tolist()
 
     def _budget_prefix(
         self,
@@ -173,660 +358,140 @@ class SpannSearcher:
             cum_cpu += entry_cost * length
         return kept, False
 
-    def _prune(self, hits: CentroidSearchResult) -> list[int]:
-        """Candidate posting ids after SPANN's query-aware dynamic pruning."""
-        if self.prune_epsilon is not None and len(hits) > 1:
-            limit = (1.0 + self.prune_epsilon) ** 2 * float(hits.distances[0])
-            return [
-                pid
-                for pid, dist in zip(
-                    hits.posting_ids.tolist(), hits.distances.tolist()
-                )
-                if dist <= limit
-            ]
-        return hits.posting_ids.tolist()
-
-    def search(
-        self,
-        query: np.ndarray,
-        k: int,
-        nprobe: int | None = None,
-        *,
-        rerank_k: int | None = None,
-        quantized: bool | None = None,
-    ) -> SearchResult:
-        """Return the approximate ``k`` nearest live vectors to ``query``.
-
-        ``quantized`` overrides the codec-derived default (compressed scan
-        iff the index stores codes); ``rerank_k`` overrides the searcher's
-        rerank candidate multiplier for this query only.
-        """
-        query = as_vector(query, self.centroid_index.dim)
-        nprobe = nprobe or self.default_nprobe
-        use_quant = self._resolve_quantized(quantized)
-        if use_quant:
-            return self._search_quantized(
-                query, k, nprobe, rerank_k=rerank_k or self.rerank_k
-            )
-        fresh_ids = fresh_matrix = None
-        fresh_entries = 0
-        if self.fresh_tier is not None and len(self.fresh_tier) > 0:
-            fresh_ids, fresh_matrix = self.fresh_tier.live_snapshot()
-            fresh_entries = len(fresh_ids)
-        with self.profiler.section("navigate"):
-            centroid_hits = self.centroid_index.search(query, nprobe)
-        candidate_pids = self._prune(centroid_hits)
-        probe_pids, truncated = self._budget_prefix(candidate_pids, fresh_entries)
-        postings, io_latency = self.controller.parallel_get(probe_pids)
-
-        all_ids: list[np.ndarray] = []
-        all_dists: list[np.ndarray] = []
-        entries_scanned = 0
-        undersized: list[int] = []
-        with self.profiler.section("scan"):
-            for pid in probe_pids:
-                data = postings.get(pid)
-                if data is None:
-                    continue  # deleted concurrently; its vectors live elsewhere
-                live = live_view(data, self.version_map)
-                entries_scanned += len(data)
-                if self.min_posting_size and len(live) < self.min_posting_size:
-                    undersized.append(pid)
-                if len(live) == 0:
-                    continue
-                all_ids.append(live.ids)
-                all_dists.append(sq_l2_batch(query, live.vectors))
-            if fresh_entries:
-                # The tier joins as one extra pseudo-posting, scanned with
-                # the identical kernel — the merged top-k is therefore
-                # bit-identical to a search over an eagerly flushed index.
-                all_ids.append(fresh_ids)
-                all_dists.append(sq_l2_batch(query, fresh_matrix))
-                entries_scanned += fresh_entries
-
-        with self.profiler.section("topk"):
-            if all_ids:
-                ids = np.concatenate(all_ids)
-                dists = np.concatenate(all_dists)
-                top_ids, top_dists = dedup_top_k(ids, dists, k, max_dup=len(all_ids))
-            else:
-                top_ids = np.empty(0, dtype=np.int64)
-                top_dists = np.empty(0, dtype=np.float32)
-
-        cpu_latency = (
-            self.cpu_cost_per_query_us + self.cpu_cost_per_entry_us * entries_scanned
-        )
-        latency = io_latency + cpu_latency
-        if truncated and self.latency_budget_us is not None:
-            # The hard cut charges truncated queries exactly the budget
-            # (degraded results at budget latency, Figure 2/7 semantics).
-            # Non-truncated queries report their true cost — clamping them
-            # too would hide over-budget outliers from the measurements.
-            latency = self.latency_budget_us
-        return SearchResult(
-            ids=top_ids,
-            distances=top_dists,
-            latency_us=latency,
-            postings_probed=len(probe_pids),
-            entries_scanned=entries_scanned,
-            io_latency_us=io_latency,
-            truncated=truncated,
-            undersized_postings=undersized,
-            fresh_entries_scanned=fresh_entries,
-        )
-
     def _live_masks(self, items: list[tuple[int, object]]) -> dict[int, object]:
         """Per-posting live masks with ONE version-map round trip.
 
-        ``None`` for a posting means every entry is live (the common
-        steady state and the version-map-less case) — callers use it to
-        skip the masking entirely.
+        ``live_mask`` is elementwise, so one call over the concatenated
+        id/version columns slices back into per-posting masks. ``None``
+        for a posting means every entry is live (the common steady state
+        and the version-map-less case) — the scan skips the masking.
         """
-        if self.version_map is None:
-            return {pid: None for pid, _ in items}
+        out: dict[int, object] = {pid: None for pid, _ in items}
         scored = [(pid, data) for pid, data in items if len(data) > 0]
-        out: dict[int, object] = {pid: None for pid, data in items if len(data) == 0}
-        if not scored:
+        if self.version_map is None or not scored:
             return out
         mask = self.version_map.live_mask(
             np.concatenate([data.ids for _, data in scored]),
             np.concatenate([data.versions for _, data in scored]),
         )
-        if mask.all():
-            out.update({pid: None for pid, _ in scored})
-            return out
-        start = 0
-        for pid, data in scored:
-            part = mask[start : start + len(data)]
-            start += len(data)
-            out[pid] = None if part.all() else part
+        if not mask.all():
+            start = 0
+            for pid, data in scored:
+                part = mask[start : start + len(data)]
+                start += len(data)
+                if not part.all():
+                    out[pid] = part
         return out
 
-    def _search_quantized(
-        self, query: np.ndarray, k: int, nprobe: int, *, rerank_k: int
-    ) -> SearchResult:
-        """Compressed scan + exact rerank (docs/quantization.md).
+    def _scan(
+        self, queries, queries_of, present, masks, tables
+    ) -> tuple[dict[int, tuple[int, int]], list[dict[int, Candidates]]]:
+        """Score every fetched posting's live rows for the queries probing it.
 
-        ParallelGET touches only the code sections; the fused ADC kernel
-        scores every live candidate; the global best ``k * rerank_k``
-        rows are then reranked against exact vectors fetched with one
-        row-targeted read. With ``rerank_k`` large enough to cover every
-        live candidate the result is bit-identical to the exact path:
-        selected rows are re-sorted ascending (original posting order),
-        ``sq_l2_batch`` is per-row independent, postings assemble in
-        probe order, and the fresh tier — always scanned exactly —
-        appends last, so the final ``dedup_top_k`` sees the same
-        (ids, distances) stream.
+        Postings probed by the same set of queries are scored together
+        with ONE kernel call over their concatenated rows — a batch of one
+        is a single call — exact vectors with ``pairwise_sq_l2_exact``
+        (rows bit-identical to ``sq_l2_batch``) or, when ``tables`` is
+        given, codes with the fused ADC kernel. Returns per posting
+        ``(entries on disk, live entries)`` and per query
+        ``{posting: (live ids, distance row)}``.
         """
-        quantizer = self.controller.codec.quantizer
-        fresh_ids = fresh_matrix = None
-        fresh_entries = 0
-        if self.fresh_tier is not None and len(self.fresh_tier) > 0:
-            fresh_ids, fresh_matrix = self.fresh_tier.live_snapshot()
-            fresh_entries = len(fresh_ids)
-        with self.profiler.section("navigate"):
-            centroid_hits = self.centroid_index.search(query, nprobe)
-        candidate_pids = self._prune(centroid_hits)
-        probe_pids, truncated = self._budget_prefix(
-            candidate_pids, fresh_entries, use_quant=True
-        )
-        code_map, io_latency = self.controller.parallel_get_codes(probe_pids)
-
-        # Stage 1: ADC scan over the live code rows of every probed posting
-        # with one fused kernel call across the whole candidate pool.
-        entries_scanned = 0
-        undersized: list[int] = []
-        pool: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        with self.profiler.section("scan"):
-            masks = self._live_masks(
-                [(pid, code_map[pid]) for pid in probe_pids if pid in code_map]
+        sizes: dict[int, tuple[int, int]] = {}
+        groups: dict[tuple[int, ...], list[tuple[int, np.ndarray, np.ndarray]]] = {}
+        for pid, data in present:
+            ids = data.ids
+            rows = data.vectors if tables is None else data.codes
+            mask = masks[pid]
+            if mask is not None:
+                ids, rows = ids[mask], rows[mask]
+            sizes[pid] = (len(data), len(ids))
+            if len(ids):
+                groups.setdefault(tuple(queries_of[pid]), []).append((pid, ids, rows))
+        scored: list[dict[int, Candidates]] = [{} for _ in queries]
+        for qidxs, members in groups.items():
+            rows = (
+                members[0][2]
+                if len(members) == 1
+                else np.concatenate([part for _, _, part in members])
             )
-            for pid in probe_pids:
-                codes = code_map.get(pid)
-                if codes is None:
-                    continue  # deleted concurrently; its vectors live elsewhere
-                entries_scanned += len(codes)
-                mask = masks[pid]
-                if mask is None:
-                    live_rows = np.arange(len(codes), dtype=np.intp)
-                    live_ids, live_codes = codes.ids, codes.codes
-                else:
-                    live_rows = np.nonzero(mask)[0]
-                    live_ids, live_codes = codes.ids[mask], codes.codes[mask]
-                if self.min_posting_size and len(live_rows) < self.min_posting_size:
-                    undersized.append(pid)
-                if len(live_rows) == 0:
-                    continue
-                pool.append((pid, live_rows, live_ids, live_codes))
-            if pool:
-                with self.profiler.section("tables"):
-                    tables = quantizer.distance_tables(query.reshape(1, -1))
-                adc = adc_scan(tables, np.concatenate([p[3] for p in pool]))[0]
+            if tables is None:
+                dists = pairwise_sq_l2_exact(queries[list(qidxs)], rows)
             else:
-                adc = np.empty(0, dtype=np.float32)
+                dists = adc_scan(tables, rows, query_rows=qidxs)
+            start = 0
+            for pid, ids, _ in members:
+                stop = start + len(ids)
+                for j, qi in enumerate(qidxs):
+                    scored[qi][pid] = (ids, dists[j, start:stop])
+                start = stop
+        return sizes, scored
 
-        # Stage 2: pick the global best k * rerank_k rows and fetch their
-        # exact vectors with one row-targeted submission. Closure
-        # assignment replicates boundary vectors into neighboring
-        # postings and replicas share one code, so rank only the first
-        # copy of each id — otherwise replicas crowd distinct candidates
-        # out of the rerank budget.
-        with self.profiler.section("topk"):
-            if len(adc):
-                ids_cat = np.concatenate([p[2] for p in pool])
-                _, first = np.unique(ids_cat, return_index=True)
-                selected = first[top_k_smallest(adc[first], k * rerank_k)]
-            else:
-                selected = np.empty(0, dtype=np.int64)
-        bounds = np.cumsum([0] + [len(p[1]) for p in pool])
-        requests: list[tuple[int, np.ndarray]] = []
-        chosen: list[tuple[int, np.ndarray]] = []  # (pool idx, local rows)
-        if len(selected):
+    def _rerank(
+        self, queries, probes, scored, masks, budget: int
+    ) -> tuple[list[dict[int, Candidates]], float]:
+        """Exact rerank of each query's best ``budget`` ADC candidates.
+
+        Per query the global best rows are selected across its probe
+        list; the union of every query's survivors is fetched with ONE
+        row-targeted vector read and every (query, row) pair is scored in
+        ONE fused kernel — the same diff-then-einsum ops as
+        ``sq_l2_batch``. Selected rows keep ascending (posting) order, so
+        with ``budget`` covering every live candidate the output is
+        bit-identical to the exact scan's. Returns the reranked
+        candidates in the shape :meth:`_scan` produced, plus the read's
+        simulated latency.
+        """
+        spans: list[tuple[int, int, np.ndarray]] = []  # (query, posting, live rows)
+        rows_needed: dict[int, list[np.ndarray]] = {}
+        for qi, pids in enumerate(probes):
+            live = [pid for pid in pids if pid in scored[qi]]
+            if not live:
+                continue
+            ids_parts, adc_parts = zip(*(scored[qi][pid] for pid in live))
+            adc = np.concatenate(adc_parts)
+            with self.profiler.section("topk"):
+                # Closure assignment replicates boundary vectors into
+                # neighboring postings and replicas share one code, so rank
+                # only the first copy of each id — otherwise replicas crowd
+                # distinct candidates out of the budget.
+                _, first = np.unique(np.concatenate(ids_parts), return_index=True)
+                selected = first[top_k_smallest(adc[first], budget)]
+            bounds = np.cumsum([0] + [len(ids) for ids in ids_parts])
             owner = np.searchsorted(bounds, selected, side="right") - 1
             for pi in np.unique(owner):
-                # Ascending row order == original posting order, which is
-                # what makes the rerank-everything case bit-identical.
                 local = np.sort(selected[owner == pi] - bounds[pi])
-                pid, live_rows, _, _ = pool[pi]
-                requests.append((pid, live_rows[local]))
-                chosen.append((int(pi), local))
-        fetched, rerank_io = self.controller.parallel_get_vector_rows(requests)
-        io_latency += rerank_io
+                spans.append((qi, live[pi], local))
+                rows_needed.setdefault(live[pi], []).append(local)
 
-        all_ids: list[np.ndarray] = []
-        all_dists: list[np.ndarray] = []
-        reranked = 0
-        with self.profiler.section("rerank"):
-            for pi, local in chosen:
-                pid, _, live_ids, _ = pool[pi]
-                vectors = fetched.get(pid)
-                if vectors is None:
-                    continue  # vanished between the two reads
-                reranked += len(local)
-                all_ids.append(live_ids[local])
-                all_dists.append(sq_l2_batch(query, vectors))
-            if fresh_entries:
-                all_ids.append(fresh_ids)
-                all_dists.append(sq_l2_batch(query, fresh_matrix))
-                entries_scanned += fresh_entries
-
-        with self.profiler.section("topk"):
-            if all_ids:
-                ids = np.concatenate(all_ids)
-                dists = np.concatenate(all_dists)
-                top_ids, top_dists = dedup_top_k(ids, dists, k, max_dup=len(all_ids))
-            else:
-                top_ids = np.empty(0, dtype=np.int64)
-                top_dists = np.empty(0, dtype=np.float32)
-
-        disk_entries = entries_scanned - fresh_entries
-        cpu_latency = self.cpu_cost_per_query_us + self.cpu_cost_per_entry_us * (
-            fresh_entries + reranked
-        )
-        cpu_latency += self._scan_entry_cost(True) * disk_entries
-        latency = io_latency + cpu_latency
-        if truncated and self.latency_budget_us is not None:
-            latency = self.latency_budget_us
-        return SearchResult(
-            ids=top_ids,
-            distances=top_dists,
-            latency_us=latency,
-            postings_probed=len(probe_pids),
-            entries_scanned=entries_scanned,
-            io_latency_us=io_latency,
-            truncated=truncated,
-            undersized_postings=undersized,
-            fresh_entries_scanned=fresh_entries,
-            reranked_entries=reranked,
-        )
-
-    def _live_views(self, postings: list[tuple[int, object]]) -> dict[int, object]:
-        """Per-posting live views with ONE version-map round trip.
-
-        Equivalent to ``live_view`` per posting — ``live_mask`` is
-        elementwise, so one call over the concatenated id/version columns
-        slices back into bit-identical per-posting masks — but the map's
-        lock and the mask arithmetic are paid once per batch instead of
-        once per posting.
-        """
-        if self.version_map is None:
-            return {pid: data for pid, data in postings}
-        scored = [(pid, data) for pid, data in postings if len(data) > 0]
-        out: dict[int, object] = {
-            pid: data for pid, data in postings if len(data) == 0
-        }
-        if not scored:
-            return out
-        mask = self.version_map.live_mask(
-            np.concatenate([data.ids for _, data in scored]),
-            np.concatenate([data.versions for _, data in scored]),
-        )
-        if mask.all():
-            # Common steady state (no pending tombstones/stale replicas):
-            # every posting is fully live, skip the per-posting slicing.
-            out.update(scored)
-            return out
-        start = 0
-        for pid, data in scored:
-            part = mask[start : start + len(data)]
-            start += len(data)
-            out[pid] = data if part.all() else data.select(part)
-        return out
-
-    def search_many(
-        self,
-        queries,
-        k: int,
-        nprobe: int | None = None,
-        *,
-        rerank_k: int | None = None,
-        quantized: bool | None = None,
-    ) -> list[SearchResult]:
-        """Batched search: one device submission serves many queries.
-
-        Candidate postings of all queries are unioned and fetched with a
-        single ParallelGET, so the device queue amortizes across the batch
-        (the paper's ParallelGET rationale, applied cross-query). Each
-        returned result carries the *shared* batch I/O latency — the
-        completion time of the batched submission — plus its own CPU term.
-        The per-query latency budget is not applied in batch mode; query-
-        aware pruning and undersized-posting (merge trigger) reporting
-        match :meth:`search`, so batch workloads drive the same
-        maintenance signals as single-query ones. ``quantized`` and
-        ``rerank_k`` behave as in :meth:`search`.
-        """
-        if isinstance(queries, np.ndarray) and queries.ndim == 2:
-            queries = as_matrix(queries, self.centroid_index.dim)
-        else:
-            rows = [as_vector(q, self.centroid_index.dim) for q in queries]
-            if not rows:
-                return []
-            queries = as_matrix(np.stack(rows), self.centroid_index.dim)
-        if len(queries) == 0:
-            return []
-        nprobe = nprobe or self.default_nprobe
-        use_quant = self._resolve_quantized(quantized)
-        if use_quant:
-            return self._search_many_quantized(
-                queries, k, nprobe, rerank_k=rerank_k or self.rerank_k
-            )
-        fresh_ids = fresh_rows = None
-        fresh_entries = 0
-        if self.fresh_tier is not None and len(self.fresh_tier) > 0:
-            fresh_ids, fresh_matrix = self.fresh_tier.live_snapshot()
-            fresh_entries = len(fresh_ids)
-            if fresh_entries:
-                # One fused kernel scores the tier against the whole batch;
-                # row q is bit-identical to the single-query tier scan.
-                with self.profiler.section("scan"):
-                    fresh_rows = pairwise_sq_l2_exact(queries, fresh_matrix)
-        with self.profiler.section("navigate"):
-            nav = self.centroid_index.search_batch(queries, nprobe)
-        per_query_pids: list[list[int]] = []
-        union: dict[int, None] = {}
-        for hits in nav:
-            pids = self._prune(hits)
-            per_query_pids.append(pids)
-            for pid in pids:
-                union[pid] = None
-        postings, io_latency = self.controller.parallel_get(list(union))
-
-        # Group the scan by posting: every posting's live vectors are scored
-        # against all queries that probe it with ONE fused kernel call,
-        # instead of one small kernel per (query, posting) pair. Row q of
-        # ``pairwise_sq_l2_exact`` is bit-identical to the per-query
-        # ``sq_l2_batch``, so results match the single-query path exactly.
-        queries_of: dict[int, list[int]] = {}
-        for qi, pids in enumerate(per_query_pids):
-            for pid in pids:
-                queries_of.setdefault(pid, []).append(qi)
-        # pid -> (entries on disk, live entries, live ids, per-query dist row)
-        scanned: dict[int, tuple[int, int, np.ndarray | None, dict | None]] = {}
-        with self.profiler.section("scan"):
-            lives = self._live_views(
-                [(pid, postings[pid]) for pid in queries_of if pid in postings]
-            )
-            for pid, qidxs in queries_of.items():
-                data = postings.get(pid)
-                if data is None:
-                    continue  # deleted concurrently; its vectors live elsewhere
-                live = lives[pid]
-                if len(live) == 0:
-                    scanned[pid] = (len(data), 0, None, None)
-                    continue
-                dists = pairwise_sq_l2_exact(queries[qidxs], live.vectors)
-                scanned[pid] = (
-                    len(data),
-                    len(live),
-                    live.ids,
-                    {qi: dists[j] for j, qi in enumerate(qidxs)},
-                )
-
-        results: list[SearchResult] = []
-        for qi, pids in enumerate(per_query_pids):
-            all_ids: list[np.ndarray] = []
-            all_dists: list[np.ndarray] = []
-            entries = 0
-            undersized: list[int] = []
-            # Assemble in this query's candidate order so concatenation —
-            # and therefore stable top-k tie-breaking — matches the
-            # single-query path posting for posting.
-            for pid in pids:
-                info = scanned.get(pid)
-                if info is None:
-                    continue
-                n_disk, n_live, ids_arr, rows = info
-                entries += n_disk
-                if self.min_posting_size and n_live < self.min_posting_size:
-                    undersized.append(pid)
-                if n_live == 0:
-                    continue
-                all_ids.append(ids_arr)
-                all_dists.append(rows[qi])
-            if fresh_entries:
-                all_ids.append(fresh_ids)
-                all_dists.append(fresh_rows[qi])
-                entries += fresh_entries
-            with self.profiler.section("topk"):
-                if all_ids:
-                    top_ids, top_dists = dedup_top_k(
-                        np.concatenate(all_ids),
-                        np.concatenate(all_dists),
-                        k,
-                        max_dup=len(all_ids),
-                    )
-                else:
-                    top_ids = np.empty(0, dtype=np.int64)
-                    top_dists = np.empty(0, dtype=np.float32)
-            cpu = self.cpu_cost_per_query_us + self.cpu_cost_per_entry_us * entries
-            results.append(
-                SearchResult(
-                    ids=top_ids,
-                    distances=top_dists,
-                    latency_us=io_latency + cpu,
-                    postings_probed=len(pids),
-                    entries_scanned=entries,
-                    io_latency_us=io_latency,
-                    undersized_postings=undersized,
-                    fresh_entries_scanned=fresh_entries,
-                )
-            )
-        return results
-
-    def _search_many_quantized(
-        self, queries: np.ndarray, k: int, nprobe: int, *, rerank_k: int
-    ) -> list[SearchResult]:
-        """Batched compressed scan + exact rerank.
-
-        Structure mirrors the exact :meth:`search_many`: one unioned
-        code-section ParallelGET, the scan grouped by posting (one fused
-        ADC call per posting over every query probing it, against tables
-        computed once per batch), then ONE row-targeted vector fetch
-        covering the union of every query's rerank survivors. Per query
-        the rerank columns are sliced from a shared per-posting
-        ``pairwise_sq_l2_exact`` — per-element identical to the
-        single-query ``sq_l2_batch`` — so rerank-everything stays
-        bit-identical to the exact batch path (and hence to ``search``).
-        """
-        quantizer = self.controller.codec.quantizer
-        fresh_ids = fresh_rows = None
-        fresh_entries = 0
-        if self.fresh_tier is not None and len(self.fresh_tier) > 0:
-            fresh_ids, fresh_matrix = self.fresh_tier.live_snapshot()
-            fresh_entries = len(fresh_ids)
-            if fresh_entries:
-                with self.profiler.section("scan"):
-                    fresh_rows = pairwise_sq_l2_exact(queries, fresh_matrix)
-        with self.profiler.section("navigate"):
-            nav = self.centroid_index.search_batch(queries, nprobe)
-        per_query_pids: list[list[int]] = []
-        union: dict[int, None] = {}
-        for hits in nav:
-            pids = self._prune(hits)
-            per_query_pids.append(pids)
-            for pid in pids:
-                union[pid] = None
-        code_map, io_latency = self.controller.parallel_get_codes(list(union))
-
-        queries_of: dict[int, list[int]] = {}
-        for qi, pids in enumerate(per_query_pids):
-            for pid in pids:
-                queries_of.setdefault(pid, []).append(qi)
-
-        # Stage 1: ADC-scan each posting's live codes against every query
-        # probing it. pid -> (entries on disk, live rows, live ids,
-        # {query: adc row}).
-        scanned: dict[int, tuple[int, np.ndarray, np.ndarray, dict | None]] = {}
-        with self.profiler.section("tables"):
-            tables = quantizer.distance_tables(queries)
-        with self.profiler.section("scan"):
-            masks = self._live_masks(
-                [(pid, code_map[pid]) for pid in queries_of if pid in code_map]
-            )
-            empty_rows = np.empty(0, dtype=np.intp)
-            empty_ids = np.empty(0, dtype=np.int64)
-            for pid, qidxs in queries_of.items():
-                codes = code_map.get(pid)
-                if codes is None:
-                    continue  # deleted concurrently; its vectors live elsewhere
-                mask = masks[pid]
-                if mask is None:
-                    live_rows = np.arange(len(codes), dtype=np.intp)
-                    live_ids, live_codes = codes.ids, codes.codes
-                else:
-                    live_rows = np.nonzero(mask)[0]
-                    live_ids, live_codes = codes.ids[mask], codes.codes[mask]
-                if len(live_rows) == 0:
-                    scanned[pid] = (len(codes), empty_rows, empty_ids, None)
-                    continue
-                adc = adc_scan(tables, live_codes, query_rows=qidxs)
-                scanned[pid] = (
-                    len(codes),
-                    live_rows,
-                    live_ids,
-                    {qi: adc[j] for j, qi in enumerate(qidxs)},
-                )
-
-        # Stage 2: per query, select the global best k * rerank_k ADC
-        # candidates; union each posting's selected rows across queries
-        # into ONE row-targeted vector fetch.
-        selections: list[list[tuple[int, np.ndarray]]] = []  # per query
-        rows_needed: dict[int, list[np.ndarray]] = {}
-        for qi, pids in enumerate(per_query_pids):
-            parts_pid: list[int] = []
-            parts_adc: list[np.ndarray] = []
-            parts_ids: list[np.ndarray] = []
-            for pid in pids:
-                info = scanned.get(pid)
-                if info is None or info[3] is None:
-                    continue
-                parts_pid.append(pid)
-                parts_adc.append(info[3][qi])
-                parts_ids.append(info[2])
-            picks: list[tuple[int, np.ndarray]] = []
-            if parts_adc:
-                adc_all = np.concatenate(parts_adc)
-                with self.profiler.section("topk"):
-                    # Rank only the first closure copy of each id, as in
-                    # the single-query path.
-                    _, first = np.unique(
-                        np.concatenate(parts_ids), return_index=True
-                    )
-                    selected = first[top_k_smallest(adc_all[first], k * rerank_k)]
-                if len(selected):
-                    bounds = np.cumsum([0] + [len(a) for a in parts_adc])
-                    owner = np.searchsorted(bounds, selected, side="right") - 1
-                    for pi in np.unique(owner):
-                        local = np.sort(selected[owner == pi] - bounds[pi])
-                        pid = parts_pid[pi]
-                        picks.append((pid, local))
-                        rows_needed.setdefault(pid, []).append(local)
-            selections.append(picks)
-
+        # Live-row numbers → on-disk rows of each posting's vector section.
+        wanted: dict[int, np.ndarray] = {}
         requests: list[tuple[int, np.ndarray]] = []
-        fetched_local: dict[int, np.ndarray] = {}  # pid -> union of local rows
         for pid, locals_ in rows_needed.items():
-            union_local = np.unique(np.concatenate(locals_))
-            fetched_local[pid] = union_local
-            _, live_rows, _, _ = scanned[pid]
-            requests.append((pid, live_rows[union_local]))
-        fetched, rerank_io = self.controller.parallel_get_vector_rows(requests)
-        io_latency += rerank_io
+            # One query's rows are already sorted and distinct.
+            rows = locals_[0] if len(locals_) == 1 else np.unique(np.concatenate(locals_))
+            wanted[pid] = rows
+            mask = masks[pid]
+            requests.append((pid, rows if mask is None else np.nonzero(mask)[0][rows]))
+        vectors, io_latency = self.controller.parallel_get_vector_rows(requests)
 
-        # Stage 3: every (query, fetched row) rerank pair in ONE fused
-        # exact kernel — same diff-then-einsum ops as ``sq_l2_batch``, so
-        # per-pair distances stay bit-identical to the single-query path.
-        # Per-(query, posting) distance spans slice out of the flat result.
-        base_of: dict[int, int] = {}
-        offset = 0
-        for pid, union_local in fetched_local.items():
-            if fetched.get(pid) is None:
-                continue  # vanished between the two reads
-            base_of[pid] = offset
-            offset += len(union_local)
-        pair_q: list[np.ndarray] = []
-        pair_v: list[np.ndarray] = []
-        spans: list[dict[int, tuple[np.ndarray, int]]] = []  # per query
-        pos = 0
-        for qi, picks in enumerate(selections):
-            entry: dict[int, tuple[np.ndarray, int]] = {}
-            for pid, local in picks:
-                if pid not in base_of:
-                    continue
-                cols = np.searchsorted(fetched_local[pid], local)
-                pair_q.append(np.full(len(local), qi, dtype=np.intp))
-                pair_v.append(base_of[pid] + cols)
-                entry[pid] = (local, pos)
+        spans = [span for span in spans if span[1] in vectors]  # else: vanished
+        reranked: list[dict[int, Candidates]] = [{} for _ in probes]
+        if spans:
+            with self.profiler.section("rerank"):
+                rows = np.concatenate(
+                    [
+                        vectors[pid][np.searchsorted(wanted[pid], local)]
+                        for _, pid, local in spans
+                    ]
+                )
+                owner = np.repeat(
+                    [qi for qi, _, _ in spans], [len(local) for _, _, local in spans]
+                )
+                diff = rows - queries[owner]
+                dists = np.einsum("ij,ij->i", diff, diff).astype(np.float32, copy=False)
+            pos = 0
+            for qi, pid, local in spans:
+                ids = scored[qi][pid][0]
+                reranked[qi][pid] = (ids[local], dists[pos : pos + len(local)])
                 pos += len(local)
-            spans.append(entry)
-        with self.profiler.section("rerank"):
-            if pair_q:
-                v_cat = np.concatenate(
-                    [fetched[pid] for pid in base_of]
-                )
-                qp = np.concatenate(pair_q)
-                vp = np.concatenate(pair_v)
-                diff = v_cat[vp] - queries[qp]
-                pair_dists = np.einsum("ij,ij->i", diff, diff).astype(
-                    np.float32, copy=False
-                )
-            else:
-                pair_dists = np.empty(0, dtype=np.float32)
-
-        results: list[SearchResult] = []
-        for qi, pids in enumerate(per_query_pids):
-            all_ids: list[np.ndarray] = []
-            all_dists: list[np.ndarray] = []
-            entries = 0
-            reranked = 0
-            undersized: list[int] = []
-            picks = spans[qi]
-            for pid in pids:
-                info = scanned.get(pid)
-                if info is None:
-                    continue
-                n_disk, live_rows, live_ids, _ = info
-                entries += n_disk
-                if self.min_posting_size and len(live_rows) < self.min_posting_size:
-                    undersized.append(pid)
-                got = picks.get(pid)
-                if got is None:
-                    continue
-                local, start = got
-                all_ids.append(live_ids[local])
-                all_dists.append(pair_dists[start : start + len(local)])
-                reranked += len(local)
-            if fresh_entries:
-                all_ids.append(fresh_ids)
-                all_dists.append(fresh_rows[qi])
-                entries += fresh_entries
-            with self.profiler.section("topk"):
-                if all_ids:
-                    top_ids, top_dists = dedup_top_k(
-                        np.concatenate(all_ids),
-                        np.concatenate(all_dists),
-                        k,
-                        max_dup=len(all_ids),
-                    )
-                else:
-                    top_ids = np.empty(0, dtype=np.int64)
-                    top_dists = np.empty(0, dtype=np.float32)
-            disk_entries = entries - fresh_entries
-            cpu = self.cpu_cost_per_query_us + self.cpu_cost_per_entry_us * (
-                fresh_entries + reranked
-            )
-            cpu += self._scan_entry_cost(True) * disk_entries
-            results.append(
-                SearchResult(
-                    ids=top_ids,
-                    distances=top_dists,
-                    latency_us=io_latency + cpu,
-                    postings_probed=len(pids),
-                    entries_scanned=entries,
-                    io_latency_us=io_latency,
-                    undersized_postings=undersized,
-                    fresh_entries_scanned=fresh_entries,
-                    reranked_entries=reranked,
-                )
-            )
-        return results
+        return reranked, io_latency

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api import QueryRequest, SearchResponse, warn_legacy_query
+from repro.api import QueryRequest, SearchResponse
 from repro.util.distance import as_matrix, as_vector
 
 
@@ -133,22 +133,6 @@ class MipsSPFreshIndex:
                 query, result.distances
             ).astype(np.float32)
         return SearchResponse(results=response.results, request=request)
-
-    def search(self, query, k: int | None = None, nprobe: int | None = None):
-        """Search facade; positional form deprecated (see docs/api.md)."""
-        if isinstance(query, QueryRequest):
-            if k is not None or nprobe is not None:
-                raise TypeError(
-                    "pass k/nprobe inside the QueryRequest, not alongside it"
-                )
-            return self.query(query)
-        warn_legacy_query("MipsSPFreshIndex.search")
-        if k is None:
-            raise TypeError("search(vector, k) requires k")
-        request = QueryRequest.single(
-            as_vector(query, self.transform.dim), k=k, nprobe=nprobe
-        )
-        return self.query(request).result
 
     def drain(self) -> int:
         return self._index.drain()

@@ -1,11 +1,9 @@
 """Tests for the typed query surface (repro.api)."""
 
-import warnings
-
 import numpy as np
 import pytest
 
-from repro.api import QueryRequest, SearchResponse, warn_legacy_query
+from repro.api import QueryRequest, SearchResponse
 
 
 class TestQueryRequest:
@@ -87,35 +85,3 @@ class TestSearchResponse:
         with pytest.raises(ValueError):
             _ = resp.result
 
-
-class TestLegacyWarning:
-    def test_external_caller_gets_deprecation_warning(self):
-        def external_facade():
-            warn_legacy_query("Thing.search")
-
-        with pytest.warns(DeprecationWarning, match="Thing.search"):
-            external_facade()
-
-    def test_internal_caller_raises(self, built_index, vectors):
-        # Simulate a legacy positional call whose caller frame lives
-        # inside repro.*: the deprecated surface is a hard error for
-        # first-party code.
-        namespace = {"__name__": "repro.fake_module", "index": built_index}
-        exec(
-            "def internal_call(vector):\n"
-            "    return index.search(vector, 3, nprobe=2)\n",
-            namespace,
-        )
-        with pytest.raises(TypeError, match="QueryRequest"):
-            namespace["internal_call"](vectors[0])
-
-    def test_index_legacy_search_warns(self, built_index, vectors):
-        with pytest.warns(DeprecationWarning):
-            result = built_index.search(vectors[0], 3, nprobe=2)
-        assert len(result.ids) <= 3
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            resp = built_index.query(
-                QueryRequest.single(vectors[0], k=3, nprobe=2)
-            )
-        assert np.array_equal(resp.ids, result.ids)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import QueryRequest
 from repro.core.autotune import TuneResult, tune_nprobe
 from repro.datasets import exact_knn
 
@@ -30,7 +31,10 @@ class TestTuneNprobe:
             from repro.metrics import recall_at_k
 
             ids = [
-                built_index.search(q, 5, result.nprobe - 1).ids for q in queries
+                built_index.query(
+                    QueryRequest.single(q, k=5, nprobe=result.nprobe - 1)
+                ).ids
+                for q in queries
             ]
             assert recall_at_k(ids, truth, 5) < 0.95
 

@@ -2,12 +2,14 @@
 
 import numpy as np
 
+from repro.api import QueryRequest
+
 
 class TestSearchBatch:
     def test_matches_single_query_results(self, built_index, vectors):
         queries = vectors[:10] + 0.01
-        batch = built_index.search_batch(queries, 5, nprobe=8)
-        singles = [built_index.search(q, 5, nprobe=8) for q in queries]
+        batch = built_index.query(QueryRequest(vectors=queries, k=5, nprobe=8)).results
+        singles = [built_index.query(QueryRequest.single(q, k=5, nprobe=8)).result for q in queries]
         assert len(batch) == 10
         for b, s in zip(batch, singles):
             assert set(map(int, b.ids)) == set(map(int, s.ids))
@@ -15,9 +17,10 @@ class TestSearchBatch:
 
     def test_shared_io_cheaper_than_serial(self, built_index, vectors):
         queries = vectors[:12] + 0.01
-        batch = built_index.search_batch(queries, 5, nprobe=8)
+        batch = built_index.query(QueryRequest(vectors=queries, k=5, nprobe=8)).results
         serial_io = sum(
-            built_index.search(q, 5, nprobe=8).io_latency_us for q in queries
+            built_index.query(QueryRequest.single(q, k=5, nprobe=8)).io_latency_us
+            for q in queries
         )
         # Every batch result carries the single shared submission latency.
         shared_io = batch[0].io_latency_us
@@ -26,19 +29,22 @@ class TestSearchBatch:
 
     def test_respects_tombstones(self, built_index, vectors):
         built_index.delete(2)
-        results = built_index.search_batch(vectors[:4], 10, nprobe=built_index.num_postings)
+        results = built_index.query(
+            QueryRequest(vectors=vectors[:4], k=10, nprobe=built_index.num_postings)
+        ).results
         assert 2 not in set(map(int, results[2].ids))
 
     def test_empty_batch(self, built_index):
-        assert built_index.search_batch(np.empty((0, 16), dtype=np.float32), 5) == []
+        empty = QueryRequest(vectors=np.empty((0, 16), dtype=np.float32), k=5)
+        assert built_index.query(empty).results == ()
 
     def test_single_query_batch(self, built_index, vectors):
-        results = built_index.search_batch(vectors[:1], 3)
+        results = built_index.query(QueryRequest(vectors=vectors[:1], k=3)).results
         assert len(results) == 1
         assert len(results[0]) == 3
 
     def test_latency_components(self, built_index, vectors):
-        results = built_index.search_batch(vectors[:5], 5, nprobe=4)
+        results = built_index.query(QueryRequest(vectors=vectors[:5], k=5, nprobe=4)).results
         for r in results:
             assert r.latency_us >= r.io_latency_us
             assert r.entries_scanned > 0
@@ -53,8 +59,8 @@ class TestBatchSearchParity:
         searcher.latency_budget_us = None  # isolate pruning from the budget
         searcher.prune_epsilon = 0.05
         queries = vectors[:8] + 0.01
-        batch = built_index.search_batch(queries, 5, nprobe=8)
-        singles = [built_index.search(q, 5, nprobe=8) for q in queries]
+        batch = built_index.query(QueryRequest(vectors=queries, k=5, nprobe=8)).results
+        singles = [built_index.query(QueryRequest.single(q, k=5, nprobe=8)).result for q in queries]
         for b, s in zip(batch, singles):
             assert b.postings_probed == s.postings_probed
             assert set(map(int, b.ids)) == set(map(int, s.ids))
@@ -76,8 +82,8 @@ class TestBatchSearchParity:
         assert batch.undersized_postings == single.undersized_postings
 
     def test_batch_search_triggers_merges(self, built_index, vectors):
-        """End to end: index.search_batch schedules (deduplicated) merge
-        jobs and drains them in synchronous mode, like index.search."""
+        """End to end: a batched query schedules (deduplicated) merge jobs
+        and drains them in synchronous mode, like a single query."""
         from repro.spann.postings import live_view
 
         pid = built_index.controller.posting_ids()[0]
@@ -87,5 +93,6 @@ class TestBatchSearchParity:
             built_index.delete(vid)
         centroid = built_index.centroid_index.get(pid)
         before = built_index.stats.merge_jobs
-        built_index.search_batch(np.vstack([centroid, centroid]), 5, nprobe=4)
+        batch = np.vstack([centroid, centroid])
+        built_index.query(QueryRequest(vectors=batch, k=5, nprobe=4))
         assert built_index.stats.merge_jobs >= before + 1

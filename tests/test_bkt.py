@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import QueryRequest
 from repro.centroids import BKTreeCentroidIndex, BruteForceCentroidIndex
 
 DIM = 8
@@ -83,7 +84,7 @@ class TestIntegrationWithIndex:
 
         config = small_config.with_overrides(centroid_index_kind="bkt")
         index = SPFreshIndex.build(vectors, config=config)
-        result = index.search(vectors[0], 5, nprobe=8)
+        result = index.query(QueryRequest.single(vectors[0], k=5, nprobe=8)).result
         assert len(result) == 5
         for i in range(60):
             index.insert(50_000 + i, rng.normal(size=16).astype(np.float32))

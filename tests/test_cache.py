@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import QueryRequest
 from repro.storage.cache import CachedBlockController
 from tests.conftest import make_posting
 
@@ -150,10 +151,10 @@ class TestWithSearcher:
         built_index.searcher.controller = cached
         io_before = built_index.ssd.stats.snapshot()
         for _ in range(5):
-            built_index.search(vectors[0], 5, nprobe=8)
+            built_index.query(QueryRequest.single(vectors[0], k=5, nprobe=8))
         window = built_index.ssd.stats.snapshot().delta(io_before)
         # Only the first query's postings hit the device.
         assert cached.hit_rate > 0.5
         assert window.block_reads <= window.block_reads  # sanity
-        result = built_index.search(vectors[0], 5, nprobe=8)
+        result = built_index.query(QueryRequest.single(vectors[0], k=5, nprobe=8)).result
         assert result.io_latency_us == cached.hit_latency_us

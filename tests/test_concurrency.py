@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.api import QueryRequest
 from repro.core.index import SPFreshIndex
 from repro.core.jobs import PostingLockManager
 from tests.conftest import DIM
@@ -245,7 +246,7 @@ class TestBackgroundPipeline:
         def searcher():
             while not stop.is_set():
                 try:
-                    async_index.search(vectors[0], 5, nprobe=4)
+                    async_index.query(QueryRequest.single(vectors[0], k=5, nprobe=4))
                 except Exception as exc:  # pragma: no cover
                     errors.append(exc)
 

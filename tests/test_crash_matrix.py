@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import QueryRequest
 from repro.bench.crash_matrix import (
     CrashMatrixConfig,
     run_crash_matrix,
@@ -293,9 +294,9 @@ class TestDifferentialCrashResumeOracle:
             for vid in queries:
                 k = min(5, len(survivors))
                 want = set(brute_force_topk(survivors, known[int(vid)], k))
-                result = index.search(
-                    known[int(vid)], k, nprobe=index.num_postings
-                )
+                result = index.query(
+                    QueryRequest.single(known[int(vid)], k=k, nprobe=index.num_postings)
+                ).result
                 got = set(int(x) for x in result.ids)
                 assert got == want, (
                     f"cycle {cycle}: query {vid} recall "

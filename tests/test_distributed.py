@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import QueryRequest
 from repro.core.index import SPFreshIndex
 from repro.datasets import GroundTruthTracker, exact_knn
 from repro.distributed import ShardRouter, ShardedSPFresh
@@ -135,21 +136,24 @@ class TestSearch:
         queries = vectors[:10] + 0.01
         gt = exact_knn(vectors, np.arange(len(vectors)), queries, 5)
         for i, q in enumerate(queries):
-            result = sharded.search(q, 5, nprobe=10**6)
+            result = sharded.query(QueryRequest.single(q, k=5, nprobe=10**6)).result
             assert set(map(int, result.ids)) == set(map(int, gt[i]))
 
     def test_latency_is_max_plus_merge(self, sharded, vectors):
-        result = sharded.search(vectors[0], 5, nprobe=4)
-        per_shard = [s.search(vectors[0], 5, nprobe=4) for s in sharded.shards]
+        result = sharded.query(QueryRequest.single(vectors[0], k=5, nprobe=4)).result
+        request = QueryRequest.single(vectors[0], k=5, nprobe=4)
+        per_shard = [s.query(request).result for s in sharded.shards]
         assert result.latency_us >= max(r.latency_us for r in per_shard)
 
     def test_parallel_mode_same_results(self, sharded, vectors):
-        serial = sharded.search(vectors[0], 8, nprobe=8)
-        parallel = sharded.search(vectors[0], 8, nprobe=8, parallel=True)
+        serial = sharded.query(QueryRequest.single(vectors[0], k=8, nprobe=8)).result
+        parallel = sharded.query(
+            QueryRequest.single(vectors[0], k=8, nprobe=8), parallel=True
+        ).result
         assert set(map(int, serial.ids)) == set(map(int, parallel.ids))
 
     def test_dedup_across_shards(self, sharded, vectors):
-        result = sharded.search(vectors[0], 20, nprobe=16)
+        result = sharded.query(QueryRequest.single(vectors[0], k=20, nprobe=16)).result
         assert len(set(map(int, result.ids))) == len(result.ids)
 
 
@@ -166,12 +170,12 @@ class TestUpdates:
     def test_inserted_vector_found(self, sharded, rng):
         vec = rng.normal(size=DIM).astype(np.float32)
         sharded.insert(77_777, vec)
-        result = sharded.search(vec, 1, nprobe=10**6)
+        result = sharded.query(QueryRequest.single(vec, k=1, nprobe=10**6)).result
         assert result.ids[0] == 77_777
 
     def test_delete_hides_everywhere(self, sharded, vectors):
         sharded.delete(5)
-        result = sharded.search(vectors[5], 10, nprobe=10**6)
+        result = sharded.query(QueryRequest.single(vectors[5], k=10, nprobe=10**6)).result
         assert 5 not in set(map(int, result.ids))
 
     def test_churn_preserves_recall(self, sharded, vectors, rng):
@@ -188,7 +192,7 @@ class TestUpdates:
         gt = tracker.ground_truth(queries, 5)
         hits = total = 0
         for i, q in enumerate(queries):
-            result = sharded.search(q, 5, nprobe=8)
+            result = sharded.query(QueryRequest.single(q, k=5, nprobe=8)).result
             hits += len(set(map(int, result.ids)) & set(map(int, gt[i])))
             total += 5
         assert hits / total > 0.8
@@ -208,30 +212,29 @@ class TestUpdates:
 class TestBatchedFacade:
     def test_search_many_matches_search_per_query(self, facade, vectors):
         queries = vectors[:12] + 0.01
-        batched = facade.search_many(queries, 5, nprobe=8)
+        batched = facade.query(QueryRequest(vectors=queries, k=5, nprobe=8)).results
         assert len(batched) == len(queries)
         for q, b in zip(queries, batched):
-            single = facade.search(q, 5, nprobe=8)
+            single = facade.query(QueryRequest.single(q, k=5, nprobe=8)).result
             np.testing.assert_array_equal(b.ids, single.ids)
             np.testing.assert_array_equal(b.distances, single.distances)
 
     def test_search_many_parallel_matches_serial(self, facade, vectors):
         queries = vectors[:8] + 0.01
-        serial = facade.search_many(queries, 5, nprobe=8)
-        parallel = facade.search_many(queries, 5, nprobe=8, parallel=True)
+        request = QueryRequest(vectors=queries, k=5, nprobe=8)
+        serial = facade.query(request).results
+        parallel = facade.query(request, parallel=True).results
         for s, p in zip(serial, parallel):
             np.testing.assert_array_equal(s.ids, p.ids)
             np.testing.assert_array_equal(s.distances, p.distances)
 
-    def test_search_batch_alias(self, sharded, vectors):
-        assert sharded.search_batch == sharded.search_many
-
     def test_empty_batch(self, sharded):
-        assert sharded.search_many(np.empty((0, DIM), dtype=np.float32), 5) == []
+        empty = QueryRequest(vectors=np.empty((0, DIM), dtype=np.float32), k=5)
+        assert sharded.query(empty).results == ()
 
     def test_latency_model_matches_single_facade(self, facade, vectors):
         queries = vectors[:4] + 0.01
-        for result in facade.search_many(queries, 5, nprobe=8):
+        for result in facade.query(QueryRequest(vectors=queries, k=5, nprobe=8)).results:
             assert result.latency_us > ShardedSPFresh.MERGE_COST_US
             assert result.io_latency_us <= result.latency_us
 
@@ -260,8 +263,8 @@ class TestShardedFreshTierParity:
             assert any(len(s.fresh_tier) > 0 for s in sharded_index.shards)
             queries = np.concatenate([vectors[:8] + 0.01, extra[:8] + 0.01])
             for q in queries:
-                want = single.search(q, 5, nprobe=10**6)
-                got = sharded_index.search(q, 5, nprobe=10**6)
+                want = single.query(QueryRequest.single(q, k=5, nprobe=10**6)).result
+                got = sharded_index.query(QueryRequest.single(q, k=5, nprobe=10**6)).result
                 np.testing.assert_array_equal(got.ids, want.ids)
                 np.testing.assert_array_equal(got.distances, want.distances)
 
@@ -271,7 +274,7 @@ class TestLifecycle:
         with ShardedSPFresh.build(
             vectors, num_shards=3, config=small_config
         ) as index:
-            index.search(vectors[0], 5, nprobe=4, parallel=True)
+            index.query(QueryRequest.single(vectors[0], k=5, nprobe=4), parallel=True)
             assert index._pool is not None
             pool = index._pool
         # __exit__ drained and released the executor.
@@ -280,7 +283,7 @@ class TestLifecycle:
 
     def test_close_is_idempotent(self, vectors, small_config):
         index = ShardedSPFresh.build(vectors, num_shards=3, config=small_config)
-        index.search(vectors[0], 5, parallel=True)
+        index.query(QueryRequest.single(vectors[0], k=5), parallel=True)
         index.close()
         index.close()
         assert index._pool is None
@@ -289,5 +292,5 @@ class TestLifecycle:
         with ShardedSPFresh.build(
             vectors, num_shards=3, config=small_config
         ) as index:
-            index.search(vectors[0], 5)
+            index.query(QueryRequest.single(vectors[0], k=5))
             assert index._pool is None

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import QueryRequest
 from repro.core.index import SPFreshIndex
 from repro.storage.filedev import FileBackedSSD
 from repro.storage.snapshot import SnapshotManager
@@ -153,6 +154,8 @@ class TestColdRecovery:
         recovered = SPFreshIndex.recover(device2, small_config, snaps2, wal=wal2)
         assert recovered.live_vector_count == len(vectors) + 15
         for vid, vec in inserted.items():
-            result = recovered.search(vec, 1, nprobe=recovered.num_postings)
+            result = recovered.query(
+                QueryRequest.single(vec, k=1, nprobe=recovered.num_postings)
+            ).result
             assert result.ids[0] == vid
         device2.close()

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import QueryRequest
 from repro.baselines import FlatIndex
 from repro.core.config import SPFreshConfig
 from repro.core.fresh_tier import FreshTier
@@ -160,7 +161,7 @@ class TestInsertPath:
     def test_tier_resident_vector_is_searchable(self, fresh_index, rng):
         vec = rng.normal(size=DIM).astype(np.float32)
         fresh_index.insert(9001, vec)
-        result = fresh_index.search(vec, 1, nprobe=FULL_PROBE)
+        result = fresh_index.query(QueryRequest.single(vec, k=1, nprobe=FULL_PROBE)).result
         assert int(result.ids[0]) == 9001
         assert result.distances[0] == 0.0
         assert result.fresh_entries_scanned >= 1
@@ -196,7 +197,7 @@ class TestInsertPath:
         fresh_index.flush_fresh_tier()
         assert 9002 not in live_assignment(fresh_index)
         assert fresh_index.ssd.stats.snapshot().block_writes == writes_before
-        result = fresh_index.search(vec, 5, nprobe=FULL_PROBE)
+        result = fresh_index.query(QueryRequest.single(vec, k=5, nprobe=FULL_PROBE)).result
         assert 9002 not in set(map(int, result.ids))
 
     def test_delete_masks_flushed_duplicate(self, fresh_index, rng):
@@ -205,7 +206,7 @@ class TestInsertPath:
         fresh_index.flush_fresh_tier()
         assert 9003 in live_assignment(fresh_index)
         fresh_index.delete(9003)
-        result = fresh_index.search(vec, 5, nprobe=FULL_PROBE)
+        result = fresh_index.query(QueryRequest.single(vec, k=5, nprobe=FULL_PROBE)).result
         assert 9003 not in set(map(int, result.ids))
 
     def test_insert_logs_to_wal_before_ack(self, vectors, rng):
@@ -323,7 +324,7 @@ class TestDifferentialOracle:
 
     def _check_search(self, index, oracle, query, k):
         want_ids, want_dists = oracle.search(query, k)
-        result = index.search(query, k, nprobe=FULL_PROBE)
+        result = index.query(QueryRequest.single(query, k=k, nprobe=FULL_PROBE)).result
         assert set(map(int, result.ids)) == set(map(int, want_ids))
         np.testing.assert_array_equal(result.distances, want_dists)
 
@@ -381,9 +382,9 @@ class TestParityProperties:
         for i in range(int(rng.integers(1, 40))):
             index.insert(7000 + i, rng.normal(scale=3.0, size=DIM).astype(np.float32))
         queries = rng.normal(scale=3.0, size=(6, DIM)).astype(np.float32)
-        pre = [index.search(q, 5, nprobe=FULL_PROBE) for q in queries]
+        pre = [index.query(QueryRequest.single(q, k=5, nprobe=FULL_PROBE)).result for q in queries]
         assert index.flush_fresh_tier() > 0
-        post = [index.search(q, 5, nprobe=FULL_PROBE) for q in queries]
+        post = [index.query(QueryRequest.single(q, k=5, nprobe=FULL_PROBE)).result for q in queries]
         for p, q in zip(pre, post):
             np.testing.assert_array_equal(p.ids, q.ids)
             np.testing.assert_array_equal(p.distances, q.distances)
@@ -407,7 +408,7 @@ class TestParityProperties:
         victims = {inserted[pick][0] for pick in picks}
         for pick in picks:
             vid, vec = inserted[pick]
-            result = index.search(vec, 10, nprobe=FULL_PROBE)
+            result = index.query(QueryRequest.single(vec, k=10, nprobe=FULL_PROBE)).result
             assert not victims & set(map(int, result.ids))
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -419,8 +420,11 @@ class TestParityProperties:
             index.insert(7200 + i, rng.normal(scale=3.0, size=DIM).astype(np.float32))
         assert len(index.fresh_tier) > 0
         queries = rng.normal(scale=3.0, size=(5, DIM)).astype(np.float32)
-        singles = [index.search(q, 5, nprobe=FULL_PROBE) for q in queries]
-        batched = index.search_batch(queries, 5, nprobe=FULL_PROBE)
+        singles = [
+            index.query(QueryRequest.single(q, k=5, nprobe=FULL_PROBE)).result
+            for q in queries
+        ]
+        batched = index.query(QueryRequest(vectors=queries, k=5, nprobe=FULL_PROBE)).results
         for s, b in zip(singles, batched):
             np.testing.assert_array_equal(s.ids, b.ids)
             np.testing.assert_array_equal(s.distances, b.distances)
@@ -454,7 +458,7 @@ class TestRecoveryIntoTier:
         assert "fresh tier" in recovered.last_recovery.summary()
         for vid, vec in fresh.items():
             assert vid in recovered.fresh_tier
-            result = recovered.search(vec, 1, nprobe=FULL_PROBE)
+            result = recovered.query(QueryRequest.single(vec, k=1, nprobe=FULL_PROBE)).result
             assert int(result.ids[0]) == vid
         assert recovered.check_invariants().ok
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import QueryRequest
 from repro.core.config import SPFreshConfig
 from repro.core.index import SPFreshIndex
 from repro.datasets import GroundTruthTracker
@@ -22,7 +23,7 @@ class TestBuild:
     def test_build_with_custom_ids(self, vectors, small_config):
         ids = np.arange(1000, 1000 + len(vectors))
         index = SPFreshIndex.build(vectors, ids=ids, config=small_config)
-        result = index.search(vectors[0], 1, nprobe=index.num_postings)
+        result = index.query(QueryRequest.single(vectors[0], k=1, nprobe=index.num_postings)).result
         assert result.ids[0] == 1000
 
     def test_build_id_length_mismatch(self, vectors, small_config):
@@ -37,7 +38,7 @@ class TestBuild:
         queries = vectors[:30]
         hits = 0
         for i, q in enumerate(queries):
-            result = built_index.search(q, 10, nprobe=8)
+            result = built_index.query(QueryRequest.single(q, k=10, nprobe=8)).result
             if i in set(int(x) for x in result.ids):
                 hits += 1
         assert hits >= 28  # the query vector itself must be found
@@ -104,7 +105,7 @@ class TestChurnInvariants:
         gt = tracker.ground_truth(queries, 10)
         recalls = []
         for i, q in enumerate(queries):
-            result = built_index.search(q, 10, nprobe=8)
+            result = built_index.query(QueryRequest.single(q, k=10, nprobe=8)).result
             recalls.append(
                 len(set(map(int, result.ids)) & set(map(int, gt[i]))) / 10
             )

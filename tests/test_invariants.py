@@ -115,3 +115,89 @@ class TestViolationDetection:
         )
         assert vid in report.npa_violations
         assert not report.ok
+
+
+class TestCodeCoherence:
+    """The PQ code audit tolerates a codeword tie and still flags a wrong code."""
+
+    TIE = 0  # vector id sitting exactly between two codewords of subspace 0
+
+    @pytest.fixture
+    def coded_index(self):
+        from repro.core.config import SPFreshConfig
+        from repro.core.index import SPFreshIndex
+
+        # Two codewords per 2-d subspace; every vector lies near a codeword
+        # pair except TIE, equidistant from (0, 0) and (2, 0) in subspace 0.
+        books = np.array(
+            [[[0, 0], [2, 0]], [[0, 0], [0, 2]]], dtype=np.float32
+        )
+        rng = np.random.default_rng(5)
+        picks = rng.integers(0, 2, size=(60, 2))
+        vectors = np.hstack([books[0][picks[:, 0]], books[1][picks[:, 1]]])
+        vectors = (vectors + rng.normal(scale=0.2, size=vectors.shape)).astype(
+            np.float32
+        )
+        vectors[self.TIE] = (1.0, 0.0, 0.0, 0.0)
+        config = SPFreshConfig(
+            dim=4,
+            max_posting_size=32,
+            min_posting_size=3,
+            build_target_posting_size=16,
+            ssd_blocks=1 << 12,
+            quant_enabled=True,
+            quant_kind="pq",
+            quant_subspaces=2,
+            quant_codebook_size=2,
+            seed=7,
+        )
+        index = SPFreshIndex.build(vectors, config=config)
+        index.quantizer.codebooks = books
+        for pid in index.controller.posting_ids():
+            self.rewrite_codes(index, pid, lambda ids, codes: codes)
+        assert check_invariants(index).code_mismatches == []
+        return index
+
+    @staticmethod
+    def rewrite_codes(index, pid, edit) -> None:
+        data, _ = index.controller.get(pid)
+        codes = edit(data.ids, index.quantizer.encode(data.vectors))
+        index.controller.put(
+            pid, PostingData.from_rows(data.ids, data.versions, data.vectors, codes)
+        )
+
+    def holders(self, index, vid):
+        return [
+            pid
+            for pid in index.controller.posting_ids()
+            if vid in index.controller.get(pid)[0].ids
+        ]
+
+    def test_tied_codeword_is_not_a_mismatch(self, coded_index):
+        """The write path may land on either codeword of an exact tie."""
+
+        def other_tie(ids, codes):
+            rows = ids == self.TIE
+            codes[rows, 0] = 1 - codes[rows, 0]
+            return codes
+
+        pids = self.holders(coded_index, self.TIE)
+        assert pids
+        for pid in pids:
+            self.rewrite_codes(coded_index, pid, other_tie)
+        assert check_invariants(coded_index).code_mismatches == []
+
+    def test_far_codeword_is_reported(self, coded_index):
+        """The audit can fire: a code naming the far codeword is flagged."""
+        victim = 1  # near one codeword of each subspace, never tied
+
+        def far(ids, codes):
+            rows = ids == victim
+            codes[rows, 1] = 1 - codes[rows, 1]
+            return codes
+
+        pid = self.holders(coded_index, victim)[0]
+        self.rewrite_codes(coded_index, pid, far)
+        report = check_invariants(coded_index)
+        assert report.code_mismatches == [(pid, 1)]
+        assert not report.ok

@@ -46,8 +46,6 @@ class TestRecallCurve:
         gt = exact_knn(vectors, np.arange(len(vectors)), queries, 5)
 
         def search_fn(query, k, nprobe):
-            # recall_curve calls positionally from inside repro.metrics,
-            # where the legacy facade signature is forbidden — adapt.
             return built_index.query(
                 QueryRequest.single(query, k=k, nprobe=nprobe)
             ).result

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.api import QueryRequest
 from repro.core.config import SPFreshConfig
 from repro.util.mips import MipsSPFreshIndex, MipsTransform
 
@@ -84,13 +85,13 @@ class TestMipsIndex:
     def test_top1_matches_exact_mips(self, index, corpus, rng):
         for _ in range(10):
             query = rng.normal(size=DIM).astype(np.float32)
-            result = index.search(query, 1, nprobe=index.num_postings)
+            result = index.query(QueryRequest.single(query, k=1, nprobe=index.num_postings)).result
             exact = int((corpus @ query).argmax())
             assert int(result.ids[0]) == exact
 
     def test_scores_are_inner_products(self, index, corpus, rng):
         query = rng.normal(size=DIM).astype(np.float32)
-        result = index.search(query, 5, nprobe=index.num_postings)
+        result = index.query(QueryRequest.single(query, k=5, nprobe=index.num_postings)).result
         for vid, score in zip(result.ids, result.distances):
             assert score == pytest.approx(
                 float(corpus[int(vid)] @ query), rel=1e-3, abs=1e-2
@@ -98,7 +99,7 @@ class TestMipsIndex:
 
     def test_scores_descending(self, index, rng):
         query = rng.normal(size=DIM).astype(np.float32)
-        result = index.search(query, 10, nprobe=8)
+        result = index.query(QueryRequest.single(query, k=10, nprobe=8)).result
         scores = list(result.distances)
         assert scores == sorted(scores, reverse=True)
 
@@ -108,10 +109,10 @@ class TestMipsIndex:
         # A vector aligned with the query and within the norm bound wins.
         new_vec = (strong * index.transform.norm_bound * 0.95).astype(np.float32)
         index.insert(50_000, new_vec)
-        result = index.search(strong, 1, nprobe=index.num_postings)
+        result = index.query(QueryRequest.single(strong, k=1, nprobe=index.num_postings)).result
         assert int(result.ids[0]) == 50_000
         index.delete(50_000)
-        result = index.search(strong, 5, nprobe=index.num_postings)
+        result = index.query(QueryRequest.single(strong, k=5, nprobe=index.num_postings)).result
         assert 50_000 not in set(map(int, result.ids))
 
     def test_delegates_attributes(self, index):

@@ -19,6 +19,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.api import QueryRequest
 from repro.core.config import SPFreshConfig
 from repro.core.index import SPFreshIndex
 from repro.datasets import exact_knn
@@ -111,7 +112,7 @@ class SPFreshOracleMachine(RuleBasedStateMachine):
         vectors = np.vstack([self.oracle[int(v)] for v in ids])
         query = vectors[0] + 0.01
         truth = exact_knn(vectors, ids, query.reshape(1, -1), k=5)[0]
-        result = self.index.search(query, 5, nprobe=10**6)
+        result = self.index.query(QueryRequest.single(query, k=5, nprobe=10**6)).result
         assert set(map(int, result.ids)) == set(map(int, truth))
 
 

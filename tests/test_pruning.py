@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import QueryRequest
 from repro.core.index import SPFreshIndex
 from tests.conftest import DIM
 
@@ -16,8 +17,8 @@ class TestQueryAwarePruning:
         # A query dead-center in a cluster has one dominant posting; the
         # pruned searcher should skip the distant candidates.
         query = vectors[0]
-        full = plain.search(query, 5, nprobe=16)
-        cut = pruned.search(query, 5, nprobe=16)
+        full = plain.query(QueryRequest.single(query, k=5, nprobe=16)).result
+        cut = pruned.query(QueryRequest.single(query, k=5, nprobe=16)).result
         assert cut.postings_probed <= full.postings_probed
         assert cut.postings_probed >= 1
 
@@ -26,7 +27,7 @@ class TestQueryAwarePruning:
             vectors, config=small_config.with_overrides(search_prune_epsilon=0.5)
         )
         for i in (0, 7, 42):
-            result = pruned.search(vectors[i], 1, nprobe=8)
+            result = pruned.query(QueryRequest.single(vectors[i], k=1, nprobe=8)).result
             assert result.ids[0] == i
 
     def test_disabled_by_default(self, built_index):
@@ -39,8 +40,8 @@ class TestQueryAwarePruning:
         plain = SPFreshIndex.build(vectors, config=small_config)
         q = vectors[3]
         assert (
-            loose.search(q, 5, nprobe=8).postings_probed
-            == plain.search(q, 5, nprobe=8).postings_probed
+            loose.query(QueryRequest.single(q, k=5, nprobe=8)).result.postings_probed
+            == plain.query(QueryRequest.single(q, k=5, nprobe=8)).result.postings_probed
         )
 
     def test_recall_cost_is_small(self, vectors, small_config, rng):
@@ -53,8 +54,9 @@ class TestQueryAwarePruning:
         pruned = SPFreshIndex.build(
             vectors, config=small_config.with_overrides(search_prune_epsilon=0.6)
         )
-        r_plain = recall_at_k([plain.search(q, 5, nprobe=8).ids for q in queries], gt, 5)
-        r_pruned = recall_at_k([pruned.search(q, 5, nprobe=8).ids for q in queries], gt, 5)
+        requests = [QueryRequest.single(q, k=5, nprobe=8) for q in queries]
+        r_plain = recall_at_k([plain.query(r).ids for r in requests], gt, 5)
+        r_pruned = recall_at_k([pruned.query(r).ids for r in requests], gt, 5)
         assert r_pruned >= r_plain - 0.1
 
 

@@ -228,7 +228,7 @@ class TestEngineParity:
     def test_batched_matches_single(self, blobs, quant_index):
         rng = np.random.default_rng(6)
         queries = blobs[rng.integers(0, len(blobs), size=24)]
-        batched = quant_index.search(QueryRequest(vectors=queries, k=5, nprobe=4))
+        batched = quant_index.query(QueryRequest(vectors=queries, k=5, nprobe=4))
         for q, br in zip(queries, batched.results):
             sr = quant_index.query(QueryRequest.single(q, k=5, nprobe=4)).result
             assert np.array_equal(sr.ids, br.ids)

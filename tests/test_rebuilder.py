@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import QueryRequest
 from repro.core.jobs import MergeJob, ReassignJob, SplitJob
 from repro.util.errors import IndexError_
 from tests.conftest import DIM
@@ -225,10 +226,10 @@ class TestMerge:
         assert built_index.stats.merges == 0
 
     def test_search_triggers_merge(self, built_index, vectors, rng):
-        """The searcher reports undersized postings; search() queues merges."""
+        """The searcher reports undersized postings; query() queues merges."""
         pid = self.make_small_posting(built_index, rng)
         centroid = built_index.centroid_index.get(pid)
-        built_index.search(centroid, 5, nprobe=4)
+        built_index.query(QueryRequest.single(centroid, k=5, nprobe=4))
         built_index.drain()
         assert built_index.stats.merge_jobs >= 1
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import QueryRequest
 from repro.core.index import SPFreshIndex
 from repro.storage.snapshot import SnapshotManager
 from repro.storage.wal import WriteAheadLog
@@ -61,7 +62,9 @@ class TestWalReplay:
         recovered = crash_and_recover(index, wal, snaps)
         assert recovered.live_vector_count == index.live_vector_count
         for vid, vec in inserted.items():
-            result = recovered.search(vec, 1, nprobe=recovered.num_postings)
+            result = recovered.query(
+                QueryRequest.single(vec, k=1, nprobe=recovered.num_postings)
+            ).result
             assert result.ids[0] == vid
         for vid in range(5):
             assert recovered.version_map.is_deleted(vid)
@@ -76,12 +79,16 @@ class TestWalReplay:
         # shared device, so the pre-crash object is dead afterwards (as a
         # crashed process's in-memory index would be).
         expected = [
-            set(map(int, index.search(q, 10, nprobe=index.num_postings).ids))
+            set(map(int, index.query(
+                QueryRequest.single(q, k=10, nprobe=index.num_postings)
+            ).ids))
             for q in vectors[:10]
         ]
         recovered = crash_and_recover(index, wal, snaps)
         for q, want in zip(vectors[:10], expected):
-            got = recovered.search(q, 10, nprobe=recovered.num_postings)
+            got = recovered.query(
+                QueryRequest.single(q, k=10, nprobe=recovered.num_postings)
+            ).result
             assert set(map(int, got.ids)) == want
 
     def test_checkpoint_truncates_wal(self, vectors, small_config, rng):

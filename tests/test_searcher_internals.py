@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import QueryRequest
 from repro.core.index import SPFreshIndex
 
 
@@ -35,7 +36,7 @@ class TestBudgetPrefix:
 class TestLatencyMath:
     def test_latency_components_sum(self, built_index, vectors):
         built_index.searcher.latency_budget_us = None
-        result = built_index.search(vectors[0], 5, nprobe=4)
+        result = built_index.query(QueryRequest.single(vectors[0], k=5, nprobe=4)).result
         expected_cpu = (
             built_index.searcher.cpu_cost_per_query_us
             + built_index.searcher.cpu_cost_per_entry_us * result.entries_scanned
@@ -47,11 +48,11 @@ class TestLatencyMath:
     def test_hard_cut_caps_latency(self, vectors, small_config):
         config = small_config.with_overrides(search_latency_budget_us=200.0)
         index = SPFreshIndex.build(vectors, config=config)
-        result = index.search(vectors[0], 5, nprobe=64)
+        result = index.query(QueryRequest.single(vectors[0], k=5, nprobe=64)).result
         assert result.latency_us <= 200.0
 
     def test_io_latency_matches_device_model(self, built_index, vectors):
-        result = built_index.search(vectors[0], 5, nprobe=4)
+        result = built_index.query(QueryRequest.single(vectors[0], k=5, nprobe=4)).result
         profile = built_index.ssd.profile
         # io latency must be a whole number of read waves.
         waves = result.io_latency_us / profile.read_latency_us
@@ -60,7 +61,7 @@ class TestLatencyMath:
     def test_truncated_query_charged_exactly_budget(self, vectors, small_config):
         config = small_config.with_overrides(search_latency_budget_us=200.0)
         index = SPFreshIndex.build(vectors, config=config)
-        result = index.search(vectors[0], 5, nprobe=64)
+        result = index.query(QueryRequest.single(vectors[0], k=5, nprobe=64)).result
         assert result.truncated
         assert result.latency_us == pytest.approx(200.0)
 
@@ -74,7 +75,7 @@ class TestLatencyMath:
         # One candidate posting only: the prefix always keeps the first, so
         # truncation can never trigger, however far over budget it runs.
         index.searcher.latency_budget_us = 1.0
-        result = index.search(vectors[0], 5, nprobe=1)
+        result = index.query(QueryRequest.single(vectors[0], k=5, nprobe=1)).result
         assert not result.truncated
         assert result.latency_us > 1.0
         expected_cpu = (
@@ -115,8 +116,8 @@ class TestBuildDeterminism:
             np.sort(a.posting_sizes()), np.sort(b.posting_sizes())
         )
         for q in vectors[:5]:
-            ra = a.search(q, 5, nprobe=8)
-            rb = b.search(q, 5, nprobe=8)
+            ra = a.query(QueryRequest.single(q, k=5, nprobe=8)).result
+            rb = b.query(QueryRequest.single(q, k=5, nprobe=8)).result
             np.testing.assert_array_equal(ra.ids, rb.ids)
 
     def test_different_seed_different_partitioning(self, vectors, small_config):
@@ -127,6 +128,6 @@ class TestBuildDeterminism:
         # Same data, different clustering randomness: geometry may differ
         # but search answers at full probe must agree (correctness).
         for q in vectors[:5]:
-            ra = a.search(q, 5, nprobe=a.num_postings)
-            rb = b.search(q, 5, nprobe=b.num_postings)
+            ra = a.query(QueryRequest.single(q, k=5, nprobe=a.num_postings)).result
+            rb = b.query(QueryRequest.single(q, k=5, nprobe=b.num_postings)).result
             assert set(map(int, ra.ids)) == set(map(int, rb.ids))

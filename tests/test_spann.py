@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import QueryRequest
 from repro.core.index import SPFreshIndex
 from repro.core.version_map import VersionMap
 from repro.spann.build import build_plan
@@ -103,18 +104,20 @@ class TestSearcher:
     def test_exact_for_full_probe(self, built_index, vectors):
         """Probing every posting must return the true nearest neighbors."""
         query = vectors[3]
-        result = built_index.search(query, 5, nprobe=built_index.num_postings)
+        result = built_index.query(
+            QueryRequest.single(query, k=5, nprobe=built_index.num_postings)
+        ).result
         assert result.ids[0] == 3
         assert result.distances[0] == pytest.approx(0.0, abs=1e-3)
 
     def test_latency_increases_with_nprobe(self, built_index, vectors):
-        small = built_index.search(vectors[0], 5, nprobe=1)
-        large = built_index.search(vectors[0], 5, nprobe=16)
+        small = built_index.query(QueryRequest.single(vectors[0], k=5, nprobe=1)).result
+        large = built_index.query(QueryRequest.single(vectors[0], k=5, nprobe=16)).result
         assert large.io_latency_us >= small.io_latency_us
         assert large.postings_probed >= small.postings_probed
 
     def test_entries_scanned_counted(self, built_index, vectors):
-        result = built_index.search(vectors[0], 5, nprobe=4)
+        result = built_index.query(QueryRequest.single(vectors[0], k=5, nprobe=4)).result
         assert result.entries_scanned > 0
 
     def test_latency_budget_truncates(self, vectors, small_config):
@@ -122,7 +125,7 @@ class TestSearcher:
             search_latency_budget_us=100.0  # tighter than one probe wave
         )
         index = SPFreshIndex.build(vectors, config=config)
-        result = index.search(vectors[0], 5, nprobe=32)
+        result = index.query(QueryRequest.single(vectors[0], k=5, nprobe=32)).result
         assert result.truncated
         assert result.latency_us <= 100.0
         assert result.postings_probed >= 1
@@ -130,14 +133,16 @@ class TestSearcher:
     def test_no_budget_never_truncates(self, vectors, small_config):
         config = small_config.with_overrides(search_latency_budget_us=None)
         index = SPFreshIndex.build(vectors, config=config)
-        result = index.search(vectors[0], 5, nprobe=32)
+        result = index.query(QueryRequest.single(vectors[0], k=5, nprobe=32)).result
         assert not result.truncated
 
     def test_deleted_vectors_never_returned(self, built_index, vectors):
         built_index.delete(3)
-        result = built_index.search(vectors[3], 10, nprobe=built_index.num_postings)
+        result = built_index.query(
+            QueryRequest.single(vectors[3], k=10, nprobe=built_index.num_postings)
+        ).result
         assert 3 not in set(int(i) for i in result.ids)
 
     def test_search_result_len(self, built_index, vectors):
-        result = built_index.search(vectors[0], 7)
+        result = built_index.query(QueryRequest.single(vectors[0], k=7)).result
         assert len(result) == len(result.ids) == 7

@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.api import QueryRequest
 from repro.metrics.tracing import TraceLog, TracedIndex
 from tests.conftest import DIM
 
@@ -85,8 +86,8 @@ class TestTracedIndex:
         traced = TracedIndex(built_index)
         traced.insert(90_001, rng.normal(size=DIM).astype(np.float32))
         traced.delete(0)
-        result = traced.search(rng.normal(size=DIM).astype(np.float32), 5)
-        assert len(result) == 5
+        query = rng.normal(size=DIM).astype(np.float32)
+        assert len(traced.query(QueryRequest.single(query, k=5)).ids) == 5
         assert traced.trace.summary("insert")["count"] == 1
         assert traced.trace.summary("delete")["count"] == 1
         assert traced.trace.summary("search")["count"] == 1
@@ -98,6 +99,6 @@ class TestTracedIndex:
 
     def test_search_detail_recorded(self, built_index, vectors):
         traced = TracedIndex(built_index)
-        traced.search(vectors[0], 5, nprobe=4)
+        traced.query(QueryRequest.single(vectors[0], k=5, nprobe=4))
         event = traced.trace.events("search")[0]
         assert event.detail["postings"] >= 1

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import QueryRequest
 from repro.core.config import SPFreshConfig
 from repro.core.index import SPFreshIndex
 from repro.util.errors import IndexError_
@@ -22,7 +23,9 @@ class TestInsert:
     def test_insert_searchable_immediately(self, built_index, rng):
         vec = rng.normal(size=DIM).astype(np.float32)
         built_index.insert(5000, vec)
-        result = built_index.search(vec, 1, nprobe=built_index.num_postings)
+        result = built_index.query(
+            QueryRequest.single(vec, k=1, nprobe=built_index.num_postings)
+        ).result
         assert result.ids[0] == 5000
 
     def test_insert_duplicate_live_id_rejected(self, built_index, rng):
@@ -33,7 +36,9 @@ class TestInsert:
         built_index.delete(0)
         vec = rng.normal(size=DIM).astype(np.float32)
         built_index.insert(0, vec)
-        result = built_index.search(vec, 1, nprobe=built_index.num_postings)
+        result = built_index.query(
+            QueryRequest.single(vec, k=1, nprobe=built_index.num_postings)
+        ).result
         assert result.ids[0] == 0
 
     def test_insert_returns_positive_latency(self, built_index, rng):
@@ -69,13 +74,15 @@ class TestInsert:
         vec = rng.normal(size=DIM).astype(np.float32)
         index.insert(1, vec)
         assert index.num_postings == 1
-        assert index.search(vec, 1).ids[0] == 1
+        assert index.query(QueryRequest.single(vec, k=1)).result.ids[0] == 1
 
 
 class TestDelete:
     def test_delete_hides_from_search(self, built_index, vectors):
         built_index.delete(7)
-        result = built_index.search(vectors[7], 10, nprobe=built_index.num_postings)
+        result = built_index.query(
+            QueryRequest.single(vectors[7], k=10, nprobe=built_index.num_postings)
+        ).result
         assert 7 not in set(int(i) for i in result.ids)
 
     def test_delete_unknown_is_noop(self, built_index):
