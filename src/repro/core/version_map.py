@@ -147,10 +147,14 @@ class VersionMap:
         ids = np.asarray(ids, dtype=np.int64)
         versions = np.asarray(versions, dtype=np.uint8)
         with self._lock:
-            in_range = ids >= 0
-            in_range &= ids < len(self._bytes)
-            current = np.full(len(ids), int(_UNREGISTERED), dtype=np.uint8)
-            current[in_range] = self._bytes[ids[in_range]]
+            if len(ids) == 0 or (ids.min() >= 0 and ids.max() < len(self._bytes)):
+                # Decoded ids are essentially always in range: index directly.
+                current = self._bytes[ids]
+            else:
+                in_range = ids >= 0
+                in_range &= ids < len(self._bytes)
+                current = np.full(len(ids), int(_UNREGISTERED), dtype=np.uint8)
+                current[in_range] = self._bytes[ids[in_range]]
             # Reuse one mask buffer with in-place ANDs: this runs once per
             # probed posting, so the saved temporaries add up at scan time.
             live = current != _UNREGISTERED

@@ -26,6 +26,19 @@ import abc
 
 import numpy as np
 
+from repro.util.distance import pair_chunks
+
+
+def _table_offsets(codes: np.ndarray, k: int) -> np.ndarray:
+    """Flat ``(m * K)``-table offset of every code: ``code + subspace * K``.
+
+    32-bit and added in place: the result is four times the code column,
+    allocated once.
+    """
+    offsets = codes.astype(np.int32)
+    offsets += np.arange(codes.shape[1], dtype=np.int32) * k
+    return offsets
+
 
 def adc_scan(
     tables: np.ndarray, codes: np.ndarray, query_rows=None
@@ -33,16 +46,14 @@ def adc_scan(
     """Fused ADC: ``(nq, m, K)`` tables x ``(n, m)`` codes → ``(nq, n)``.
 
     The per-query tables are flattened to ``(nq, m*K)`` and the codes
-    become flat offsets ``code + subspace*K``, so one advanced-index
-    gather produces the ``(nq, n, m)`` contribution cube and a single
-    float32 reduction over the subspace axis yields every approximate
-    distance — no per-query or per-posting Python loop.
+    become flat offsets ``code + subspace*K``, so per query one ``take``
+    from its (cache-resident) table produces the ``(n, m)`` contribution
+    matrix and a single float32 reduction over the subspace axis yields
+    every approximate distance — no per-posting Python loop.
 
     ``query_rows`` selects a subset of table rows without materializing
-    ``tables[query_rows]`` first (the batched searcher scans each posting
-    against only the queries probing it; slicing the tables per posting
-    would copy ``m*K`` floats per query per posting). The result then has
-    ``len(query_rows)`` rows, ordered like ``query_rows``.
+    ``tables[query_rows]`` first. The result then has ``len(query_rows)``
+    rows, ordered like ``query_rows``.
     """
     codes = np.asarray(codes, dtype=np.uint8)
     if codes.ndim == 1:
@@ -52,24 +63,37 @@ def adc_scan(
         raise ValueError(
             f"codes have {codes.shape[1]} subspaces, tables have {m}"
         )
-    rows = (
-        None if query_rows is None else np.asarray(query_rows, dtype=np.intp)
-    )
-    if len(codes) == 0:
-        out_rows = nq if rows is None else len(rows)
-        return np.zeros((out_rows, 0), dtype=np.float32)
+    rows = range(nq) if query_rows is None else np.asarray(query_rows, dtype=np.intp)
     flat = np.ascontiguousarray(tables).reshape(nq, m * k)
-    offsets = codes.astype(np.intp) + np.arange(m, dtype=np.intp) * k
-    if rows is None:
-        return flat[:, offsets].sum(axis=2, dtype=np.float32)
-    # Copy the few selected table rows first, then gather against the
-    # small contiguous copy — for the per-posting shapes the batched
-    # scan produces (~10 queries x ~50 codes) this keeps the working
-    # set in cache and beats both a flat 1-D take over a fused index
-    # cube and advanced indexing on the full table. Values and subspace
-    # sum order match the dense branch, so distances stay bit-identical
-    # either way.
-    return flat[rows][:, offsets].sum(axis=2, dtype=np.float32)
+    offsets = _table_offsets(codes, k)
+    out = np.empty((len(rows), len(codes)), dtype=np.float32)
+    for row, query in zip(out, rows):
+        flat[query].take(offsets).sum(axis=1, dtype=np.float32, out=row)
+    return out
+
+
+def adc_scan_pairs(
+    tables: np.ndarray, codes: np.ndarray, code_of: np.ndarray, bounds
+) -> np.ndarray:
+    """Fused ADC of (query, code) pairs: the batched quantized scan's kernel.
+
+    Each query meets only the codes of the postings it probes: pair ``p``
+    of query ``q`` (``bounds[q] <= p < bounds[q + 1]``) is table ``q``
+    against ``codes[code_of[p]]``. Same flat-offset gather and float32
+    subspace sum as :func:`adc_scan`, so it is bit-identical to
+    ``adc_scan(tables, codes)[q, code_of[p]]``. Chunked along the pair
+    axis: the gathered ``(pairs, m)`` cube is the temporary that would
+    otherwise grow with batch size x posting length, and a chunk looks
+    up one query's ``m * K`` table, which stays cache-resident.
+    """
+    nq, m, k = tables.shape
+    flat = np.ascontiguousarray(tables).reshape(nq, m * k)
+    offsets = _table_offsets(codes, k)  # once per call, not per pair
+    out = np.empty(len(code_of), dtype=np.float32)
+    for query, start, stop in pair_chunks(bounds, m):
+        cube = flat[query].take(offsets[code_of[start:stop]])
+        cube.sum(axis=1, dtype=np.float32, out=out[start:stop])
+    return out
 
 
 def adc_scan_brute(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:

@@ -7,11 +7,23 @@ quantized:
     (+ latency-budget prefix) → one unioned ParallelGET → one version-map
     round trip → scan → [quantized: rerank] → replica-deduplicated top-k
 
-A single query is a batch of one. Exact and quantized scans differ in two
-stages only: which section of a posting is fetched and scored (vectors
-with ``pairwise_sq_l2_exact``, or codes with the fused ADC kernel), and
-whether the scan distances are final (exact) or select ``k * rerank_k``
-candidates per query for an exact rerank against row-targeted vector
+The fetch decodes the probed postings once into one columnar
+:class:`~repro.storage.layout.PostingArena`, and every later stage works
+on its columns in place: one ``live_mask`` over ``arena.ids`` /
+``arena.versions``, posting sizes from ``arena.bounds``, and candidates
+expressed as (query, arena row) *pairs* — query after query, each in
+(probe, row) order — rather than as per-posting slices. A single query is
+a batch of one whose pairs are the arena rows as they stand (one kernel
+call on ``arena.rows``, nothing gathered); a batch builds the pair index
+with ``repeat``/``cumsum`` arithmetic and scores it with one chunked pair
+kernel. Every query ends with one ``dedup_top_k`` over its contiguous
+slice of the pair arrays.
+
+Exact and quantized scans differ in two stages only: which section of a
+posting is fetched and scored (vectors with ``pairwise_sq_l2_exact`` /
+``sq_l2_pairs``, or codes with the fused ADC kernels), and whether the
+scan distances are final (exact) or select ``k * rerank_k`` candidates
+per query for an exact rerank against row-targeted vector
 reads (quantized). The simulated latency of a query is
 
     io (ParallelGET waves on the device, shared by the batch)  +
@@ -27,24 +39,22 @@ Figure 7 rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from repro.centroids.base import CentroidIndex, CentroidSearchResult
 from repro.metrics.profiling import NULL_PROFILER, Profiler
-from repro.quantize.base import adc_scan
+from repro.quantize.base import adc_scan, adc_scan_pairs
 from repro.spann.postings import dedup_top_k
 from repro.storage.controller import BlockController
 from repro.util.distance import (
     as_matrix,
     as_vector,
     pairwise_sq_l2_exact,
+    sq_l2_pairs,
     top_k_smallest,
 )
-from repro.util.errors import StalePostingError
-
-# One query's scored rows of one posting: (vector ids, distances).
-Candidates = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -163,6 +173,7 @@ class SpannSearcher:
         profiler = self.profiler
         nprobe = nprobe or self.default_nprobe
         use_quant = self._resolve_quantized(quantized)
+        n = len(queries)
 
         # Fresh tier: one pseudo-posting scored exactly against the batch.
         fresh_ids = fresh_dists = None
@@ -179,88 +190,129 @@ class SpannSearcher:
             nav = self.centroid_index.search_batch(queries, nprobe)
         probes: list[list[int]] = []
         cut: list[bool] = []
-        queries_of: dict[int, list[int]] = {}  # posting -> queries probing it
-        for qi, hits in enumerate(nav):
+        for hits in nav:
             pids, truncated = self._prune(hits), False
             if apply_budget:
                 pids, truncated = self._budget_prefix(pids, fresh_entries, use_quant)
             probes.append(pids)
             cut.append(truncated)
-            for pid in pids:
-                queries_of.setdefault(pid, []).append(qi)
 
-        # One unioned fetch: code sections only under a quantized scan.
-        # Postings deleted concurrently are absent from the reply; their
-        # vectors live elsewhere.
+        # One unioned fetch into one arena: code sections only under a
+        # quantized scan. Postings deleted concurrently are absent from the
+        # arena; their vectors live elsewhere.
+        wanted = probes[0] if n == 1 else list(dict.fromkeys(chain.from_iterable(probes)))
         if use_quant:
-            fetched, io_latency = self.controller.parallel_get_codes(list(queries_of))
+            arena, io_latency = self.controller.parallel_get_codes(wanted)
         else:
-            fetched, io_latency = self.controller.parallel_get(list(queries_of))
-        present = [(pid, fetched[pid]) for pid in queries_of if pid in fetched]
+            arena, io_latency = self.controller.parallel_get(wanted)
 
         tables = None
-        if use_quant and present:
+        if use_quant and len(arena):
             with profiler.section("tables"):
                 tables = self.controller.codec.quantizer.distance_tables(queries)
         with profiler.section("scan"):
-            masks = self._live_masks(present)
-            sizes, scored = self._scan(queries, queries_of, present, masks, tables)
+            # One version-map round trip over the arena's columns as they
+            # stand. ``row_of`` is the arena row behind each candidate; for
+            # a single query with every row live it stays None — the
+            # candidates are the arena, uncopied.
+            ids, row_of = arena.ids, None
+            bounds = live_bounds = arena.bounds
+            if self.version_map is not None and len(ids):
+                mask = self.version_map.live_mask(ids, arena.versions)
+                if not mask.all():
+                    row_of = np.flatnonzero(mask)
+                    live_bounds = np.searchsorted(row_of, bounds)
+            # Posting sizes as Python ints: the per-query bookkeeping below
+            # is a handful of additions, cheaper in a list than in numpy.
+            stored = live = (bounds[1:] - bounds[:-1]).tolist()
+            if row_of is not None:
+                live = (live_bounds[1:] - live_bounds[:-1]).tolist()
+            # Per query: the arena slots of the postings it probed that were
+            # fetched (probe order), the entries they hold on disk, and its
+            # candidates — (query, live row) pairs, query after query and
+            # each in (probe, row) order, the stable top-k tie-break; query
+            # q owns pairs cand[q]:cand[q + 1].
+            slot_of = arena.slots
+            slots: list[list[int]] = []
+            on_disk: list[int] = []
+            cand = [0]
+            for pids in probes:
+                mine = [slot for slot in map(slot_of.get, pids) if slot is not None]
+                slots.append(mine)
+                on_disk.append(sum([stored[slot] for slot in mine]))
+                cand.append(cand[-1] + sum([live[slot] for slot in mine]))
+            if n == 1:
+                # Arena order is probe order, so one kernel call over the
+                # rows as they stand; scoring the few dead rows too is
+                # cheaper than gathering the live ones first.
+                dists = (
+                    pairwise_sq_l2_exact(queries, arena.rows)
+                    if tables is None
+                    else adc_scan(tables, arena.rows)
+                )[0]
+                if row_of is not None:
+                    ids, dists = ids[row_of], dists[row_of]
+            else:
+                at = np.fromiter(chain.from_iterable(slots), dtype=np.intp)
+                sizes = live_bounds[at + 1] - live_bounds[at]
+                pairs = np.repeat(live_bounds[at] - sizes.cumsum() + sizes, sizes)
+                pairs += np.arange(len(pairs))
+                row_of = pairs if row_of is None else row_of[pairs]
+                ids = ids[row_of]
+                if tables is None:
+                    dists = sq_l2_pairs(queries, arena.rows, row_of, cand)
+                else:
+                    dists = adc_scan_pairs(tables, arena.rows, row_of, cand)
+        parts = None
         if use_quant:
-            scored, rerank_io = self._rerank(
-                queries, probes, scored, masks, k * (rerank_k or self.rerank_k)
+            # Scan distances only rank: each query's best candidates are
+            # re-scored against exact vectors, and only those remain.
+            ids, dists, cand, parts, rerank_io = self._rerank(
+                queries, arena, ids, dists, cand, row_of, k * (rerank_k or self.rerank_k)
             )
             io_latency += rerank_io
 
         # Disk rows scored from codes cost the cheaper ADC rate; every other
         # scored row (exact scan, rerank, fresh tier) costs a full distance.
-        code_cost = self._scan_entry_cost(True) if use_quant else 0.0
+        code_cost = self._entry_cost(True) if use_quant else 0.0
         results: list[SearchResult] = []
-        for qi, pids in enumerate(probes):
-            # Assemble in this query's candidate order, fresh tier last:
-            # concatenation order is the stable top-k tie-break.
-            parts: list[Candidates] = []
-            disk_entries = 0
-            undersized: list[int] = []
-            for pid in pids:
-                size = sizes.get(pid)
-                if size is None:
-                    continue
-                disk_entries += size[0]
-                if self.min_posting_size and size[1] < self.min_posting_size:
-                    undersized.append(pid)
-                got = scored[qi].get(pid)
-                if got is not None:
-                    parts.append(got)
-            reranked = sum(len(ids) for ids, _ in parts) if use_quant else 0
+        for qi, mine in enumerate(slots):
+            # One contiguous candidate slice per query; the fresh tier's
+            # rows go last (concatenation order is the top-k tie-break).
+            cand_ids = ids[cand[qi] : cand[qi + 1]]
+            cand_dists = dists[cand[qi] : cand[qi + 1]]
+            reranked = len(cand_ids) if use_quant else 0
+            # An id occurs at most once per contributing posting (+ tier).
+            max_dup = parts[qi] if use_quant else len(mine) - [live[s] for s in mine].count(0)
             if fresh_entries:
-                parts.append((fresh_ids, fresh_dists[qi]))
+                cand_ids = np.concatenate((cand_ids, fresh_ids))
+                cand_dists = np.concatenate((cand_dists, fresh_dists[qi]))
+                max_dup += 1
             with profiler.section("topk"):
-                if parts:
-                    top_ids, top_dists = dedup_top_k(
-                        np.concatenate([ids for ids, _ in parts]),
-                        np.concatenate([dists for _, dists in parts]),
-                        k,
-                        max_dup=len(parts),
-                    )
-                else:
-                    top_ids = np.empty(0, dtype=np.int64)
-                    top_dists = np.empty(0, dtype=np.float32)
-            full_rows = fresh_entries + (reranked if use_quant else disk_entries)
+                top_ids, top_dists = dedup_top_k(cand_ids, cand_dists, k, max_dup=max_dup)
+            full_rows = fresh_entries + (reranked if use_quant else on_disk[qi])
             cpu = self.cpu_cost_per_query_us + self.cpu_cost_per_entry_us * full_rows
-            latency = io_latency + (cpu + code_cost * disk_entries)
+            latency = io_latency + (cpu + code_cost * on_disk[qi])
             if cut[qi]:
                 # The hard cut charges truncated queries exactly the budget
                 # (degraded results at budget latency, Figure 2/7 semantics).
                 # Non-truncated queries report their true cost — clamping them
                 # too would hide over-budget outliers from the measurements.
                 latency = self.latency_budget_us
+            undersized: list[int] = []
+            if self.min_posting_size:
+                undersized = [
+                    arena.posting_ids[slot]
+                    for slot in mine
+                    if live[slot] < self.min_posting_size
+                ]
             results.append(
                 SearchResult(
                     ids=top_ids,
                     distances=top_dists,
                     latency_us=latency,
-                    postings_probed=len(pids),
-                    entries_scanned=disk_entries + fresh_entries,
+                    postings_probed=len(probes[qi]),
+                    entries_scanned=on_disk[qi] + fresh_entries,
                     io_latency_us=io_latency,
                     truncated=cut[qi],
                     undersized_postings=undersized,
@@ -279,7 +331,7 @@ class SpannSearcher:
             )
         return use_quant
 
-    def _scan_entry_cost(self, use_quant: bool) -> float:
+    def _entry_cost(self, use_quant: bool) -> float:
         """Modelled CPU per scanned entry.
 
         The exact scan computes a full ``dim``-component distance per
@@ -330,16 +382,14 @@ class SpannSearcher:
             return posting_ids, False
         profile = self.controller.ssd.profile
         codec = self.controller.codec
-        entry_cost = self._scan_entry_cost(use_quant)
+        entry_cost = self._entry_cost(use_quant)
         cum_blocks = 0
         cum_cpu = self.cpu_cost_per_query_us + self.cpu_cost_per_entry_us * (
             extra_entries
         )
         kept: list[int] = []
-        for pid in posting_ids:
-            try:
-                length = self.controller.length(pid)
-            except StalePostingError:
+        for pid, length in zip(posting_ids, self.controller.lengths(posting_ids)):
+            if length is None:  # stale: deleted since navigation
                 continue
             blocks = (
                 codec.scan_blocks_needed(length)
@@ -358,140 +408,64 @@ class SpannSearcher:
             cum_cpu += entry_cost * length
         return kept, False
 
-    def _live_masks(self, items: list[tuple[int, object]]) -> dict[int, object]:
-        """Per-posting live masks with ONE version-map round trip.
-
-        ``live_mask`` is elementwise, so one call over the concatenated
-        id/version columns slices back into per-posting masks. ``None``
-        for a posting means every entry is live (the common steady state
-        and the version-map-less case) — the scan skips the masking.
-        """
-        out: dict[int, object] = {pid: None for pid, _ in items}
-        scored = [(pid, data) for pid, data in items if len(data) > 0]
-        if self.version_map is None or not scored:
-            return out
-        mask = self.version_map.live_mask(
-            np.concatenate([data.ids for _, data in scored]),
-            np.concatenate([data.versions for _, data in scored]),
-        )
-        if not mask.all():
-            start = 0
-            for pid, data in scored:
-                part = mask[start : start + len(data)]
-                start += len(data)
-                if not part.all():
-                    out[pid] = part
-        return out
-
-    def _scan(
-        self, queries, queries_of, present, masks, tables
-    ) -> tuple[dict[int, tuple[int, int]], list[dict[int, Candidates]]]:
-        """Score every fetched posting's live rows for the queries probing it.
-
-        Postings probed by the same set of queries are scored together
-        with ONE kernel call over their concatenated rows — a batch of one
-        is a single call — exact vectors with ``pairwise_sq_l2_exact``
-        (rows bit-identical to ``sq_l2_batch``) or, when ``tables`` is
-        given, codes with the fused ADC kernel. Returns per posting
-        ``(entries on disk, live entries)`` and per query
-        ``{posting: (live ids, distance row)}``.
-        """
-        sizes: dict[int, tuple[int, int]] = {}
-        groups: dict[tuple[int, ...], list[tuple[int, np.ndarray, np.ndarray]]] = {}
-        for pid, data in present:
-            ids = data.ids
-            rows = data.vectors if tables is None else data.codes
-            mask = masks[pid]
-            if mask is not None:
-                ids, rows = ids[mask], rows[mask]
-            sizes[pid] = (len(data), len(ids))
-            if len(ids):
-                groups.setdefault(tuple(queries_of[pid]), []).append((pid, ids, rows))
-        scored: list[dict[int, Candidates]] = [{} for _ in queries]
-        for qidxs, members in groups.items():
-            rows = (
-                members[0][2]
-                if len(members) == 1
-                else np.concatenate([part for _, _, part in members])
-            )
-            if tables is None:
-                dists = pairwise_sq_l2_exact(queries[list(qidxs)], rows)
-            else:
-                dists = adc_scan(tables, rows, query_rows=qidxs)
-            start = 0
-            for pid, ids, _ in members:
-                stop = start + len(ids)
-                for j, qi in enumerate(qidxs):
-                    scored[qi][pid] = (ids, dists[j, start:stop])
-                start = stop
-        return sizes, scored
-
-    def _rerank(
-        self, queries, probes, scored, masks, budget: int
-    ) -> tuple[list[dict[int, Candidates]], float]:
+    def _rerank(self, queries, arena, ids, adc, cand, row_of, budget: int):
         """Exact rerank of each query's best ``budget`` ADC candidates.
 
-        Per query the global best rows are selected across its probe
-        list; the union of every query's survivors is fetched with ONE
-        row-targeted vector read and every (query, row) pair is scored in
-        ONE fused kernel — the same diff-then-einsum ops as
-        ``sq_l2_batch``. Selected rows keep ascending (posting) order, so
-        with ``budget`` covering every live candidate the output is
-        bit-identical to the exact scan's. Returns the reranked
-        candidates in the shape :meth:`_scan` produced, plus the read's
-        simulated latency.
+        Takes the scan's pair arrays (``ids`` / ``adc`` per pair, ``row_of``
+        its arena row or None for "pair p is row p", query q owning
+        ``cand[q]:cand[q + 1]``) and returns the survivors in the same
+        shape: ``(ids, exact distances, cand, contributing postings per
+        query, read latency)``. Per query the global best rows are
+        selected across its probe list; the union of every query's
+        survivors is fetched with ONE row-targeted vector read and every
+        (query, row) pair is scored in ONE fused kernel — the same
+        diff-then-einsum ops as ``sq_l2_batch``. Survivors keep (probe,
+        row) order, so with ``budget`` covering every live candidate the
+        output is bit-identical to the exact scan's.
         """
-        spans: list[tuple[int, int, np.ndarray]] = []  # (query, posting, live rows)
-        rows_needed: dict[int, list[np.ndarray]] = {}
-        for qi, pids in enumerate(probes):
-            live = [pid for pid in pids if pid in scored[qi]]
-            if not live:
-                continue
-            ids_parts, adc_parts = zip(*(scored[qi][pid] for pid in live))
-            adc = np.concatenate(adc_parts)
+        n = len(cand) - 1
+        picks: list[np.ndarray] = []
+        for begin, end in zip(cand, cand[1:]):
             with self.profiler.section("topk"):
                 # Closure assignment replicates boundary vectors into
                 # neighboring postings and replicas share one code, so rank
                 # only the first copy of each id — otherwise replicas crowd
                 # distinct candidates out of the budget.
-                _, first = np.unique(np.concatenate(ids_parts), return_index=True)
-                selected = first[top_k_smallest(adc[first], budget)]
-            bounds = np.cumsum([0] + [len(ids) for ids in ids_parts])
-            owner = np.searchsorted(bounds, selected, side="right") - 1
-            for pi in np.unique(owner):
-                local = np.sort(selected[owner == pi] - bounds[pi])
-                spans.append((qi, live[pi], local))
-                rows_needed.setdefault(live[pi], []).append(local)
+                _, first = np.unique(ids[begin:end], return_index=True)
+                best = first[top_k_smallest(adc[begin:end][first], budget)]
+            picks.append(np.sort(best) + begin)
+        picked = np.concatenate(picks)
+        query_of = np.repeat(np.arange(n), [len(best) for best in picks])
 
-        # Live-row numbers → on-disk rows of each posting's vector section.
-        wanted: dict[int, np.ndarray] = {}
-        requests: list[tuple[int, np.ndarray]] = []
-        for pid, locals_ in rows_needed.items():
-            # One query's rows are already sorted and distinct.
-            rows = locals_[0] if len(locals_) == 1 else np.unique(np.concatenate(locals_))
-            wanted[pid] = rows
-            mask = masks[pid]
-            requests.append((pid, rows if mask is None else np.nonzero(mask)[0][rows]))
-        vectors, io_latency = self.controller.parallel_get_vector_rows(requests)
+        # Candidates -> arena rows -> on-disk rows of each posting's vector
+        # section, the union over all queries read once.
+        pos = picked if row_of is None else row_of[picked]
+        need = np.unique(pos)
+        bounds = arena.bounds
+        cuts = np.searchsorted(need, bounds).tolist()
+        spans = {
+            pid: (lo, hi, base)
+            for pid, lo, hi, base in zip(arena.posting_ids, cuts, cuts[1:], bounds.tolist())
+            if hi > lo
+        }
+        served, vectors, io_latency = self.controller.parallel_get_vector_rows(
+            [(pid, need[lo:hi] - base) for pid, (lo, hi, base) in spans.items()]
+        )
+        if len(served) < len(spans):
+            # A posting vanished between the two fetches: drop its rows.
+            found = np.zeros(len(need), dtype=bool)
+            for pid in served:
+                found[spans[pid][0] : spans[pid][1]] = True
+            alive = found[np.searchsorted(need, pos)]
+            picked, query_of, pos, need = picked[alive], query_of[alive], pos[alive], need[found]
 
-        spans = [span for span in spans if span[1] in vectors]  # else: vanished
-        reranked: list[dict[int, Candidates]] = [{} for _ in probes]
-        if spans:
-            with self.profiler.section("rerank"):
-                rows = np.concatenate(
-                    [
-                        vectors[pid][np.searchsorted(wanted[pid], local)]
-                        for _, pid, local in spans
-                    ]
-                )
-                owner = np.repeat(
-                    [qi for qi, _, _ in spans], [len(local) for _, _, local in spans]
-                )
-                diff = rows - queries[owner]
-                dists = np.einsum("ij,ij->i", diff, diff).astype(np.float32, copy=False)
-            pos = 0
-            for qi, pid, local in spans:
-                ids = scored[qi][pid][0]
-                reranked[qi][pid] = (ids[local], dists[pos : pos + len(local)])
-                pos += len(local)
-        return reranked, io_latency
+        cand = [0, *np.bincount(query_of, minlength=n).cumsum().tolist()]
+        with self.profiler.section("rerank"):
+            dists = sq_l2_pairs(queries, vectors, np.searchsorted(need, pos), cand)
+        # A query's contributing postings: runs of equal (query, slot) in
+        # its (probe, row)-ordered survivors.
+        run = query_of * len(bounds) + np.searchsorted(bounds, pos, side="right")
+        starts_run = np.ones(len(run), dtype=bool)
+        starts_run[1:] = run[1:] != run[:-1]
+        parts = np.bincount(query_of[starts_run], minlength=n).tolist()
+        return ids[picked], dists, cand, parts, io_latency

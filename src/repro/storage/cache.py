@@ -17,7 +17,7 @@ import threading
 from collections import OrderedDict
 
 from repro.storage.controller import BlockController
-from repro.storage.layout import PostingData
+from repro.storage.layout import PostingArena, PostingData
 
 
 class CachedBlockController:
@@ -57,7 +57,7 @@ class CachedBlockController:
                 self.misses += 1
             return data
 
-    def _cache_put(self, posting_id: int, data: PostingData) -> None:
+    def _cache_put(self, posting_id: int, data: PostingData) -> PostingData:
         # Copy-on-insert: ``parallel_get`` hands out zero-copy slices of
         # the shared decode arena (PostingCodec.decode_batch), and callers
         # may mutate what they were handed. The cache outlives the call,
@@ -70,6 +70,7 @@ class CachedBlockController:
             self._cache.move_to_end(posting_id)
             while len(self._cache) > self.capacity:
                 self._cache.popitem(last=False)
+        return data
 
     def invalidate(self, posting_id: int) -> None:
         with self._lock:
@@ -100,28 +101,31 @@ class CachedBlockController:
         self._cache_put(posting_id, data)
         return data, latency
 
-    def parallel_get(
-        self, posting_ids: list[int]
-    ) -> tuple[dict[int, PostingData], float]:
-        out: dict[int, PostingData] = {}
+    def parallel_get(self, posting_ids: list[int]) -> tuple[PostingArena, float]:
+        found: dict[int, PostingData] = {}
         missing: list[int] = []
         for pid in posting_ids:
             cached = self._cache_get(pid)
             if cached is not None:
-                out[pid] = cached
+                found[pid] = cached
             else:
                 missing.append(pid)
-        hit_latency = self.hit_latency_us if out else 0.0
+        hit_latency = self.hit_latency_us if found else 0.0
         device_latency = 0.0
         if missing:
             fetched, device_latency = self.inner.parallel_get(missing)
             for pid, data in fetched.items():
-                out[pid] = data
-                self._cache_put(pid, data)
+                found[pid] = self._cache_put(pid, data)
+        # The arena handed out is assembled from the cache's owned copies,
+        # in request order, so it aliases neither the cache nor the inner
+        # controller's decode arena.
+        arena = PostingArena.from_postings(
+            [(pid, found[pid]) for pid in posting_ids if pid in found], self.codec.dim
+        )
         # Hits are served from DRAM while the device round-trip for the
         # misses is in flight, so a mixed batch completes when the slower
         # of the two paths does — not after both in sequence.
-        return out, max(hit_latency, device_latency)
+        return arena, max(hit_latency, device_latency)
 
     # ------------------------------------------------------------------
     # write paths (invalidate, delegate)

@@ -9,6 +9,13 @@ Responsibilities, mirroring the paper:
 * **Posting API** — GET, ParallelGET, APPEND (tail-block read-modify-write
   only), PUT, DELETE. All return simulated device latency so callers can
   attribute I/O time to foreground/background work.
+
+A ParallelGET (``parallel_get`` for whole postings, ``parallel_get_codes``
+for code sections) is one device submission and one decode: the flat
+block list goes to the codec, which returns a single
+:class:`~repro.storage.layout.PostingArena` over the postings that still
+exist, in request order. ``parallel_get_vector_rows`` (the rerank read)
+likewise returns its rows as one matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.metrics.profiling import NULL_PROFILER, Profiler
-from repro.storage.layout import PostingCodec, PostingCodes, PostingData
+from repro.storage.layout import PostingArena, PostingCodec, PostingData
 from repro.storage.ssd import SimulatedSSD
 from repro.util.errors import OutOfSpaceError, StalePostingError, StorageError
 
@@ -110,6 +117,13 @@ class BlockController:
                 raise StalePostingError(f"posting {posting_id} does not exist")
             return meta.length
 
+    def lengths(self, posting_ids: list[int]) -> list[int | None]:
+        """Entry counts of many postings under one lock hold; ``None``
+        for a posting that does not exist."""
+        with self._lock:
+            metas = [self._mapping.get(pid) for pid in posting_ids]
+        return [None if meta is None else meta.length for meta in metas]
+
     def posting_ids(self) -> list[int]:
         with self._lock:
             return list(self._mapping.keys())
@@ -152,32 +166,40 @@ class BlockController:
             with self.profiler.section("decode"):
                 return self.codec.decode(payloads, meta.length), latency
 
-    def parallel_get(
-        self, posting_ids: list[int]
-    ) -> tuple[dict[int, PostingData], float]:
+    def parallel_get(self, posting_ids: list[int]) -> tuple[PostingArena, float]:
         """Read many postings in one batched device submission.
 
+        Returns one arena over the postings found, in request order.
         Missing postings (deleted concurrently) are silently skipped, which
         is what the searcher needs — a posting that vanished mid-query has
         been split and its vectors are reachable via the new postings.
         """
+        return self._parallel_read(posting_ids, whole=True)
+
+    def _parallel_read(
+        self, posting_ids: list[int], whole: bool
+    ) -> tuple[PostingArena, float]:
+        """ParallelGET of whole postings, or of their code sections only."""
+        codec = self.codec
         with self._lock:
-            metas: list[tuple[int, _PostingMeta]] = []
+            present: list[int] = []
+            lengths: list[int] = []
             all_blocks: list[int] = []
             for pid in posting_ids:
                 meta = self._mapping.get(pid)
                 if meta is None:
                     continue
-                metas.append((pid, meta))
-                all_blocks.extend(meta.blocks)
+                present.append(pid)
+                lengths.append(meta.length)
+                if whole:
+                    all_blocks.extend(meta.blocks)
+                else:
+                    all_blocks.extend(meta.blocks[: codec.code_blocks_needed(meta.length)])
             with self.profiler.section("io"):
                 payloads, latency = self.ssd.read_blocks(all_blocks)
             with self.profiler.section("decode"):
-                datas = self.codec.decode_batch(
-                    payloads, [meta.length for _, meta in metas]
-                )
-                out = {pid: data for (pid, _), data in zip(metas, datas)}
-            return out, latency
+                decode = codec.decode_batch if whole else codec.decode_codes_batch
+                return decode(payloads, lengths, present), latency
 
     def append(self, posting_id: int, data: PostingData) -> float:
         """Append entries to a posting's tail (paper's APPEND).
@@ -295,48 +317,31 @@ class BlockController:
             self._release(code_released + vec_released)
             return latency
 
-    def parallel_get_codes(
-        self, posting_ids: list[int]
-    ) -> tuple[dict[int, PostingCodes], float]:
+    def parallel_get_codes(self, posting_ids: list[int]) -> tuple[PostingArena, float]:
         """Read only the code sections of many postings in one submission.
 
         The compressed-scan read path: touches ``code_blocks_needed(n)``
-        blocks per posting instead of the full posting. Missing postings
-        are skipped, same as :meth:`parallel_get`. Requires a sectioned
-        codec.
+        blocks per posting instead of the full posting, and the arena
+        carries codes but no vectors. Missing postings are skipped, same
+        as :meth:`parallel_get`. Requires a sectioned codec.
         """
-        codec = self.codec
-        if not getattr(codec, "sectioned", False):
+        if not getattr(self.codec, "sectioned", False):
             raise StorageError("parallel_get_codes requires a sectioned codec")
-        with self._lock:
-            metas: list[tuple[int, _PostingMeta]] = []
-            all_blocks: list[int] = []
-            for pid in posting_ids:
-                meta = self._mapping.get(pid)
-                if meta is None:
-                    continue
-                metas.append((pid, meta))
-                all_blocks.extend(meta.blocks[: codec.code_blocks_needed(meta.length)])
-            with self.profiler.section("io"):
-                payloads, latency = self.ssd.read_blocks(all_blocks)
-            with self.profiler.section("decode"):
-                codes = codec.decode_codes_batch(
-                    payloads, [meta.length for _, meta in metas]
-                )
-                out = {pid: data for (pid, _), data in zip(metas, codes)}
-            return out, latency
+        return self._parallel_read(posting_ids, whole=False)
 
     def parallel_get_vector_rows(
         self, requests: list[tuple[int, "np.ndarray"]]
-    ) -> tuple[dict[int, "np.ndarray"], float]:
+    ) -> tuple[list[int], "np.ndarray", float]:
         """Read specific exact-vector rows of many postings (rerank path).
 
         ``requests`` is ``[(posting_id, row_indices), ...]`` with row
         indices into the on-disk posting (stale entries included, sorted
         ascending). Only the vector-section blocks covering the requested
         rows are read — one batched submission for the whole request set.
-        Returns ``{posting_id: (len(rows), dim) float32}``; missing
-        postings are skipped. Requires a sectioned codec.
+        Returns the posting ids served (missing postings and empty
+        requests are skipped), their requested rows stacked in request
+        order as one ``(rows, dim)`` float32 matrix, and the latency.
+        Requires a sectioned codec.
         """
         codec = self.codec
         if not getattr(codec, "sectioned", False):
@@ -345,82 +350,42 @@ class BlockController:
             )
         vpb = codec.vectors_per_block
         with self._lock:
-            plan: list[tuple[int, np.ndarray, int, np.ndarray]] = []
+            served: list[int] = []
+            fetched_rows: list[int] = []  # rows held by each posting's fetched blocks
+            gather: list[np.ndarray] = []  # requested rows' positions among those
             all_blocks: list[int] = []
+            base = 0
             for pid, rows in requests:
                 meta = self._mapping.get(pid)
-                if meta is None:
+                if meta is None or len(rows) == 0:
                     continue
                 rows = np.asarray(rows, dtype=np.intp)
-                if len(rows) == 0:
-                    continue
                 if rows[-1] >= meta.length:
                     raise StorageError(
                         f"row {int(rows[-1])} out of range for posting {pid} "
                         f"of length {meta.length}"
                     )
-                cb = codec.code_blocks_needed(meta.length)
-                vec_blocks = meta.blocks[cb:]
-                need = np.unique(rows // vpb)
-                all_blocks.extend(vec_blocks[int(b)] for b in need)
-                plan.append((pid, rows, meta.length, need))
+                vec_blocks = meta.blocks[codec.code_blocks_needed(meta.length) :]
+                block_of = rows // vpb
+                need = np.unique(block_of)
+                all_blocks.extend(vec_blocks[b] for b in need.tolist())
+                # Every fetched block is full except the section's tail.
+                held = len(need) * vpb
+                if need[-1] == len(vec_blocks) - 1:
+                    held += codec.vector_tail_fill(meta.length) - vpb
+                gather.append(base + np.searchsorted(need, block_of) * vpb + rows % vpb)
+                served.append(pid)
+                fetched_rows.append(held)
+                base += held
             with self.profiler.section("io"):
                 payloads, latency = self.ssd.read_blocks(all_blocks)
             with self.profiler.section("decode"):
-                out: dict[int, np.ndarray] = {}
-                if plan and all(
-                    len(p) == codec.block_size for p in payloads
-                ):
-                    # Arena decode: view every fetched block as float32
-                    # rows at once, then ONE fancy gather pulls all
-                    # requested rows across every posting. Bytes are
-                    # identical to the per-block path, so values are too.
-                    vbytes = vpb * codec.dim * 4
-                    raw = np.frombuffer(
-                        b"".join(payloads), dtype=np.uint8
-                    ).reshape(len(payloads), codec.block_size)
-                    arena = (
-                        np.ascontiguousarray(raw[:, :vbytes])
-                        .view("<f4")
-                        .reshape(len(payloads), vpb, codec.dim)
-                    )
-                    aj_parts: list[np.ndarray] = []
-                    loc_parts: list[np.ndarray] = []
-                    cursor = 0
-                    for pid, rows, length, need in plan:
-                        block_of = rows // vpb
-                        aj_parts.append(
-                            cursor + np.searchsorted(need, block_of)
-                        )
-                        loc_parts.append(rows - block_of * vpb)
-                        cursor += len(need)
-                    rows_all = arena[
-                        np.concatenate(aj_parts), np.concatenate(loc_parts)
-                    ]
-                    pos = 0
-                    for pid, rows, length, need in plan:
-                        out[pid] = rows_all[pos : pos + len(rows)]
-                        pos += len(rows)
-                    return out, latency
-                cursor = 0
-                for pid, rows, length, need in plan:
-                    gathered = np.empty((len(rows), codec.dim), dtype=np.float32)
-                    last_block = codec.vector_blocks_needed(length) - 1
-                    block_of = rows // vpb
-                    for b in need:
-                        count = (
-                            codec.vector_tail_fill(length)
-                            if int(b) == last_block
-                            else vpb
-                        )
-                        block_vecs = codec.decode_vector_block(
-                            payloads[cursor], count
-                        )
-                        cursor += 1
-                        in_block = block_of == b
-                        gathered[in_block] = block_vecs[rows[in_block] - b * vpb]
-                    out[pid] = gathered
-            return out, latency
+                # Arena decode: view every fetched block's valid rows as one
+                # float32 matrix, then ONE fancy gather pulls all requested
+                # rows across every posting.
+                arena = codec.decode_vector_rows(payloads, fetched_rows)
+                picks = np.concatenate(gather) if gather else np.empty(0, dtype=np.intp)
+                return served, arena[picks], latency
 
     def delete(self, posting_id: int) -> None:
         """Remove a posting and release its blocks."""

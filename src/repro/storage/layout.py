@@ -16,11 +16,22 @@ Two codecs share this contract:
   prefix; the rerank step reads just the vector blocks covering the
   surviving rows. Both sections keep the never-span-a-block property, so
   APPEND still rewrites at most one partial tail block per section.
+
+Every decode goes through :func:`join_valid`: the *valid byte prefix* of
+each block is joined into one record stream (so device blocks padded to
+the block size and raw ``encode()`` output read the same), viewed once
+through the structured dtype, and each column copied out once. A batch
+of postings decodes into one :class:`PostingArena` — compact columns
+plus a ``bounds`` offset array — which the read path carries uncopied
+through live filter, scan, rerank and top-k; ``arena[pid]`` slices a
+:class:`PostingData` / :class:`PostingCodes` out of it on demand.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -88,11 +99,11 @@ class PostingData:
     def owned(self) -> "PostingData":
         """Self if all columns own their memory; otherwise a deep copy.
 
-        ``decode_batch`` returns postings whose columns are zero-copy
-        slices of one shared decode arena. Anything that holds a posting
-        beyond the current call (the block cache, most importantly) must
-        take ownership first, or a later mutation of the arena silently
-        rewrites the held posting.
+        A :class:`PostingArena` hands out postings whose columns are
+        zero-copy slices of its shared columns. Anything that holds a
+        posting beyond the current call (the block cache, most
+        importantly) must take ownership first, or a later mutation of
+        the arena silently rewrites the held posting.
         """
         if self.owns_memory():
             return self
@@ -154,6 +165,114 @@ class PostingCodes:
         )
 
 
+class PostingArena(Mapping):
+    """Columnar decode of a batch of postings: the unit of the read path.
+
+    ``ids`` / ``versions`` / ``vectors`` / ``codes`` are compact columns
+    over every entry of every posting, back to back in ``posting_ids``
+    order; posting ``i`` owns rows ``bounds[i]:bounds[i + 1]``. A
+    code-section fetch has no ``vectors``, an exact-layout fetch no
+    ``codes``; ``rows`` is whichever the scan scores. The searcher works
+    on the columns directly; as a mapping, ``arena[pid]`` / ``.items()``
+    slice out one :class:`PostingData` (:class:`PostingCodes` when there
+    are no vectors) per posting, views into the shared columns.
+    """
+
+    __slots__ = ("posting_ids", "bounds", "ids", "versions", "vectors", "codes", "_slots")
+
+    def __init__(self, posting_ids, lengths, ids, versions, vectors=None, codes=None):
+        self.posting_ids = list(range(len(lengths))) if posting_ids is None else posting_ids
+        self.bounds = np.fromiter(accumulate(lengths, initial=0), np.intp, len(lengths) + 1)
+        self.ids = ids
+        self.versions = versions
+        self.vectors = vectors
+        self.codes = codes
+        self._slots: dict[int, int] | None = None
+
+    @classmethod
+    def from_postings(cls, items: list[tuple[int, PostingData]], dim: int) -> "PostingArena":
+        """Assemble an arena by copying whole postings (the cache's path)."""
+        datas = [data for _, data in items] or [PostingData.empty(dim)]
+        with_codes = all(data.codes is not None for data in datas)
+        return cls(
+            [pid for pid, _ in items],
+            [len(data) for _, data in items],
+            np.concatenate([data.ids for data in datas]),
+            np.concatenate([data.versions for data in datas]),
+            np.concatenate([data.vectors for data in datas]),
+            np.concatenate([data.codes for data in datas]) if with_codes else None,
+        )
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The column a scan scores: exact vectors, else quantized codes."""
+        return self.codes if self.vectors is None else self.vectors
+
+    @property
+    def slots(self) -> dict[int, int]:
+        """posting id -> position in ``posting_ids`` / ``bounds``."""
+        if self._slots is None:
+            self._slots = {pid: i for i, pid in enumerate(self.posting_ids)}
+        return self._slots
+
+    def __len__(self) -> int:
+        return len(self.posting_ids)
+
+    def __iter__(self):
+        return iter(self.posting_ids)
+
+    def __contains__(self, posting_id) -> bool:
+        return posting_id in self.slots
+
+    def __getitem__(self, posting_id: int):
+        slot = self.slots[posting_id]
+        rows = slice(self.bounds[slot], self.bounds[slot + 1])
+        codes = None if self.codes is None else self.codes[rows]
+        if self.vectors is None:
+            return PostingCodes(self.ids[rows], self.versions[rows], codes)
+        return PostingData(self.ids[rows], self.versions[rows], self.vectors[rows], codes)
+
+
+def join_valid(
+    payloads: list[bytes], lengths: list[int], per_block: int, entry_size: int
+) -> bytes:
+    """One contiguous record stream out of a flat list of block payloads.
+
+    ``payloads`` holds the blocks of consecutive record runs back to
+    back: run ``i`` has ``lengths[i]`` records of ``entry_size`` bytes,
+    ``per_block`` to a block, so each of its blocks is full except the
+    last. Only the valid byte prefix of every block is joined — padding
+    never enters the stream — which makes device blocks (padded to the
+    block size) and raw ``encode()`` output (tail payload cut short) the
+    same input. Too few blocks, or a payload shorter than its valid
+    prefix, raise :class:`StorageError`.
+    """
+    full = per_block * entry_size
+    pieces: list[bytes] = []
+    cursor = entries = 0
+    for n in lengths:
+        if n <= 0:
+            continue
+        last = cursor + (n - 1) // per_block
+        for payload in payloads[cursor:last]:
+            pieces.append(payload[:full])
+        if last < len(payloads):
+            pieces.append(payloads[last][: (n - (last - cursor) * per_block) * entry_size])
+        cursor = last + 1
+        entries += n
+    if cursor > len(payloads):
+        raise StorageError(
+            f"need {cursor} blocks for {entries} entries, got {len(payloads)}"
+        )
+    raw = b"".join(pieces)
+    if len(raw) != entries * entry_size:
+        raise StorageError(
+            f"block payloads hold {len(raw)} valid bytes, {entries} entries "
+            f"need {entries * entry_size}"
+        )
+    return raw
+
+
 class PostingCodec:
     """Packs posting entries into block payloads and back.
 
@@ -207,98 +326,31 @@ class PostingCodec:
             payloads.append(raw[start * self.entry_size : stop * self.entry_size])
         return payloads
 
+    def _decode_columns(self, payloads: list[bytes], lengths: list[int]):
+        """``(ids, versions, vectors)`` of every entry in the block list:
+        one join of the valid block prefixes, one structured view, and one
+        copy per column — which detaches it from the read-only buffer and
+        makes it contiguous for the distance kernels downstream."""
+        raw = join_valid(payloads, lengths, self.entries_per_block, self.entry_size)
+        packed = np.frombuffer(raw, dtype=self._dtype)
+        return packed["id"].copy(), packed["version"].copy(), packed["vec"].copy()
+
     def decode(self, payloads: list[bytes], num_entries: int) -> PostingData:
         """Decode block payloads back into a posting of ``num_entries``."""
-        if num_entries == 0:
-            return PostingData.empty(self.dim)
-        expected_blocks = self.blocks_needed(num_entries)
-        if len(payloads) < expected_blocks:
-            raise StorageError(
-                f"need {expected_blocks} blocks for {num_entries} entries, "
-                f"got {len(payloads)}"
-            )
-        epb = self.entries_per_block
-        if expected_blocks == 1:
-            # Hot path: one zero-copy view straight over the device payload.
-            packed = np.frombuffer(payloads[0], dtype=self._dtype, count=num_entries)
-        else:
-            # Device payloads are padded to the block size, so entries are
-            # not contiguous across raw blocks: view each block zero-copy,
-            # then concatenate once (no per-block byte slicing/joining).
-            views: list[np.ndarray] = []
-            remaining = num_entries
-            for payload in payloads[:expected_blocks]:
-                take = min(remaining, epb)
-                views.append(np.frombuffer(payload, dtype=self._dtype, count=take))
-                remaining -= take
-            packed = np.concatenate(views)
-        # Field copies detach from the read-only buffer and make each
-        # column contiguous for the distance kernels downstream.
-        return PostingData(
-            ids=packed["id"].copy(),
-            versions=packed["version"].copy(),
-            vectors=packed["vec"].copy(),
-        )
+        return PostingData(*self._decode_columns(payloads, [num_entries]))
 
     def decode_batch(
-        self, payloads: list[bytes], num_entries_list: list[int]
-    ) -> list["PostingData"]:
-        """Decode many postings from one flat block list in a single pass.
+        self, payloads: list[bytes], num_entries_list: list[int], posting_ids=None
+    ) -> PostingArena:
+        """Decode many postings from one flat block list into one arena.
 
-        ``payloads`` holds the blocks of every posting back to back, in the
-        order of ``num_entries_list``. When all payloads are full device
-        blocks (the ParallelGET case) the whole batch is decoded through
-        one shared arena — one join, one structured view, one gather, three
-        column copies — instead of per-posting ``decode`` calls. The
-        returned postings are bit-identical to per-posting decoding; each
-        one is a contiguous slice of the arena columns.
+        ``payloads`` holds the blocks of every posting back to back, in
+        the order of ``num_entries_list``; ``posting_ids`` (default
+        ``0..n-1``) name them. ``arena[pid]`` is bit-identical to a
+        per-posting :meth:`decode`.
         """
-        epb = self.entries_per_block
-        if any(len(p) != self.block_size for p in payloads):
-            # Mixed payload sizes (tests feeding encode() output straight
-            # back): fall back to the per-posting path.
-            out: list[PostingData] = []
-            cursor = 0
-            for n in num_entries_list:
-                nblocks = self.blocks_needed(n)
-                out.append(self.decode(payloads[cursor : cursor + nblocks], n))
-                cursor += nblocks
-            return out
-
-        nblocks = len(payloads)
-        esz = self.entry_size
-        if nblocks == 0 and any(num_entries_list):
-            raise StorageError("decode_batch got entries but no payload blocks")
-        if nblocks:
-            # Arena view: every block occupies exactly ``epb`` entry slots,
-            # so posting i's entries are the CONTIGUOUS slot range
-            # ``[block_cursor * epb, block_cursor * epb + n)`` — only the
-            # tail-block padding after them is dead. Copying the columns
-            # once (padding slots included) lets each posting be a plain
-            # slice, with no per-entry gather at all.
-            raw = np.frombuffer(b"".join(payloads), dtype=np.uint8)
-            region = raw.reshape(nblocks, self.block_size)[:, : epb * esz]
-            packed = np.ascontiguousarray(region).reshape(-1, esz)
-            packed = packed.view(self._dtype).reshape(-1)
-            ids_all = np.ascontiguousarray(packed["id"])
-            versions_all = np.ascontiguousarray(packed["version"])
-            vectors_all = np.ascontiguousarray(packed["vec"])
-        out = []
-        cursor = 0
-        for n in num_entries_list:
-            if n == 0:
-                out.append(PostingData.empty(self.dim))
-                continue
-            start = cursor * epb
-            out.append(
-                PostingData(
-                    ids=ids_all[start : start + n],
-                    versions=versions_all[start : start + n],
-                    vectors=vectors_all[start : start + n],
-                )
-            )
-            cursor += self.blocks_needed(n)
-        return out
+        columns = self._decode_columns(payloads, num_entries_list)
+        return PostingArena(posting_ids, num_entries_list, *columns)
 
     def tail_fill(self, num_entries: int) -> int:
         """How many entries sit in the (possibly partial) tail block."""
@@ -452,89 +504,25 @@ class QuantizedPostingCodec:
     # ------------------------------------------------------------------
     # decode
     # ------------------------------------------------------------------
-    def _decode_code_payloads(
-        self, payloads: list[bytes], num_entries: int
-    ) -> np.ndarray:
-        cpb = self.code_entries_per_block
-        views: list[np.ndarray] = []
-        remaining = num_entries
-        for payload in payloads:
-            take = min(remaining, cpb)
-            views.append(np.frombuffer(payload, dtype=self._code_dtype, count=take))
-            remaining -= take
-            if remaining == 0:
-                break
-        return views[0] if len(views) == 1 else np.concatenate(views)
+    def _decode_code_columns(self, payloads: list[bytes], lengths: list[int]):
+        """``(ids, versions, codes)`` of every code record in the block list."""
+        raw = join_valid(
+            payloads, lengths, self.code_entries_per_block, self.code_entry_size
+        )
+        packed = np.frombuffer(raw, dtype=self._code_dtype)
+        return packed["id"].copy(), packed["version"].copy(), packed["code"].copy()
 
     def decode_codes(self, payloads: list[bytes], num_entries: int) -> PostingCodes:
         """Decode code-section payloads into a :class:`PostingCodes`."""
-        if num_entries == 0:
-            return PostingCodes(
-                ids=np.empty(0, dtype=np.int64),
-                versions=np.empty(0, dtype=np.uint8),
-                codes=np.empty((0, self.code_bytes), dtype=np.uint8),
-            )
-        expected = self.code_blocks_needed(num_entries)
-        if len(payloads) < expected:
-            raise StorageError(
-                f"need {expected} code blocks for {num_entries} entries, "
-                f"got {len(payloads)}"
-            )
-        packed = self._decode_code_payloads(payloads[:expected], num_entries)
-        return PostingCodes(
-            ids=packed["id"].copy(),
-            versions=packed["version"].copy(),
-            codes=packed["code"].copy().reshape(num_entries, self.code_bytes),
-        )
+        return PostingCodes(*self._decode_code_columns(payloads, [num_entries]))
 
     def decode_codes_batch(
-        self, payloads: list[bytes], num_entries_list: list[int]
-    ) -> list[PostingCodes]:
-        """Arena decode of many code sections from one flat block list.
-
-        Mirrors :meth:`PostingCodec.decode_batch`: when every payload is a
-        full device block, one join + one structured view + three column
-        copies decode the whole batch, and each posting is a contiguous
-        slice of the arena columns.
-        """
-        cpb = self.code_entries_per_block
-        if any(len(p) != self.block_size for p in payloads):
-            out: list[PostingCodes] = []
-            cursor = 0
-            for n in num_entries_list:
-                nblocks = self.code_blocks_needed(n)
-                out.append(self.decode_codes(payloads[cursor : cursor + nblocks], n))
-                cursor += nblocks
-            return out
-
-        nblocks = len(payloads)
-        esz = self.code_entry_size
-        if nblocks == 0 and any(num_entries_list):
-            raise StorageError("decode_codes_batch got entries but no payloads")
-        if nblocks:
-            raw = np.frombuffer(b"".join(payloads), dtype=np.uint8)
-            region = raw.reshape(nblocks, self.block_size)[:, : cpb * esz]
-            packed = np.ascontiguousarray(region).reshape(-1, esz)
-            packed = packed.view(self._code_dtype).reshape(-1)
-            ids_all = np.ascontiguousarray(packed["id"])
-            versions_all = np.ascontiguousarray(packed["version"])
-            codes_all = np.ascontiguousarray(packed["code"])
-        out = []
-        cursor = 0
-        for n in num_entries_list:
-            if n == 0:
-                out.append(self.decode_codes([], 0))
-                continue
-            start = cursor * cpb
-            out.append(
-                PostingCodes(
-                    ids=ids_all[start : start + n],
-                    versions=versions_all[start : start + n],
-                    codes=codes_all[start : start + n],
-                )
-            )
-            cursor += self.code_blocks_needed(n)
-        return out
+        self, payloads: list[bytes], num_entries_list: list[int], posting_ids=None
+    ) -> PostingArena:
+        """Decode many code sections from one flat block list into one
+        arena without vectors (see :meth:`PostingCodec.decode_batch`)."""
+        ids, versions, codes = self._decode_code_columns(payloads, num_entries_list)
+        return PostingArena(posting_ids, num_entries_list, ids, versions, codes=codes)
 
     def decode_vector_block(self, payload: bytes, count: int) -> np.ndarray:
         """Decode one vector-section block into ``(count, dim)`` float32."""
@@ -542,48 +530,33 @@ class QuantizedPostingCodec:
             payload, dtype="<f4", count=count * self.dim
         ).reshape(count, self.dim)
 
-    def _decode_vector_payloads(
-        self, payloads: list[bytes], num_entries: int
-    ) -> np.ndarray:
-        vpb = self.vectors_per_block
-        views: list[np.ndarray] = []
-        remaining = num_entries
-        for payload in payloads:
-            take = min(remaining, vpb)
-            views.append(self.decode_vector_block(payload, take))
-            remaining -= take
-            if remaining == 0:
-                break
-        return views[0] if len(views) == 1 else np.vstack(views)
+    def decode_vector_rows(self, payloads: list[bytes], lengths: list[int]) -> np.ndarray:
+        """Read-only ``(sum(lengths), dim)`` view over the joined vector rows."""
+        raw = join_valid(payloads, lengths, self.vectors_per_block, self.vector_entry_size)
+        return np.frombuffer(raw, dtype="<f4").reshape(-1, self.dim)
 
     def decode(self, payloads: list[bytes], num_entries: int) -> PostingData:
         """Decode full-posting payloads (both sections) into PostingData."""
-        if num_entries == 0:
-            return PostingData.empty(self.dim)
-        cb = self.code_blocks_needed(num_entries)
-        vb = self.vector_blocks_needed(num_entries)
-        if len(payloads) < cb + vb:
-            raise StorageError(
-                f"need {cb + vb} blocks for {num_entries} entries, "
-                f"got {len(payloads)}"
-            )
-        codes = self.decode_codes(payloads[:cb], num_entries)
-        vectors = self._decode_vector_payloads(payloads[cb : cb + vb], num_entries)
-        return PostingData(
-            ids=codes.ids,
-            versions=codes.versions,
-            vectors=vectors.copy(),
-            codes=codes.codes,
-        )
+        split = self.code_blocks_needed(num_entries)
+        ids, versions, codes = self._decode_code_columns(payloads[:split], [num_entries])
+        vectors = self.decode_vector_rows(payloads[split:], [num_entries])
+        return PostingData(ids, versions, vectors.copy(), codes)
 
     def decode_batch(
-        self, payloads: list[bytes], num_entries_list: list[int]
-    ) -> list[PostingData]:
-        """Decode many full postings from one flat block list."""
-        out: list[PostingData] = []
+        self, payloads: list[bytes], num_entries_list: list[int], posting_ids=None
+    ) -> PostingArena:
+        """Decode many full postings (both sections each) into one arena."""
+        code_blocks: list[bytes] = []
+        vector_blocks: list[bytes] = []
         cursor = 0
         for n in num_entries_list:
-            nblocks = self.blocks_needed(n)
-            out.append(self.decode(payloads[cursor : cursor + nblocks], n))
-            cursor += nblocks
-        return out
+            split = cursor + self.code_blocks_needed(n)
+            stop = split + self.vector_blocks_needed(n)
+            code_blocks += payloads[cursor:split]
+            vector_blocks += payloads[split:stop]
+            cursor = stop
+        ids, versions, codes = self._decode_code_columns(code_blocks, num_entries_list)
+        vectors = self.decode_vector_rows(vector_blocks, num_entries_list)
+        return PostingArena(
+            posting_ids, num_entries_list, ids, versions, vectors.copy(), codes
+        )

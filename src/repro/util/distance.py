@@ -104,6 +104,45 @@ def pairwise_sq_l2_exact(
     return out
 
 
+# Scalars gathered per chunk by the pair kernels (`sq_l2_pairs`,
+# `repro.quantize.base.adc_scan_pairs`): bounds their temporaries to a few
+# hundred KiB however many (query, row) pairs a batch produces.
+PAIR_CHUNK_ELEMS = 1 << 16
+
+
+def pair_chunks(bounds, width: int):
+    """``(query, start, stop)`` chunks along a query-major pair axis.
+
+    Query ``q`` owns pairs ``bounds[q]:bounds[q + 1]``. No chunk straddles
+    two queries (so a kernel broadcasts one query per chunk) and none
+    gathers more than ``PAIR_CHUNK_ELEMS`` scalars of ``width`` per pair.
+    """
+    step = max(1, PAIR_CHUNK_ELEMS // max(width, 1))
+    for query, (begin, end) in enumerate(zip(bounds, bounds[1:])):
+        for start in range(begin, end, step):
+            yield query, start, min(start + step, end)
+
+
+def sq_l2_pairs(
+    queries: np.ndarray, points: np.ndarray, point_of: np.ndarray, bounds
+) -> np.ndarray:
+    """Squared L2 of (query, point) pairs: the batched scan's kernel.
+
+    Each query meets only the rows of the postings it probes: pair ``p``
+    of query ``q`` (``bounds[q] <= p < bounds[q + 1]``) is ``queries[q]``
+    against ``points[point_of[p]]``. Same diff-then-einsum ops as
+    :func:`sq_l2_batch`, so it is bit-identical to
+    ``sq_l2_batch(queries[q], points)[point_of[p]]``; chunked along the
+    pair axis so the gathered rows stay bounded.
+    """
+    out = np.empty(len(point_of), dtype=np.float32)
+    for query, start, stop in pair_chunks(bounds, points.shape[1]):
+        diff = points[point_of[start:stop]]
+        diff -= queries[query]
+        np.einsum("ij,ij->i", diff, diff, out=out[start:stop])
+    return out
+
+
 def pairwise_sq_l2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All-pairs squared L2 between rows of ``a`` and rows of ``b``.
 

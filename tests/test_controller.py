@@ -48,6 +48,12 @@ class TestPutGet:
         with pytest.raises(StalePostingError):
             controller.length(4)
 
+    def test_lengths_one_round_trip(self, controller, rng):
+        controller.put(3, make_posting(rng, 7))
+        controller.put(9, make_posting(rng, 0))
+        assert controller.lengths([9, 4, 3, 3]) == [0, None, 7, 7]
+        assert controller.lengths([]) == []
+
 
 class TestParallelGet:
     def test_reads_many(self, controller, rng):
@@ -62,6 +68,27 @@ class TestParallelGet:
         controller.put(0, make_posting(rng, 3))
         out, _ = controller.parallel_get([0, 77])
         assert set(out.keys()) == {0}
+        assert 77 not in out and out.get(77) is None
+
+    def test_returns_one_arena_in_request_order(self, controller, rng):
+        postings = {pid: make_posting(rng, n, id_start=pid * 100)
+                    for pid, n in ((4, 5), (1, 0), (2, 9))}
+        for pid, data in postings.items():
+            controller.put(pid, data)
+        arena, _ = controller.parallel_get([2, 77, 1, 4])
+        assert arena.posting_ids == [2, 1, 4] and len(arena) == 3
+        assert arena.bounds.tolist() == [0, 9, 9, 14]
+        np.testing.assert_array_equal(
+            arena.ids, np.concatenate([postings[pid].ids for pid in (2, 1, 4)])
+        )
+        assert arena.rows is arena.vectors and arena.vectors.shape == (14, controller.codec.dim)
+        for pid, data in arena.items():
+            np.testing.assert_array_equal(data.ids, postings[pid].ids)
+            np.testing.assert_array_equal(data.versions, postings[pid].versions)
+            np.testing.assert_array_equal(data.vectors, postings[pid].vectors)
+            assert not data.owns_memory()  # a view into the arena's columns
+        empty, latency = controller.parallel_get([77])
+        assert len(empty) == 0 and empty == {} and len(empty.ids) == 0
 
     def test_batched_latency_cheaper_than_serial(self, controller, rng):
         for pid in range(8):

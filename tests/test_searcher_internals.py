@@ -131,3 +131,117 @@ class TestBuildDeterminism:
             ra = a.query(QueryRequest.single(q, k=5, nprobe=a.num_postings)).result
             rb = b.query(QueryRequest.single(q, k=5, nprobe=b.num_postings)).result
             assert set(map(int, ra.ids)) == set(map(int, rb.ids))
+
+
+class TestVanishingPostings:
+    """A posting deleted under a running query is skipped, never fatal.
+
+    The centroid index keeps pointing at the victim (as it does for the
+    instant between a split's posting delete and its centroid removal), so
+    navigation still returns it and the fetch has to cope.
+    """
+
+    NPROBE = 4
+
+    @staticmethod
+    def _hide_from_navigation(index, victim):
+        """Navigation that never returns ``victim``: the reference run."""
+        search_batch = index.centroid_index.search_batch
+
+        def filtered(queries, k):
+            out = []
+            for hits in search_batch(queries, k):
+                keep = hits.posting_ids != victim
+                out.append(type(hits)(hits.posting_ids[keep], hits.distances[keep]))
+            return out
+
+        index.centroid_index.search_batch = filtered
+        return lambda: setattr(index.centroid_index, "search_batch", search_batch)
+
+    def _victim(self, index, queries):
+        """A posting several of ``queries`` probe, never as their only one."""
+        hits = index.centroid_index.search_batch(queries, self.NPROBE)
+        return int(hits[0].posting_ids[1])
+
+    def _requests(self, queries):
+        single = [QueryRequest.single(q, k=5, nprobe=self.NPROBE) for q in queries]
+        return single, QueryRequest(vectors=queries, k=5, nprobe=self.NPROBE)
+
+    def test_deleted_before_fetch_is_skipped(self, built_index, vectors):
+        index, queries = built_index, vectors[:12]
+        # No budget: its prefix would drop the stale posting before the fetch.
+        index.searcher.latency_budget_us = None
+        victim = self._victim(index, queries)
+        singles, batch = self._requests(queries)
+        restore = self._hide_from_navigation(index, victim)
+        want = [index.query(r).result for r in singles]
+        want_batch = index.query(batch).results
+        restore()
+
+        index.controller.delete(victim)  # the centroid stays registered
+        got = [index.query(r).result for r in singles]
+        got_batch = index.query(batch).results
+        probed_victim = 0
+        for w, wb, g, gb in zip(want, want_batch, got, got_batch):
+            for ref, out in ((w, g), (wb, gb)):
+                np.testing.assert_array_equal(out.ids, ref.ids)
+                np.testing.assert_array_equal(out.distances, ref.distances)
+                assert out.entries_scanned == ref.entries_scanned
+                assert out.undersized_postings == ref.undersized_postings
+            assert g.postings_probed == gb.postings_probed
+            probed_victim += g.postings_probed - w.postings_probed
+        assert probed_victim >= 1  # navigation did hand the victim out
+
+    def test_vanishing_before_rerank_drops_only_its_rows(self, vectors, small_config):
+        # One copy per vector and a rerank budget covering every candidate:
+        # losing the victim's rows at the rerank read must leave exactly the
+        # answer of never having probed it.
+        config = small_config.with_overrides(
+            quant_enabled=True,
+            quant_kind="pq",
+            quant_subspaces=4,
+            quant_rerank_k=10**6,
+            replica_count=1,
+            reassign_replicas=1,
+            search_latency_budget_us=None,
+        )
+        index = SPFreshIndex.build(vectors, config=config)
+        queries = vectors[:12]
+        victim = self._victim(index, queries)
+        victim_rows = index.controller.length(victim)
+        singles, batch = self._requests(queries)
+        normal = [index.query(r).result for r in singles]
+        restore = self._hide_from_navigation(index, victim)
+        want = [index.query(r).result for r in singles]
+        want_batch = index.query(batch).results
+        restore()
+
+        controller = index.controller
+        fetch_codes = controller.parallel_get_codes
+        saved = controller.get(victim)[0]
+
+        def fetch_then_lose_victim(posting_ids):
+            out = fetch_codes(posting_ids)
+            if controller.exists(victim):
+                controller.delete(victim)
+            return out
+
+        controller.parallel_get_codes = fetch_then_lose_victim
+        got = []
+        for request in singles:
+            got.append(index.query(request).result)
+            controller.create(victim, saved)  # back for the next query
+        got_batch = index.query(batch).results
+        hit = 0
+        for w, wb, g, gb, full in zip(want, want_batch, got, got_batch, normal):
+            for ref, out in ((w, g), (wb, gb)):
+                np.testing.assert_array_equal(out.ids, ref.ids)
+                np.testing.assert_array_equal(out.distances, ref.distances)
+                assert out.reranked_entries == ref.reranked_entries
+            # The code scan did see the victim; only the rerank lost it.
+            assert g.entries_scanned == gb.entries_scanned == full.entries_scanned
+            if g.postings_probed > w.postings_probed:
+                hit += 1
+                assert g.entries_scanned == w.entries_scanned + victim_rows
+                assert g.reranked_entries < full.reranked_entries
+        assert hit >= 1

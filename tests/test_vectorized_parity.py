@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from repro.centroids.brute import BruteForceCentroidIndex
 from repro.centroids.graph import GraphCentroidIndex
 from repro.spann.postings import dedup_top_k
-from repro.storage.layout import PostingCodec, PostingData
+from repro.quantize.sq import ScalarQuantizer
+from repro.storage.layout import PostingCodec, PostingData, QuantizedPostingCodec
 from repro.util.distance import pairwise_sq_l2_exact, sq_l2, sq_l2_batch
 
 def _matrix(rng, n, dim):
@@ -204,43 +205,100 @@ class TestCodecAdversarialShapes:
             np.testing.assert_array_equal(out.vectors, data.vectors)
             assert out.vectors.flags["C_CONTIGUOUS"]
 
-    @given(st.lists(st.integers(0, 40), min_size=1, max_size=12),
-           st.integers(0, 2**31 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_decode_batch_matches_per_posting_decode(self, sizes, seed):
-        rng = np.random.default_rng(seed)
-        codec = self._codec(dim=3, block_size=64)
-        postings = [self._posting(rng, codec, n) for n in sizes]
-        flat = []
-        for data in postings:
-            flat.extend(self._device_pad(codec, codec.encode(data)))
-        batch = codec.decode_batch(flat, sizes)
-        cursor = 0
-        for data, out, n in zip(postings, batch, sizes):
-            nblocks = codec.blocks_needed(n)
-            ref = codec.decode(flat[cursor : cursor + nblocks], n)
-            cursor += nblocks
-            for got in (out, ref):
+    def _any_codec(self, kind, dim, block_size):
+        if kind == "exact":
+            return PostingCodec(dim=dim, block_size=block_size)
+        quantizer = ScalarQuantizer(dim).fit(_matrix(np.random.default_rng(0), 32, dim))
+        return QuantizedPostingCodec(dim, block_size, quantizer)
+
+    def _assert_arena_matches(self, codec, postings, sizes, padded):
+        """Arena decode == per-posting decode == what was encoded, for whole
+        postings and (sectioned codec) for the code sections alone."""
+        pad = (lambda blocks: self._device_pad(codec, blocks)) if padded else list
+        per_posting = [pad(codec.encode(data)) for data in postings]
+        pids = [100 + i for i in range(len(sizes))]
+        arena = codec.decode_batch(sum(per_posting, []), sizes, pids)
+        assert list(arena) == pids and arena.bounds.tolist() == [0, *np.cumsum(sizes)]
+        assert len(arena.ids) == len(arena.versions) == len(arena.rows) == sum(sizes)
+        for pid, data, blocks, n in zip(pids, postings, per_posting, sizes):
+            for got in (arena[pid], codec.decode(blocks, n)):
+                assert len(got) == n
                 np.testing.assert_array_equal(got.ids, data.ids)
                 np.testing.assert_array_equal(got.versions, data.versions)
                 np.testing.assert_array_equal(got.vectors, data.vectors)
+                assert got.vectors.shape == (n, codec.dim)
+                if got.codes is not None:
+                    np.testing.assert_array_equal(got.codes, codec.codes_for(data))
+        if not getattr(codec, "sectioned", False):
+            assert arena.rows is arena.vectors
+            return
+        sections = [blocks[: codec.code_blocks_needed(n)]
+                    for blocks, n in zip(per_posting, sizes)]
+        codes = codec.decode_codes_batch(sum(sections, []), sizes)  # default ids 0..n-1
+        assert codes.vectors is None and codes.rows is codes.codes
+        for slot, (data, blocks, n) in enumerate(zip(postings, sections, sizes)):
+            for got in (codes[slot], codec.decode_codes(blocks, n)):
+                np.testing.assert_array_equal(got.ids, data.ids)
+                np.testing.assert_array_equal(got.versions, data.versions)
+                np.testing.assert_array_equal(got.codes, codec.codes_for(data))
 
-    def test_decode_batch_unpadded_fallback(self):
-        rng = np.random.default_rng(9)
-        codec = self._codec(dim=4, block_size=96)
-        sizes = [3, codec.entries_per_block, 1]
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=12),
+           st.integers(0, 2**31 - 1), st.sampled_from(["exact", "sq8"]), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_decode_batch_matches_per_posting_decode(self, sizes, seed, kind, padded):
+        """One decode path: device blocks (padded) and raw ``encode()``
+        output (tail payloads cut short) give the same arena."""
+        rng = np.random.default_rng(seed)
+        codec = self._any_codec(kind, dim=3, block_size=64)
         postings = [self._posting(rng, codec, n) for n in sizes]
-        flat = []  # raw encode() output: tail payloads are NOT block-sized
-        for data in postings:
-            flat.extend(codec.encode(data))
-        batch = codec.decode_batch(flat, sizes)
-        for data, out in zip(postings, batch):
-            np.testing.assert_array_equal(out.ids, data.ids)
-            np.testing.assert_array_equal(out.vectors, data.vectors)
+        self._assert_arena_matches(codec, postings, sizes, padded)
+
+    @pytest.mark.parametrize("kind", ["exact", "sq8"])
+    @pytest.mark.parametrize("padded", [True, False])
+    def test_decode_batch_empty_and_block_multiples(self, kind, padded):
+        rng = np.random.default_rng(9)
+        codec = self._any_codec(kind, dim=4, block_size=96)
+        per_block = getattr(codec, "code_entries_per_block", None) or codec.entries_per_block
+        for sizes in (
+            [0],
+            [0, 0],
+            [per_block],
+            [0, per_block, 0, 2 * per_block, 1, 0],
+            [3 * per_block, per_block - 1, per_block + 1],
+        ):
+            postings = [self._posting(rng, codec, n) for n in sizes]
+            self._assert_arena_matches(codec, postings, sizes, padded)
+        empty = codec.decode_batch([], [])
+        assert len(empty) == 0 and len(empty.ids) == 0 and 7 not in empty
+        assert empty.rows.shape == (0, codec.dim)
 
     def test_decode_batch_rejects_entries_without_blocks(self):
-        codec = self._codec()
+        """Too few blocks and short payloads raise StorageError, both codecs."""
         from repro.util.errors import StorageError
 
-        with pytest.raises(StorageError):
-            codec.decode_batch([], [4])
+        rng = np.random.default_rng(3)
+        exact = self._any_codec("exact", dim=5, block_size=128)
+        sq8 = self._any_codec("sq8", dim=5, block_size=128)
+        cases = []  # (decode, blocks of one two-block run, its entry count)
+        for codec, decode, per_block in (
+            (exact, exact.decode_batch, exact.entries_per_block),
+            (sq8, sq8.decode_codes_batch, sq8.code_entries_per_block),
+            (sq8, sq8.decode_batch, sq8.code_entries_per_block),
+        ):
+            data = self._posting(rng, codec, per_block + 2)
+            blocks = self._device_pad(codec, codec.encode(data))
+            if decode == sq8.decode_codes_batch:
+                blocks = blocks[:2]
+            cases.append((decode, blocks, len(data)))
+        for decode, blocks, n in cases:
+            decode(blocks, [n])  # the intact input decodes
+            with pytest.raises(StorageError):
+                decode([], [4])
+            with pytest.raises(StorageError):  # too few blocks for the entries
+                decode(blocks[:1], [n])
+            with pytest.raises(StorageError):  # a second posting, no blocks left
+                decode(blocks, [n, 1])
+            with pytest.raises(StorageError):  # short payload: full block cut
+                decode([blocks[0][:-90]] + blocks[1:], [n])
+            with pytest.raises(StorageError):  # short payload: tail block cut
+                decode([blocks[0], blocks[1][:5]] + blocks[2:], [n])

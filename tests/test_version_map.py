@@ -138,6 +138,26 @@ class TestLiveMask:
         mask = vm.live_mask(ids, np.zeros(3, dtype=np.uint8))
         assert list(mask) == [False, True, False]
 
+    def test_range_check_fallback_matches_fast_path(self):
+        """In-range ids are indexed directly; one stray id switches the whole
+        call to the masked branch, and both must agree entry for entry."""
+        vm = VersionMap(initial_capacity=16)
+        for vid in range(8):
+            vm.register(vid)
+        vm.cas_bump(2, 0)
+        vm.delete(5)
+        ids = np.arange(10, dtype=np.int64)  # 8 and 9: in range, never registered
+        stored = np.zeros(10, dtype=np.uint8)
+        want = [True, True, False, True, True, False, True, True, False, False]
+        assert vm.live_mask(ids, stored).tolist() == want  # fast branch
+        for stray in (-1, -(2**40), 16, 2**40):  # below zero / beyond capacity
+            mixed = np.concatenate(([stray], ids, [stray]))
+            mask = vm.live_mask(mixed, np.zeros(12, dtype=np.uint8))
+            assert mask.tolist() == [False, *want, False]
+            assert vm.live_mask(np.array([stray]), stored[:1]).tolist() == [False]
+        empty = vm.live_mask(ids[:0], stored[:0])
+        assert empty.shape == (0,) and empty.dtype == bool
+
     @given(st.lists(st.integers(0, 50), min_size=1, max_size=30, unique=True))
     @settings(max_examples=25)
     def test_mask_matches_scalar_api(self, ids):
