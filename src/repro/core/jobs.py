@@ -44,18 +44,20 @@ class MergeJob:
 
 @dataclass(frozen=True)
 class ReassignJob:
-    """Re-evaluate one vector's posting assignment.
+    """Re-evaluate the posting assignment of one source posting's candidates.
 
-    ``expected_version`` is the version observed when the candidate was
-    collected; the CAS against the version map aborts the job if the vector
-    was concurrently reassigned or deleted.
+    One job is the batch of one scheduling call: row ``i`` is vector
+    ``vector_ids[i]`` with payload ``vectors[i]``, observed at
+    ``expected_versions[i]`` when the candidate was collected. Rows are
+    re-validated one by one, in row order, at execution time; the CAS
+    against the version map aborts a row whose vector was concurrently
+    reassigned or deleted.
     """
 
-    vector_id: int
-    vector: np.ndarray
-    expected_version: int
+    vector_ids: np.ndarray
+    vectors: np.ndarray
+    expected_versions: np.ndarray
     source_posting: int
-    attempts: int = 0
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ internal LIRE operators with posting-level locking and version-map CAS:
   collect reassign candidates via the two necessary conditions (§3.3);
 * **merge** — fold an undersized posting into its nearest neighbor and
   reassign the moved vectors (no neighbor-range check needed, §4.2.1);
-* **reassign** — re-validate one vector's assignment: search its true
-  nearest posting, discard false positives (NPA check), CAS-bump its
-  version, and append the fresh copy; all stale replicas die by version.
+* **reassign** — one job per source posting carries all its candidates;
+  each is re-validated on its own: search its true nearest posting,
+  discard false positives (NPA check), CAS-bump its version, and append
+  the fresh copy; all stale replicas die by version.
 
 Jobs can run inline (synchronous mode, deterministic — the default for
 tests) or on background worker threads (the paper's two-stage pipeline).
@@ -268,22 +269,21 @@ class LocalRebuilder:
     def _schedule_reassigns(
         self, data: PostingData, mask: np.ndarray, source_posting: int
     ) -> None:
-        for row in np.nonzero(mask)[0]:
-            vid = int(data.ids[row])
-            version = self.version_map.current_version(vid)
-            if version < 0 or self.version_map.is_deleted(vid):
-                continue
-            if version != int(data.versions[row]):
-                continue  # stale replica; the live copy is elsewhere
-            self.stats.incr("reassign_scheduled")
-            self.job_queue.put(
-                ReassignJob(
-                    vector_id=vid,
-                    vector=data.vectors[row].copy(),
-                    expected_version=version,
-                    source_posting=source_posting,
-                )
+        """Queue the masked rows that are still the live copy as ONE job."""
+        rows = np.flatnonzero(mask)
+        # A stale replica is skipped: the live copy is elsewhere.
+        rows = rows[self.version_map.live_mask(data.ids[rows], data.versions[rows])]
+        if len(rows) == 0:
+            return
+        self.stats.incr("reassign_scheduled", len(rows))
+        self.job_queue.put(
+            ReassignJob(
+                vector_ids=data.ids[rows],
+                vectors=data.vectors[rows],
+                expected_versions=data.versions[rows],
+                source_posting=source_posting,
             )
+        )
 
     # ------------------------------------------------------------------
     # merge
@@ -340,19 +340,35 @@ class LocalRebuilder:
     # reassign
     # ------------------------------------------------------------------
     def _run_reassign(self, job: ReassignJob) -> None:
-        vid = job.vector_id
+        """Run one batch: drop the rows that went stale while queued, then
+        re-validate and move the survivors one by one, in row order."""
+        live = self.version_map.live_mask(job.vector_ids, job.expected_versions)
+        self.stats.incr("reassign_aborted_version", len(live) - int(live.sum()))
+        for row in np.flatnonzero(live):
+            self._reassign_one(
+                int(job.vector_ids[row]),
+                job.vectors[row],
+                int(job.expected_versions[row]),
+                job.source_posting,
+            )
+
+    def _reassign_one(
+        self, vid: int, vector: np.ndarray, expected_version: int, source_posting: int
+    ) -> None:
+        # Re-checked per row: an earlier row of the same batch may have
+        # moved this id (it can occur twice in one batch).
         if (
             self.version_map.is_deleted(vid)
-            or self.version_map.current_version(vid) != job.expected_version
+            or self.version_map.current_version(vid) != expected_version
         ):
             self.stats.incr("reassign_aborted_version")
             return
         hits = self.centroid_index.search(
-            job.vector, max(self.config.reassign_replicas * 2, 4)
+            vector, max(self.config.reassign_replicas * 2, 4)
         )
         if len(hits) == 0:
             return
-        if hits.nearest == job.source_posting:
+        if hits.nearest == source_posting:
             # False positive: the vector already sits in its nearest posting.
             self.stats.incr("reassign_aborted_npa")
             return
@@ -365,23 +381,20 @@ class LocalRebuilder:
             self.config.reassign_replicas,
             self.config.closure_epsilon,
         )
-        new_version = self.version_map.cas_bump(vid, job.expected_version)
+        new_version = self.version_map.cas_bump(vid, expected_version)
         if new_version is None:
             self.stats.incr("reassign_aborted_version")
             return
-        entry_versions = [new_version]
-        placed = self._append_entry(vid, entry_versions[0], job.vector, targets)
+        placed = self._append_entry(vid, new_version, vector, targets)
         if not placed:
             # Every target vanished mid-flight (posting-missing): re-route
             # with a fresh centroid search until a copy lands.
             for _ in range(self.config.max_reassign_retries):
                 self.stats.incr("reassign_posting_missing")
-                hits = self.centroid_index.search(job.vector, 4)
+                hits = self.centroid_index.search(vector, 4)
                 if len(hits) == 0:
                     break
-                placed = self._append_entry(
-                    vid, entry_versions[0], job.vector, [hits.nearest]
-                )
+                placed = self._append_entry(vid, new_version, vector, [hits.nearest])
                 if placed:
                     break
         if not placed:

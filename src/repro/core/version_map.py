@@ -28,6 +28,13 @@ _UNREGISTERED = np.uint8(0xFF)  # sentinel: id never registered
 # distinguish "never seen" from "deleted".
 
 
+def _next_version(version: int) -> int:
+    """Successor of a 7-bit version. 0x7F is skipped: a deleted vector at
+    that version would collide with the 0xFF "unregistered" sentinel, so
+    versions cycle through 127 values instead of 128."""
+    return (version + 1) % VERSION_MASK
+
+
 class VersionMap:
     """Dense vector-id → version byte map with CAS semantics."""
 
@@ -53,10 +60,13 @@ class VersionMap:
         self._bytes = grown
 
     def register(self, vector_id: int) -> int:
-        """Register a new (or re-inserted) vector; returns its version (0).
+        """Register a new (or re-inserted) vector; returns its version.
 
-        Re-registering a deleted id resurrects it with version 0, matching
-        an insert of a fresh vector reusing the id.
+        A never-seen id starts at version 0. Re-registering a deleted id
+        continues at the version after the tombstoned one: replicas of the
+        earlier incarnation still on disk (and reassign rows still queued
+        for it) carry an older version and stay dead, which a reset to 0
+        would undo.
         """
         if vector_id < 0:
             raise IndexError_("vector ids must be non-negative")
@@ -65,12 +75,14 @@ class VersionMap:
             current = int(self._bytes[vector_id])
             if current == int(_UNREGISTERED):
                 self._registered += 1
+                version = 0
             elif not current & DELETED_BIT:
                 raise IndexError_(f"vector {vector_id} is already live")
             else:
                 self._deleted -= 1
-            self._bytes[vector_id] = 0
-            return 0
+                version = _next_version(current & VERSION_MASK)
+            self._bytes[vector_id] = version
+            return version
 
     def is_registered(self, vector_id: int) -> bool:
         with self._lock:
@@ -125,12 +137,7 @@ class VersionMap:
                 return None
             if (current & VERSION_MASK) != expected_version:
                 return None
-            new_version = (expected_version + 1) & VERSION_MASK
-            if new_version == VERSION_MASK:
-                # Skip 0x7F: a deleted vector at that version would collide
-                # with the 0xFF "unregistered" sentinel. Versions therefore
-                # cycle through 127 values instead of 128.
-                new_version = 0
+            new_version = _next_version(expected_version)
             self._bytes[vector_id] = np.uint8(new_version)
             return new_version
 

@@ -103,13 +103,19 @@ class ProductQuantizer(VectorQuantizer):
         queries = np.ascontiguousarray(queries, dtype=np.float32)
         if queries.ndim == 1:
             queries = queries.reshape(1, -1)
-        tables = np.zeros(
-            (len(queries), self.num_subspaces, self.codebook_size), dtype=np.float32
-        )
-        for m in range(self.num_subspaces):
-            chunk = queries[:, m * self.sub_dim : (m + 1) * self.sub_dim]
-            tables[:, m, :] = pairwise_sq_l2(chunk, self.codebooks[m])
-        return tables
+        # pairwise_sq_l2 over every subspace at once: one stacked matmul in
+        # place of a tiny GEMM per subspace, term for term the same
+        # arithmetic (tests/test_quantize.py holds it bit-identical to the
+        # loop). The codebooks stay a transposed *view*: a contiguous copy
+        # changes the last bit of a single-query product.
+        chunks = queries.reshape(-1, self.num_subspaces, self.sub_dim).transpose(1, 0, 2)
+        books = self.codebooks
+        a2 = np.einsum("mqj,mqj->mq", chunks, chunks)
+        b2 = np.einsum("mkj,mkj->mk", books, books)
+        out = a2[:, :, None] + b2[:, None, :]
+        out -= 2.0 * np.matmul(chunks, books.transpose(0, 2, 1))
+        np.maximum(out, 0.0, out=out)
+        return np.ascontiguousarray(out.transpose(1, 0, 2), dtype=np.float32)
 
     @staticmethod
     def adc_distances(table: np.ndarray, codes: np.ndarray) -> np.ndarray:

@@ -27,7 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.metrics.profiling import NULL_PROFILER, Profiler
-from repro.storage.layout import PostingArena, PostingCodec, PostingData
+from repro.storage.layout import (
+    PostingArena,
+    PostingCodec,
+    PostingData,
+    cut_blocks,
+    join_valid,
+)
 from repro.storage.ssd import SimulatedSSD
 from repro.util.errors import OutOfSpaceError, StalePostingError, StorageError
 
@@ -204,117 +210,60 @@ class BlockController:
     def append(self, posting_id: int, data: PostingData) -> float:
         """Append entries to a posting's tail (paper's APPEND).
 
-        Only the tail block is read-modified-written; full blocks of new data
-        are written directly. The mapping entry is swapped atomically and the
-        replaced tail block is released.
+        A section's blocks hold one record stream cut every ``per_block``
+        records, so an append *continues* that stream: the valid bytes of
+        the partial tail block, then the new rows' packed records, cut
+        again at the block size — nothing is decoded. Only partial tail
+        blocks are read (one batched submission: one block under the
+        exact layout, at most one per section under the sectioned one);
+        full blocks stay mapped, section by section, and the replaced
+        tails are released once the mapping entry is swapped.
         """
         if len(data) == 0:
             return 0.0
-        if getattr(self.codec, "sectioned", False):
-            return self._append_sectioned(posting_id, data)
-        with self._lock:
-            meta = self._mapping.get(posting_id)
-            if meta is None:
-                raise StalePostingError(f"posting {posting_id} does not exist")
-            latency = 0.0
-            epb = self.codec.entries_per_block
-            tail_fill = self.codec.tail_fill(meta.length)
-            if meta.length > 0 and tail_fill < epb:
-                # Tail block is partial: re-read its entries and merge.
-                tail_block = meta.blocks[-1]
-                with self.profiler.section("io"):
-                    payloads, lat = self.ssd.read_blocks([tail_block])
-                latency += lat
-                with self.profiler.section("decode"):
-                    tail_entries = self.codec.decode(payloads, tail_fill)
-                merged = tail_entries.concat(data)
-                keep_blocks = meta.blocks[:-1]
-                released = [tail_block]
-            else:
-                merged = data
-                keep_blocks = list(meta.blocks)
-                released = []
-            new_payloads = self.codec.encode(merged)
-            new_blocks = self._alloc(len(new_payloads))
-            with self.profiler.section("io"):
-                latency += self.ssd.write_blocks(new_blocks, new_payloads)
-            self._mapping[posting_id] = _PostingMeta(
-                meta.length + len(data), keep_blocks + new_blocks
-            )
-            self._release(released)
-            return latency
-
-    def _append_sectioned(self, posting_id: int, data: PostingData) -> float:
-        """APPEND under the two-section quantized layout.
-
-        Each section keeps the entries-never-span-a-block property, so the
-        append re-reads at most one partial tail block per section (one
-        batched submission), then writes the merged tails plus the new
-        full blocks. The mapping keeps the untouched full blocks of both
-        sections: ``[code keep, code new, vector keep, vector new]``.
-        """
         codec = self.codec
         with self._lock:
             meta = self._mapping.get(posting_id)
             if meta is None:
                 raise StalePostingError(f"posting {posting_id} does not exist")
-            old_n = meta.length
-            cb = codec.code_blocks_needed(old_n)
-            code_blocks, vec_blocks = meta.blocks[:cb], meta.blocks[cb:]
-
-            code_tail = codec.code_tail_fill(old_n)
-            vec_tail = codec.vector_tail_fill(old_n)
-            code_partial = 0 < code_tail < codec.code_entries_per_block
-            vec_partial = 0 < vec_tail < codec.vectors_per_block
-
-            read_blocks: list[int] = []
-            if code_partial:
-                read_blocks.append(code_blocks[-1])
-            if vec_partial:
-                read_blocks.append(vec_blocks[-1])
+            old_n, fresh = meta.length, codec.encode(data)
+            kept: list[list[int]] = []  # per section: blocks that stay mapped
+            new: list[list[bytes]] = []  # per section: payloads to write
+            old_at = new_at = 0
+            for per_block, _ in codec.sections:
+                old_stop = old_at - (-old_n // per_block)
+                new_stop = new_at - (-len(data) // per_block)
+                kept.append(meta.blocks[old_at:old_stop])
+                new.append(fresh[new_at:new_stop])
+                old_at, new_at = old_stop, new_stop
+            # Sections whose last block is partial: that block is replaced.
+            partial = [
+                i for i, (per_block, _) in enumerate(codec.sections) if old_n % per_block
+            ]
+            tails = [kept[i].pop() for i in partial]
             latency = 0.0
-            payloads: list[bytes] = []
-            if read_blocks:
+            if tails:
                 with self.profiler.section("io"):
-                    payloads, lat = self.ssd.read_blocks(read_blocks)
-                latency += lat
-
-            new_codes = codec.codes_for(data)
-            cursor = 0
-            if code_partial:
-                tail = codec.decode_codes([payloads[cursor]], code_tail)
-                cursor += 1
-                merged_ids = np.concatenate([tail.ids, data.ids])
-                merged_versions = np.concatenate([tail.versions, data.versions])
-                merged_codes = np.concatenate([tail.codes, new_codes])
-                code_keep, code_released = code_blocks[:-1], [code_blocks[-1]]
-            else:
-                merged_ids, merged_versions = data.ids, data.versions
-                merged_codes = new_codes
-                code_keep, code_released = list(code_blocks), []
-            if vec_partial:
-                tail_vecs = codec.decode_vector_block(payloads[cursor], vec_tail)
-                merged_vecs = np.vstack([tail_vecs, data.vectors])
-                vec_keep, vec_released = vec_blocks[:-1], [vec_blocks[-1]]
-            else:
-                merged_vecs = data.vectors
-                vec_keep, vec_released = list(vec_blocks), []
-
-            code_payloads = codec.encode_codes_section(
-                merged_ids, merged_versions, merged_codes
-            )
-            vec_payloads = codec.encode_vectors_section(merged_vecs)
-            new_blocks = self._alloc(len(code_payloads) + len(vec_payloads))
-            code_new = new_blocks[: len(code_payloads)]
-            vec_new = new_blocks[len(code_payloads) :]
+                    tail_payloads, latency = self.ssd.read_blocks(tails)
+                for i, payload in zip(partial, tail_payloads):
+                    per_block, entry_size = codec.sections[i]
+                    head = join_valid(
+                        [payload], [old_n % per_block], per_block, entry_size
+                    )
+                    new[i] = cut_blocks(
+                        head + b"".join(new[i]), per_block * entry_size
+                    )
+            payloads = [payload for section in new for payload in section]
+            new_blocks = self._alloc(len(payloads))
             with self.profiler.section("io"):
-                latency += self.ssd.write_blocks(
-                    new_blocks, code_payloads + vec_payloads
-                )
-            self._mapping[posting_id] = _PostingMeta(
-                old_n + len(data), code_keep + code_new + vec_keep + vec_new
-            )
-            self._release(code_released + vec_released)
+                latency += self.ssd.write_blocks(new_blocks, payloads)
+            blocks: list[int] = []
+            at = 0
+            for old, section in zip(kept, new):
+                blocks += old + new_blocks[at : at + len(section)]
+                at += len(section)
+            self._mapping[posting_id] = _PostingMeta(old_n + len(data), blocks)
+            self._release(tails)
             return latency
 
     def parallel_get_codes(self, posting_ids: list[int]) -> tuple[PostingArena, float]:

@@ -273,6 +273,12 @@ def join_valid(
     return raw
 
 
+def cut_blocks(raw: bytes, block_bytes: int) -> list[bytes]:
+    """A record stream cut into block payloads of ``block_bytes`` (a
+    whole number of records); only the last may be short."""
+    return [raw[at : at + block_bytes] for at in range(0, len(raw), block_bytes)]
+
+
 class PostingCodec:
     """Packs posting entries into block payloads and back.
 
@@ -298,6 +304,9 @@ class PostingCodec:
         self._dtype = np.dtype(
             [("id", "<i8"), ("version", "u1"), ("vec", "<f4", (dim,))]
         )
+        # (records per block, record bytes) of each section of a posting's
+        # block list, in block order — what APPEND needs to continue them.
+        self.sections = ((self.entries_per_block, self.entry_size),)
 
     def blocks_needed(self, num_entries: int) -> int:
         """Blocks required to store ``num_entries`` entries."""
@@ -318,13 +327,7 @@ class PostingCodec:
         packed["id"] = data.ids
         packed["version"] = data.versions
         packed["vec"] = data.vectors
-        raw = packed.tobytes()
-        epb = self.entries_per_block
-        payloads: list[bytes] = []
-        for start in range(0, n, epb):
-            stop = min(start + epb, n)
-            payloads.append(raw[start * self.entry_size : stop * self.entry_size])
-        return payloads
+        return cut_blocks(packed.tobytes(), self.entries_per_block * self.entry_size)
 
     def _decode_columns(self, payloads: list[bytes], lengths: list[int]):
         """``(ids, versions, vectors)`` of every entry in the block list:
@@ -408,6 +411,10 @@ class QuantizedPostingCodec:
         self._code_dtype = np.dtype(
             [("id", "<i8"), ("version", "u1"), ("code", "u1", (self.code_bytes,))]
         )
+        self.sections = (
+            (self.code_entries_per_block, self.code_entry_size),
+            (self.vectors_per_block, self.vector_entry_size),
+        )
 
     # ------------------------------------------------------------------
     # geometry
@@ -431,12 +438,6 @@ class QuantizedPostingCodec:
     def scan_blocks_needed(self, num_entries: int) -> int:
         """A compressed scan touches only the code-block prefix."""
         return self.code_blocks_needed(num_entries)
-
-    def code_tail_fill(self, num_entries: int) -> int:
-        if num_entries == 0:
-            return 0
-        rem = num_entries % self.code_entries_per_block
-        return rem if rem != 0 else self.code_entries_per_block
 
     def vector_tail_fill(self, num_entries: int) -> int:
         if num_entries == 0:
@@ -471,13 +472,9 @@ class QuantizedPostingCodec:
         packed["id"] = ids
         packed["version"] = versions
         packed["code"] = codes
-        raw = packed.tobytes()
-        cpb = self.code_entries_per_block
-        esz = self.code_entry_size
-        return [
-            raw[start * esz : min(start + cpb, n) * esz]
-            for start in range(0, n, cpb)
-        ]
+        return cut_blocks(
+            packed.tobytes(), self.code_entries_per_block * self.code_entry_size
+        )
 
     def encode_vectors_section(self, vectors: np.ndarray) -> list[bytes]:
         """Pack raw float32 rows into block payloads."""
@@ -485,12 +482,7 @@ class QuantizedPostingCodec:
         if n == 0:
             return []
         raw = np.ascontiguousarray(vectors, dtype=np.float32).tobytes()
-        vpb = self.vectors_per_block
-        esz = self.vector_entry_size
-        return [
-            raw[start * esz : min(start + vpb, n) * esz]
-            for start in range(0, n, vpb)
-        ]
+        return cut_blocks(raw, self.vectors_per_block * self.vector_entry_size)
 
     def encode(self, data: PostingData) -> list[bytes]:
         """Encode a posting: code-section payloads, then vector payloads."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.jobs import ReassignJob
 from repro.spann.postings import live_view
 from repro.util.distance import sq_l2
 
@@ -83,3 +84,14 @@ def npa_violations(index, tolerance: float = 1e-5) -> list[int]:
         if best > d_nearest * (1 + tolerance) + tolerance:
             violations.append(vid)
     return violations
+
+
+def reassign_batch(rows, source_posting: int) -> ReassignJob:
+    """A reassign job from ``[(vector id, vector, expected version), ...]``."""
+    ids, vectors, versions = zip(*rows)
+    return ReassignJob(
+        vector_ids=np.asarray(ids, dtype=np.int64),
+        vectors=np.stack(vectors).astype(np.float32),
+        expected_versions=np.asarray(versions, dtype=np.uint8),
+        source_posting=source_posting,
+    )

@@ -112,6 +112,29 @@ class TestChurnInvariants:
         assert np.mean(recalls) > 0.8
 
 
+class TestReinsert:
+    def test_reinserted_id_does_not_resurrect_old_replicas(self, vectors, small_config):
+        """delete(id) then insert(id, moved vector): the replicas of the
+        first incarnation are still on disk (GC is lazy) and must stay
+        dead — the id is found at its new position only."""
+        # No build-time splits: every replica on disk is at version 0.
+        built_index = SPFreshIndex.build(
+            vectors, config=small_config.with_overrides(max_posting_size=256)
+        )
+        vid = 17
+        assert built_index.version_map.current_version(vid) == 0
+        old, new = vectors[vid], vectors[vid] + 50.0
+        built_index.delete(vid)
+        built_index.insert(vid, new)
+
+        at_old = built_index.query(QueryRequest.single(old, k=5, nprobe=8))
+        assert vid not in at_old.ids.tolist()
+        at_new = built_index.query(QueryRequest.single(new, k=5, nprobe=8))
+        assert at_new.ids[0] == vid and at_new.distances[0] == 0.0
+        assert built_index.check_invariants().ok
+        assert_no_vector_lost(built_index, range(len(vectors)))
+
+
 class TestMaintenance:
     def test_gc_pass_reclaims_dead_entries(self, built_index, vectors):
         for vid in range(0, 100):

@@ -25,6 +25,7 @@ from repro.quantize import (
     quantizer_from_state,
 )
 from repro.storage.layout import PostingData, QuantizedPostingCodec
+from repro.util.distance import pairwise_sq_l2
 
 
 def _tables_and_codes(draw):
@@ -116,6 +117,28 @@ class TestProductQuantizerProperties:
         assert np.array_equal(pq.encode(vectors), pq.encode(vectors))
         clone = quantizer_from_state(pq.state_dict())
         assert np.array_equal(pq.encode(vectors), clone.encode(vectors))
+
+
+    @pytest.mark.parametrize("dim,subspaces,codebook", [(64, 16, 256), (16, 4, 32), (24, 3, 16)])
+    def test_distance_tables_bit_identical_to_per_subspace_loop(
+        self, dim, subspaces, codebook
+    ):
+        """The stacked matmul is the per-subspace ``pairwise_sq_l2`` loop,
+        term for term: golden search digests depend on every bit."""
+        rng = np.random.default_rng(dim)
+        base = (rng.normal(size=(1500, dim)) * 3).astype(np.float32)
+        pq = ProductQuantizer(dim, subspaces, codebook).fit(base, rng)
+        for n in (0, 1, 2, 5, 32, 64):
+            queries = (rng.normal(size=(n, dim)) * 3).astype(np.float32)
+            looped = np.zeros((n, subspaces, codebook), dtype=np.float32)
+            for m in range(subspaces):
+                chunk = queries[:, m * pq.sub_dim : (m + 1) * pq.sub_dim]
+                looped[:, m, :] = pairwise_sq_l2(chunk, pq.codebooks[m])
+            tables = pq.distance_tables(queries)
+            assert tables.dtype == np.float32 and tables.flags["C_CONTIGUOUS"]
+            assert tables.shape == looped.shape and np.array_equal(tables, looped)
+        single = pq.distance_tables(queries[0])  # a bare vector is a batch of one
+        assert np.array_equal(single, pq.distance_tables(queries[:1]))
 
 
 class TestScalarQuantizerProperties:

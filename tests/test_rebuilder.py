@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from repro.api import QueryRequest
-from repro.core.jobs import MergeJob, ReassignJob, SplitJob
+from repro.core.jobs import MergeJob, SplitJob
+from repro.storage.layout import PostingData
 from repro.util.errors import IndexError_
 from tests.conftest import DIM
 from tests.helpers import (
     assert_no_vector_lost,
     assert_posting_size_bounds,
     live_assignment,
+    live_vector_of,
     npa_violations,
+    reassign_batch,
 )
 
 
@@ -123,9 +126,7 @@ class TestReassign:
     def test_stale_version_job_aborts(self, built_index, rng):
         vec = rng.normal(size=DIM).astype(np.float32)
         built_index.insert(70_000, vec)
-        job = ReassignJob(
-            vector_id=70_000, vector=vec, expected_version=5, source_posting=0
-        )
+        job = reassign_batch([(70_000, vec, 5)], source_posting=0)
         before = built_index.stats.reassign_aborted_version
         built_index.rebuilder.process(job)
         assert built_index.stats.reassign_aborted_version == before + 1
@@ -134,9 +135,7 @@ class TestReassign:
         vec = rng.normal(size=DIM).astype(np.float32)
         built_index.insert(70_001, vec)
         built_index.delete(70_001)
-        job = ReassignJob(
-            vector_id=70_001, vector=vec, expected_version=0, source_posting=0
-        )
+        job = reassign_batch([(70_001, vec, 0)], source_posting=0)
         before = built_index.stats.reassign_aborted_version
         built_index.rebuilder.process(job)
         assert built_index.stats.reassign_aborted_version == before + 1
@@ -148,35 +147,134 @@ class TestReassign:
         vec = (centroid + rng.normal(scale=0.01, size=DIM)).astype(np.float32)
         built_index.insert(70_002, vec)
         hits = built_index.centroid_index.search(vec, 1)
-        job = ReassignJob(
-            vector_id=70_002, vector=vec, expected_version=0,
-            source_posting=hits.nearest,
-        )
+        job = reassign_batch([(70_002, vec, 0)], source_posting=hits.nearest)
         before = built_index.stats.reassign_aborted_npa
         built_index.rebuilder.process(job)
         assert built_index.stats.reassign_aborted_npa == before + 1
 
     def test_executed_reassign_bumps_version(self, built_index, rng):
         # Plant a vector in a *wrong* posting deliberately, then reassign.
-        far_pid = built_index.controller.posting_ids()[-1]
-        near_pid = built_index.controller.posting_ids()[0]
-        target_centroid = built_index.centroid_index.get(near_pid)
-        vec = (target_centroid + rng.normal(scale=0.01, size=DIM)).astype(np.float32)
-        built_index.version_map.register(70_003)
-        from repro.storage.layout import PostingData
-
-        built_index.controller.append(
-            far_pid, PostingData.from_rows([70_003], [0], vec)
-        )
-        job = ReassignJob(
-            vector_id=70_003, vector=vec, expected_version=0,
-            source_posting=far_pid,
-        )
+        vec, far_pid = self.plant_misplaced(built_index, rng, 70_003)
+        job = reassign_batch([(70_003, vec, 0)], source_posting=far_pid)
         built_index.rebuilder.process(job)
         built_index.drain()
         assert built_index.version_map.current_version(70_003) == 1
         assignment = live_assignment(built_index)
         assert far_pid not in assignment.get(70_003, {far_pid})
+
+    def plant_misplaced(self, index, rng, vid):
+        """Register ``vid`` and plant its only copy in a posting far from
+        its nearest centroid; returns (vector, that posting)."""
+        far_pid = index.controller.posting_ids()[-1]
+        near_pid = index.controller.posting_ids()[0]
+        centroid = index.centroid_index.get(near_pid)
+        vec = (centroid + rng.normal(scale=0.01, size=DIM)).astype(np.float32)
+        version = index.version_map.register(vid)
+        index.controller.append(far_pid, PostingData.from_rows([vid], [version], vec))
+        return vec, far_pid
+
+    def test_batch_with_same_id_twice_executes_it_once(self, built_index, rng):
+        """Both rows pass the batch-wide pre-check; the per-row re-check
+        is what stops the second one after the first moved the vector."""
+        vec, far_pid = self.plant_misplaced(built_index, rng, 70_004)
+        job = reassign_batch([(70_004, vec, 0), (70_004, vec, 0)], source_posting=far_pid)
+        before = built_index.stats.snapshot()
+        built_index.rebuilder.process(job)
+        delta = built_index.stats.snapshot().delta(before)
+        assert delta.reassign_executed == 1
+        assert delta.reassign_aborted_version == 1
+        assert built_index.version_map.current_version(70_004) == 1
+
+    def test_stale_batch_is_counted_in_bulk_and_routes_nothing(
+        self, built_index, rng, monkeypatch
+    ):
+        """Rows that went stale between scheduling and dequeue never
+        reach the centroid index."""
+        rows = []
+        for vid in (70_010, 70_011, 70_012):
+            vec, far_pid = self.plant_misplaced(built_index, rng, vid)
+            rows.append((vid, vec, 0))
+        job = reassign_batch(rows, source_posting=far_pid)
+        built_index.updater.delete(70_010)
+        built_index.version_map.cas_bump(70_011, 0)
+        built_index.updater.delete(70_012)
+
+        def no_routing(*args, **kwargs):
+            raise AssertionError("a stale row was routed")
+
+        monkeypatch.setattr(built_index.centroid_index, "search", no_routing)
+        before = built_index.stats.snapshot()
+        built_index.rebuilder.process(job)
+        delta = built_index.stats.snapshot().delta(before)
+        assert delta.reassign_aborted_version == 3
+        assert delta.reassign_executed == 0 and delta.appends == 0
+
+    def test_rows_run_in_order_and_survivors_still_move(self, built_index, rng):
+        """A stale row in the middle does not stop the rows around it."""
+        rows = []
+        for vid in (70_020, 70_021, 70_022):
+            vec, far_pid = self.plant_misplaced(built_index, rng, vid)
+            rows.append((vid, vec, 0))
+        built_index.updater.delete(70_021)
+        before = built_index.stats.snapshot()
+        built_index.rebuilder.process(reassign_batch(rows, source_posting=far_pid))
+        built_index.drain()
+        delta = built_index.stats.snapshot().delta(before)
+        assert delta.reassign_executed == 2 and delta.reassign_aborted_version == 1
+        assignment = live_assignment(built_index)
+        for vid in (70_020, 70_022):
+            assert built_index.version_map.current_version(vid) == 1
+            assert far_pid not in assignment[vid]
+
+    def test_reassign_scheduled_counts_rows_not_jobs(self, built_index, rng):
+        """One job per scheduling call; the counter is the rows it holds."""
+        pid = built_index.controller.posting_ids()[0]
+        data, _ = built_index.controller.get(pid)
+        assert len(data) >= 4
+        built_index.updater.delete(int(data.ids[0]))  # dead rows are not queued
+        mask = np.ones(len(data), dtype=bool)
+        mask[1] = False
+        before = built_index.stats.reassign_scheduled
+        built_index.rebuilder._schedule_reassigns(data, mask, pid)
+        assert built_index.job_queue.pending == 1
+        job = built_index.job_queue.get()
+        built_index.job_queue.task_done()
+        assert job.source_posting == pid
+        assert job.vector_ids.tolist() == data.ids[2:].tolist()
+        assert np.array_equal(job.vectors, data.vectors[2:])
+        assert np.array_equal(job.expected_versions, data.versions[2:])
+        assert built_index.stats.reassign_scheduled - before == len(data) - 2
+        # Nothing live to move: no job at all.
+        built_index.rebuilder._schedule_reassigns(data, np.zeros(len(data), bool), pid)
+        assert built_index.job_queue.pending == 0
+
+    def test_drain_counts_a_batch_as_one_job(self, built_index, rng):
+        rows = []
+        for vid in (70_030, 70_031):
+            vec, far_pid = self.plant_misplaced(built_index, rng, vid)
+            rows.append((vid, vec, 0))
+        built_index.job_queue.put(reassign_batch(rows, source_posting=far_pid))
+        before = built_index.stats.reassign_executed
+        assert built_index.rebuilder.drain(max_jobs=1) == 1
+        assert built_index.stats.reassign_executed - before == 2
+
+    def test_pending_reassign_cannot_revive_a_reinserted_ids_old_vector(
+        self, built_index, rng
+    ):
+        """ABA: a row queued for the first incarnation of an id (expected
+        version 0) must not match the re-inserted id and re-append the
+        old vector over the new one."""
+        old_vec, far_pid = self.plant_misplaced(built_index, rng, 70_040)
+        job = reassign_batch([(70_040, old_vec, 0)], source_posting=far_pid)
+        built_index.delete(70_040)
+        new_vec = old_vec + 40.0
+        built_index.insert(70_040, new_vec)
+        before = built_index.stats.snapshot()
+        built_index.rebuilder.process(job)
+        built_index.drain()
+        delta = built_index.stats.snapshot().delta(before)
+        assert delta.reassign_aborted_version == 1 and delta.reassign_executed == 0
+        assert np.array_equal(live_vector_of(built_index, 70_040), new_vec)
 
 
 class TestMerge:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.ids import IdAllocator
-from repro.core.jobs import JobQueue, MergeJob, ReassignJob, SplitJob
+from repro.core.jobs import JobQueue, MergeJob, SplitJob
 from repro.core.stats import LireStats, StatsSnapshot
+from tests.helpers import reassign_batch
 
 
 class TestLireStats:
@@ -153,7 +154,7 @@ class TestJobQueue:
     def test_reassign_jobs_never_deduplicated(self):
         vec = np.ones(4, dtype=np.float32)
         q = JobQueue()
-        job = ReassignJob(vector_id=1, vector=vec, expected_version=0, source_posting=2)
+        job = reassign_batch([(1, vec, 0)], source_posting=2)
         assert q.put(job)
         assert q.put(job)
         assert q.pending == 2
@@ -174,12 +175,13 @@ class TestJobTypes:
 
     def test_reassign_job_carries_context(self):
         vec = np.ones(4, dtype=np.float32)
-        job = ReassignJob(
-            vector_id=7, vector=vec, expected_version=3, source_posting=9
-        )
-        assert job.vector_id == 7
-        assert job.expected_version == 3
-        assert job.attempts == 0
+        job = reassign_batch([(7, vec, 3), (8, 2 * vec, 0)], source_posting=9)
+        assert job.vector_ids.tolist() == [7, 8]
+        assert job.expected_versions.tolist() == [3, 0]
+        assert job.vectors.shape == (2, 4) and job.vectors[1, 0] == 2.0
+        assert job.source_posting == 9
+        with pytest.raises(Exception):
+            job.source_posting = 1
 
 
 class TestIdAllocator:

@@ -16,7 +16,9 @@ from repro.centroids.brute import BruteForceCentroidIndex
 from repro.centroids.graph import GraphCentroidIndex
 from repro.spann.postings import dedup_top_k
 from repro.quantize.sq import ScalarQuantizer
+from repro.storage.controller import BlockController
 from repro.storage.layout import PostingCodec, PostingData, QuantizedPostingCodec
+from repro.storage.ssd import SimulatedSSD, SSDProfile
 from repro.util.distance import pairwise_sq_l2_exact, sq_l2, sq_l2_batch
 
 def _matrix(rng, n, dim):
@@ -302,3 +304,81 @@ class TestCodecAdversarialShapes:
                 decode([blocks[0][:-90]] + blocks[1:], [n])
             with pytest.raises(StorageError):  # short payload: tail block cut
                 decode([blocks[0], blocks[1][:5]] + blocks[2:], [n])
+
+    # -- APPEND continues the record stream without decoding it: the blocks
+    # on the device must be, byte for byte, what ``encode`` of everything
+    # appended so far produces.
+    def _controller(self, kind):
+        codec = self._any_codec(kind, dim=3, block_size=64)
+        ssd = SimulatedSSD(num_blocks=512, profile=SSDProfile(block_size=64))
+        return BlockController(ssd, codec), codec
+
+    def _assert_device_matches(self, controller, codec, pid, everything):
+        length, blocks = controller.state_dict()["mapping"][pid]
+        assert length == len(everything)
+        on_device = [controller.ssd.peek_block(b) for b in blocks]
+        assert on_device == self._device_pad(codec, codec.encode(everything))
+        got, _ = controller.get(pid)
+        np.testing.assert_array_equal(got.ids, everything.ids)
+        np.testing.assert_array_equal(got.versions, everything.versions)
+        np.testing.assert_array_equal(got.vectors, everything.vectors)
+        if got.codes is not None:
+            np.testing.assert_array_equal(got.codes, codec.codes_for(everything))
+
+    @given(st.integers(0, 20), st.lists(st.integers(0, 20), min_size=1, max_size=8),
+           st.integers(0, 2**31 - 1), st.sampled_from(["exact", "sq8"]))
+    @settings(max_examples=80, deadline=None)
+    def test_appends_equal_encode_of_concatenation(self, first, sizes, seed, kind):
+        rng = np.random.default_rng(seed)
+        controller, codec = self._controller(kind)
+        everything = self._posting(rng, codec, first)  # 0 = an empty posting
+        controller.create(7, everything)
+        free = controller.free_block_count
+        for n in sizes:
+            chunk = self._posting(rng, codec, n)
+            controller.append(7, chunk)
+            everything = everything.concat(chunk)
+            self._assert_device_matches(controller, codec, 7, everything)
+        # Every replaced tail went back to the pool.
+        assert free - controller.free_block_count == (
+            codec.blocks_needed(len(everything)) - codec.blocks_needed(first)
+        )
+
+    @pytest.mark.parametrize("kind", ["exact", "sq8"])
+    def test_append_block_boundaries_and_single_rows(self, kind):
+        """A tail that is exactly full is not read; one row at a time
+        walks across a block boundary in every section."""
+        rng = np.random.default_rng(5)
+        controller, codec = self._controller(kind)
+        per_block = max(per for per, _ in codec.sections)
+        everything = self._posting(rng, codec, per_block)
+        controller.create(7, everything)
+        for n in (per_block, 1, 1, 2 * per_block + 1, per_block - 2, 1, 1, 1):
+            full_tails = all(len(everything) % per == 0 for per, _ in codec.sections)
+            reads = controller.ssd.stats.read_ops
+            chunk = self._posting(rng, codec, n)
+            controller.append(7, chunk)
+            assert controller.ssd.stats.read_ops - reads == (0 if full_tails else 1)
+            everything = everything.concat(chunk)
+            self._assert_device_matches(controller, codec, 7, everything)
+
+    @pytest.mark.parametrize("kind", ["exact", "sq8"])
+    def test_append_rejects_short_tail_payload(self, kind, monkeypatch):
+        """A tail block shorter than its valid prefix is corruption, not
+        something to append after (the decode it replaces raised too)."""
+        from repro.util.errors import StorageError
+
+        rng = np.random.default_rng(6)
+        controller, codec = self._controller(kind)
+        controller.create(7, self._posting(rng, codec, 2))  # partial tails
+        before = controller.state_dict()
+        read_blocks = controller.ssd.read_blocks
+
+        def torn(block_ids):
+            payloads, latency = read_blocks(block_ids)
+            return [payload[:5] for payload in payloads], latency
+
+        monkeypatch.setattr(controller.ssd, "read_blocks", torn)
+        with pytest.raises(StorageError):
+            controller.append(7, self._posting(rng, codec, 1))
+        assert controller.state_dict() == before  # nothing allocated or mapped

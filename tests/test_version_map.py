@@ -34,14 +34,31 @@ class TestRegistration:
         assert vm.is_registered(10_000)
         assert vm.live_count == 1
 
-    def test_reinsert_after_delete_resets_version(self):
+    def test_reinsert_after_delete_continues_version(self):
+        """A re-inserted id must not revive replicas (or queued reassign
+        rows) of its earlier incarnation: it continues one version past
+        the tombstoned one instead of restarting at 0."""
         vm = VersionMap()
         vm.register(3)
         vm.cas_bump(3, 0)
         vm.delete(3)
-        assert vm.register(3) == 0
-        assert vm.current_version(3) == 0
+        assert vm.register(3) == 2
+        assert vm.current_version(3) == 2
         assert not vm.is_deleted(3)
+        assert vm.live_count == 1 and vm.deleted_count == 0
+        stored = np.array([0, 1, 2], dtype=np.uint8)  # old replicas, new copy
+        assert vm.live_mask(np.array([3, 3, 3]), stored).tolist() == [False, False, True]
+        assert vm.cas_bump(3, 0) is None and vm.cas_bump(3, 1) is None
+
+    def test_reinsert_version_skips_sentinel(self):
+        """Same 0x7F skip as cas_bump: version 126 is followed by 0."""
+        vm = VersionMap()
+        vm.register(5)
+        for version in range(126):
+            assert vm.cas_bump(5, version) == version + 1
+        vm.delete(5)
+        assert vm.register(5) == 0
+        assert vm.is_registered(5) and not vm.is_deleted(5)
 
 
 class TestTombstones:
