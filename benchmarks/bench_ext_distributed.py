@@ -2,10 +2,11 @@
 
 The paper's conclusion positions single-node SPFresh as "a strong
 foundation for the future distributed version". This bench measures the
-sharded scatter-gather extension: recall parity with the single-node
-index, per-shard balance under hash routing, and how the simulated query
-latency (max over shards + merge) and aggregate update throughput behave
-as the shard count grows.
+scatter-gather baseline of that extension (``ClusterSPFresh`` under a
+``HashPlacement``): recall parity with the single-node index, per-shard
+balance under hash routing, and how the simulated query latency (max
+over shards + route + merge) and aggregate update throughput behave as
+the shard count grows.
 """
 
 import time
@@ -18,7 +19,7 @@ from repro.api import QueryRequest
 from repro.bench.reporting import format_table
 from repro.core.index import SPFreshIndex
 from repro.datasets import exact_knn, make_sift_like
-from repro.distributed import ShardedSPFresh
+from repro.distributed import ClusterSPFresh, HashPlacement
 from repro.metrics import recall_at_k
 
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -33,19 +34,19 @@ def test_ext_distributed_scaling(benchmark, scale):
     config = spfresh_config()
 
     def measure(num_shards: int):
-        # The sharded facade owns a thread pool; the context manager
-        # releases it (a bare build here used to leak the executor).
         cm = (
             nullcontext(SPFreshIndex.build(dataset.base, config=config))
             if num_shards == 1
-            else ShardedSPFresh.build(
-                dataset.base, num_shards=num_shards, config=config
+            else ClusterSPFresh.build(
+                dataset.base,
+                config=config,
+                placement=HashPlacement(num_shards),
             )
         )
         with cm as index:
             shard_sizes = (
                 index.shard_sizes()
-                if isinstance(index, ShardedSPFresh)
+                if isinstance(index, ClusterSPFresh)
                 else [index.live_vector_count]
             )
             ids, latencies = [], []

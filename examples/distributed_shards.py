@@ -1,9 +1,11 @@
-"""Distributed SPFresh: scatter-gather over hash-routed shards.
+"""Distributed SPFresh: scatter-gather over hash-placed shards.
 
 The paper closes by positioning single-node SPFresh as the foundation for
-a distributed version. This example runs that extension: a 4-shard
-deployment serving the same API, with updates routed to single shards and
-queries fanned out and merged.
+a distributed version. This example runs that extension in its baseline
+form: a 4-shard ``ClusterSPFresh`` with a ``HashPlacement`` serving the
+same API, with updates routed to single shards by id hash and queries
+fanned out to every shard and merged. (Drop ``placement=`` for the
+default centroid placement, which probes only the shards that matter.)
 
 Run:  python examples/distributed_shards.py
 """
@@ -13,7 +15,7 @@ import numpy as np
 from repro.api import QueryRequest
 from repro import SPFreshConfig
 from repro.datasets import exact_knn, make_spacev_like
-from repro.distributed import ShardedSPFresh
+from repro.distributed import ClusterSPFresh, HashPlacement
 from repro.metrics import recall_at_k
 
 DIM = 32
@@ -21,10 +23,10 @@ DIM = 32
 
 def main() -> None:
     dataset = make_spacev_like(6000, 600, dim=DIM, seed=11)
-    # The facade owns a thread pool; the context manager shuts it (and
-    # every shard's background workers) down on exit.
-    with ShardedSPFresh.build(
-        dataset.base, num_shards=4, config=SPFreshConfig(dim=DIM)
+    # The context manager shuts every shard's background workers down
+    # on exit.
+    with ClusterSPFresh.build(
+        dataset.base, config=SPFreshConfig(dim=DIM), placement=HashPlacement(4)
     ) as cluster:
         print(f"4-shard cluster: shard sizes {cluster.shard_sizes()}, "
               f"{cluster.num_postings} postings total")
@@ -39,7 +41,7 @@ def main() -> None:
         latencies = [r.latency_us for r in results]
         print(f"recall10@10 = {recall_at_k(ids, truth, 10):.3f}, "
               f"mean simulated latency {np.mean(latencies):.0f} us "
-              f"(max over shards + merge)")
+              f"(max over shards + route + merge)")
 
         # Updates are single-shard operations.
         for i, vec in enumerate(dataset.pool):

@@ -1,10 +1,10 @@
 """Typed query surface shared by every search facade.
 
 One request object — :class:`QueryRequest` — travels unchanged through
-``SPFreshIndex``, ``ShardedSPFresh``, ``ClusterSPFresh``, the MIPS
-wrapper, tracing, and the serving frontend, so adding a knob (rerank width, quantized toggle,
-tenant tag) is one field here instead of a signature change in six
-places. Facades answer with a :class:`SearchResponse` that keeps the
+``SPFreshIndex``, ``ClusterSPFresh`` (and, pickled, to its pool
+workers), the MIPS wrapper, tracing, the serving frontend and its
+replay, so adding a knob (rerank width, quantized toggle, tenant tag) is
+one field here instead of a signature change in six places. Facades answer with a :class:`SearchResponse` that keeps the
 per-query :class:`~repro.spann.searcher.SearchResult` objects and the
 request that produced them.
 

@@ -6,9 +6,9 @@ vectors for traversal, tombstone deletes, and the FreshDiskANN
 whose rebuild pauses and accuracy decay SPFresh is measured against.
 """
 
-from repro.baselines.diskann.pq import ProductQuantizer
-from repro.baselines.diskann.vamana import build_vamana, greedy_search, robust_prune
 from repro.baselines.diskann.fresh import DiskANNConfig, FreshDiskANNIndex
+from repro.baselines.diskann.vamana import build_vamana, greedy_search, robust_prune
+from repro.quantize.pq import ProductQuantizer
 
 __all__ = [
     "ProductQuantizer",

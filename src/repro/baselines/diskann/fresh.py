@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.diskann.pq import ProductQuantizer
 from repro.baselines.diskann.vamana import build_vamana, robust_prune
+from repro.quantize.pq import ProductQuantizer
 from repro.storage.ssd import SimulatedSSD, SSDProfile
 from repro.util.distance import as_matrix, as_vector
 from repro.util.errors import IndexError_, StorageError

@@ -885,19 +885,19 @@ def scenario_cluster(scale: PerfScale, seed: int) -> ScenarioResult:
       at 0). A post-split routed-vs-broadcast sweep
       (``post_split_recall_ratio``) shows routing survives the topology
       change;
-    * **process fan-out is bit-exact** — the same per-shard sub-batches
-      run through a forked :class:`~repro.distributed.ProcessShardPool`
-      (workers inherit the build-state shards, so no pickling and no
-      divergence) and must merge to the routed path's exact ids and
-      distances (``process_parity_mismatches`` gates at 0). The pool is
-      forked *before* the parent's sweeps because ``query()`` has
-      maintenance side effects. Wall-clock ``process_wall_speedup`` over
-      the serial sweep is informational (two-clock model); on platforms
-      without ``fork`` the process metrics report 0 mismatches and 0
-      wall time.
+    * **process fan-out is bit-exact** — the same request answered with
+      ``query(request, pool=)`` on forked workers (they inherit the
+      build-state shards, so no pickling and no divergence) must equal
+      the routed path's exact ids and distances
+      (``process_parity_mismatches`` gates at 0). The pool is forked
+      *before* the parent's sweeps because ``query()`` has maintenance
+      side effects. Wall-clock ``process_wall_speedup`` over the serial
+      sweep is informational (two-clock model); on platforms without
+      ``fork`` the process metrics report 0 mismatches and 0 wall time.
     """
     from repro.core.invariants import check_cluster_invariants
-    from repro.distributed import ClusterSPFresh, ProcessShardPool, fork_available
+    from repro.distributed import ClusterSPFresh
+    from repro.util.workers import fork_available
 
     dataset = make_sift_like(scale.base_vectors, 0, dim=scale.dim, seed=seed)
     split_threshold = int(
@@ -921,12 +921,17 @@ def scenario_cluster(scale: PerfScale, seed: int) -> ScenarioResult:
     request = QueryRequest(vectors=queries, k=scale.k, nprobe=scale.nprobe)
 
     # Fork the worker pool from pristine build state, before any parent
-    # sweep can schedule maintenance in the parent's copies.
-    pool = (
-        ProcessShardPool([g.replicas[0] for g in cluster.groups])
-        if fork_available()
-        else None
+    # sweep can schedule maintenance in the parent's copies. The pooled
+    # sweeps go through a second router over the same shard groups: a
+    # pooled query advances the read counter and ClusterStats like a
+    # serial one, and the serial sweeps' replica picks must not depend on
+    # whether this platform can fork. Its counter starts where the first
+    # router's does, so the first pooled sweep asks the replicas `routed`
+    # asks, in the state `routed` finds them in.
+    pooled_router = ClusterSPFresh(
+        cluster.groups, cluster.placement, cluster.directory, config
     )
+    pool = pooled_router.worker_pool(fork=True) if fork_available() else None
 
     # Serial routed sweep (also the simulated-metric source). A second
     # timed pass smooths first-touch noise; wall clock is informational,
@@ -940,52 +945,31 @@ def scenario_cluster(scale: PerfScale, seed: int) -> ScenarioResult:
     cluster.query(request)
     serial_wall = min(serial_wall, time.perf_counter() - wall_start)
 
-    # Process-pool sweep over the identical per-shard sub-batches, merged
-    # with the same dedup; parity against the routed response gates at 0.
-    from repro.spann.postings import dedup_top_k
-
-    plan = cluster.placement.shards_for_queries(
-        queries, config.cluster.nprobe
-    )
-    shard_rows: dict[int, list[int]] = {}
-    for qi, shards in enumerate(plan):
-        for sid in shards:
-            shard_rows.setdefault(int(sid), []).append(qi)
+    # The same request on the forked workers; parity against the routed
+    # response gates at 0.
     process_mismatches = 0
     process_wall = 0.0
     if pool is not None:
-        jobs = {
-            sid: (queries[rows], scale.k, scale.nprobe)
-            for sid, rows in shard_rows.items()
-        }
-        positions = {
-            sid: {qi: pos for pos, qi in enumerate(rows)}
-            for sid, rows in shard_rows.items()
-        }
-        wall_start = time.perf_counter()
-        pooled = pool.query_shards(jobs)
-        process_wall = time.perf_counter() - wall_start
-        for qi, shards in enumerate(plan):
-            parts = [pooled[int(s)][positions[int(s)][qi]] for s in shards]
-            ids, dists = dedup_top_k(
-                np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]),
-                scale.k,
+        with pool:
+            wall_start = time.perf_counter()
+            pooled = pooled_router.query(request, pool=pool)
+            process_wall = time.perf_counter() - wall_start
+            process_mismatches = sum(
+                not (
+                    np.array_equal(p.ids, r.ids)
+                    and np.array_equal(p.distances, r.distances)
+                )
+                for p, r in zip(pooled, routed)
             )
-            if not (
-                np.array_equal(ids, routed[qi].ids)
-                and np.array_equal(dists, routed[qi].distances)
-            ):
-                process_mismatches += 1
-        # Warm second pass: the first fork pays copy-on-write page faults
-        # for every posting the workers touch; steady state is what the
-        # serial-vs-process comparison should show. (On a single-core
-        # machine the speedup still sits near 1/fan-out — workers can
-        # only interleave; the metric is informational either way.)
-        wall_start = time.perf_counter()
-        pool.query_shards(jobs)
-        process_wall = min(process_wall, time.perf_counter() - wall_start)
-        pool.close()
+            # Warm second pass: the first fork pays copy-on-write page
+            # faults for every posting the workers touch; steady state is
+            # what the serial-vs-process comparison should show. (On a
+            # single-core machine the speedup still sits near 1/fan-out —
+            # workers can only interleave; the metric is informational
+            # either way.)
+            wall_start = time.perf_counter()
+            pooled_router.query(request, pool=pool)
+            process_wall = min(process_wall, time.perf_counter() - wall_start)
 
     # Broadcast oracle: every shard answers every query.
     broadcast = cluster.query(request, broadcast=True)
@@ -1417,7 +1401,7 @@ def scenario_serving_concurrent(scale: PerfScale, seed: int) -> ScenarioResult:
       >= 1); per-tenant p99 spreads for both policies ship alongside.
     * **wall-clock pools are bit-exact** — the exact batch schedule the
       K-worker run produced replays serially, on a shared-engine thread
-      pool, and (where ``fork`` exists) on a forked process pool; every
+      pool, and (where ``fork`` exists) on a forked worker pool; every
       seat's (ids, distances) must match the serial replay
       (``pool_parity_mismatches`` / ``process_parity_mismatches`` gate
       at 0). The pools run at the searcher layer, which has no
@@ -1427,14 +1411,13 @@ def scenario_serving_concurrent(scale: PerfScale, seed: int) -> ScenarioResult:
     """
     from repro.datasets import make_arrival_trace
     from repro.serving import (
-        ProcessEnginePool,
         ServingFrontend,
-        ThreadEnginePool,
         batch_jobs,
         count_mismatches,
-        serial_replay,
+        replay,
+        replay_pool,
     )
-    from repro.distributed import fork_available
+    from repro.util.workers import fork_available
 
     dataset = make_sift_like(scale.base_vectors, 0, dim=scale.dim, seed=seed)
     config = _base_config(scale, seed)
@@ -1496,22 +1479,28 @@ def scenario_serving_concurrent(scale: PerfScale, seed: int) -> ScenarioResult:
 
     # --- wall-clock pool replay of the K-worker batch schedule ----------
     jobs = batch_jobs(saturating, pooled)
-    serial = serial_replay(index.searcher, jobs, scale.k, scale.nprobe)
-    threaded = ThreadEnginePool(
-        index.searcher, scale.serve_workers, profiler=index.profiler
-    ).run(jobs, scale.k, scale.nprobe)
+    def replayed(pool=None):
+        return replay(index.searcher, jobs, scale.k, scale.nprobe, pool=pool)
+
+    serial = replayed()
+    with replay_pool(
+        index.searcher, scale.serve_workers, fork=False, profiler=index.profiler
+    ) as threads:
+        threaded = replayed(threads)
     thread_mismatches = count_mismatches(serial, threaded)
 
     process_mismatches = 0
     process_wall = 0.0
     process_workers = 0
     if fork_available():
-        with ProcessEnginePool(index.searcher, scale.serve_workers) as procs:
+        with replay_pool(
+            index.searcher, scale.serve_workers, fork=True
+        ) as procs:
             # Warm second pass: the first fork pays copy-on-write page
             # faults; the steady state is what the comparison should show.
-            forked = procs.run(jobs, scale.k, scale.nprobe)
+            forked = replayed(procs)
             process_mismatches = count_mismatches(serial, forked)
-            forked = procs.run(jobs, scale.k, scale.nprobe)
+            forked = replayed(procs)
             process_mismatches += count_mismatches(serial, forked)
             process_wall = forked.wall_s
             process_workers = scale.serve_workers

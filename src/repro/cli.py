@@ -410,17 +410,15 @@ def _serve_engine(args, dataset, config):
     if args.backend == "single":
         index = SPFreshIndex.build(dataset.base, config=config)
         return index.searcher, lambda: None
-    if args.backend == "sharded":
-        from repro.distributed import ShardedSPFresh
-
-        sharded = ShardedSPFresh.build(
-            dataset.base, num_shards=args.shards, config=config
-        )
-        return sharded, sharded.close
-    from repro.distributed import ClusterSPFresh
+    from repro.distributed import ClusterSPFresh, HashPlacement
 
     cluster = ClusterSPFresh.build(
-        dataset.base, num_shards=args.shards, config=config
+        dataset.base,
+        num_shards=args.shards,
+        config=config,
+        placement=(
+            HashPlacement(args.shards) if args.backend == "sharded" else None
+        ),
     )
     return cluster, cluster.close
 
@@ -433,10 +431,13 @@ def cmd_cluster(args) -> int:
     insert storm through the shard-split path, and audits the cross-shard
     conservation invariants (docs/distributed.md).
     """
+    import time
+
     from repro.bench.reporting import format_table
     from repro.datasets import exact_knn
     from repro.distributed import ClusterSPFresh
     from repro.metrics import recall_at_k
+    from repro.util.workers import fork_available
 
     _resolve_scale(args)
     dataset = _dataset(args)
@@ -446,7 +447,6 @@ def cmd_cluster(args) -> int:
         cluster_nprobe=args.cluster_nprobe,
         cluster_replication_factor=args.replicas,
         cluster_split_threshold=args.split_threshold,
-        cluster_executor=args.executor,
     ).validate()
     rng = np.random.default_rng(args.seed + 1)
     queries = (
@@ -457,11 +457,19 @@ def cmd_cluster(args) -> int:
     with ClusterSPFresh.build(
         dataset.base, num_shards=args.shards, config=config
     ) as cluster:
-        parallel = args.executor == "thread"
+        fork = args.executor == "process"
+        if fork and not fork_available():
+            print("process executor unavailable (no fork); using threads")
+            fork = False
         request = QueryRequest(vectors=queries, k=10)
-        routed = cluster.query(request, parallel=parallel)
-        probed = cluster.shards_probed_fraction()
-        broadcast = cluster.query(request, broadcast=True, parallel=parallel)
+        # Forked workers answer from the cluster as built; the pool is
+        # closed before the storm below changes it.
+        with cluster.worker_pool(fork=fork) as pool:
+            start = time.perf_counter()
+            routed = cluster.query(request, pool=pool)
+            wall = time.perf_counter() - start
+            probed = cluster.shards_probed_fraction()
+            broadcast = cluster.query(request, broadcast=True, pool=pool)
         routed_recall = recall_at_k([r.ids for r in routed], truth, 10)
         oracle_recall = recall_at_k([r.ids for r in broadcast], truth, 10)
         rows = [
@@ -488,38 +496,11 @@ def cmd_cluster(args) -> int:
                 ),
             )
         )
-        if args.executor == "process":
-            import time
-
-            from repro.distributed import ProcessShardPool, fork_available
-
-            if not fork_available():
-                print("\nprocess executor unavailable (no fork); skipped")
-            else:
-                plan = cluster.placement.shards_for_queries(
-                    queries, config.cluster.nprobe
-                )
-                rows_by_shard: dict[int, list[int]] = {}
-                for qi, shards in enumerate(plan):
-                    for s in shards:
-                        rows_by_shard.setdefault(int(s), []).append(qi)
-                jobs = {
-                    s: (queries[r], 10, None)
-                    for s, r in rows_by_shard.items()
-                }
-                with ProcessShardPool(
-                    [g.replicas[0] for g in cluster.groups]
-                ) as pool:
-                    pool.query_shards(jobs)  # warm copy-on-write pages
-                    start = time.perf_counter()
-                    pool.query_shards(jobs)
-                    wall = time.perf_counter() - start
-                print(
-                    f"\nprocess executor: {len(jobs)} workers answered the "
-                    f"routed fan-out in {wall * 1e3:.1f} ms wall "
-                    f"(informational; simulated metrics above are the "
-                    f"gated ones)"
-                )
+        print(
+            f"\n{args.executor} executor: {len(pool)} workers answered the "
+            f"routed fan-out in {wall * 1e3:.1f} ms wall (informational; "
+            f"simulated metrics above are the gated ones)"
+        )
         if args.storm:
             hot = dataset.cluster_centers[0]
             for i in range(args.storm):

@@ -143,9 +143,6 @@ class ClusterConfig:
     # Replicas per shard group; reads pick one deterministically, writes
     # fan out to every live replica.
     replication_factor: int = 1
-    # Wall-clock executor for parallel shard fan-out: "thread" reuses the
-    # in-process pool, "process" escapes the GIL via worker processes.
-    executor: str = "thread"
     # Modelled cost of ranking shard summaries per query (simulated clock).
     route_cost_us: float = 5.0
 
@@ -161,11 +158,6 @@ class ClusterConfig:
             raise ConfigError("cluster_split_threshold must be >= 2 or None")
         if self.replication_factor < 1:
             raise ConfigError("cluster_replication_factor must be at least 1")
-        if self.executor not in ("thread", "process"):
-            raise ConfigError(
-                f"unknown cluster_executor {self.executor!r} "
-                f"(choose 'thread' or 'process')"
-            )
         if self.route_cost_us < 0:
             raise ConfigError("cluster_route_cost_us must be non-negative")
         return self
@@ -234,7 +226,6 @@ _FLAT_ALIASES: dict[str, tuple[str, str]] = {
     "cluster_centroids_per_shard": ("cluster", "centroids_per_shard"),
     "cluster_split_threshold": ("cluster", "split_threshold"),
     "cluster_replication_factor": ("cluster", "replication_factor"),
-    "cluster_executor": ("cluster", "executor"),
     "cluster_route_cost_us": ("cluster", "route_cost_us"),
 }
 

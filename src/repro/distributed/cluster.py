@@ -1,16 +1,19 @@
-"""Cluster-scale SPFresh: centroid-routed shards, splits, replicas.
+"""Cluster-scale SPFresh: placed shards, splits, replicas.
 
-:class:`ClusterSPFresh` is the cluster model ROADMAP item 2 asks for,
-replacing blind hash-routed scatter-gather with the three mechanisms a
-real deployment needs:
+:class:`ClusterSPFresh` is the one sharded facade. *Placement* is its
+one pluggable decision (:mod:`repro.distributed.placement`); everything
+else — directory, replica groups, failover, the result merge — is the
+same whichever placement is plugged in:
 
-* **accuracy-preserving routing** — vectors are placed by clustered
-  centroid groups (:mod:`repro.distributed.placement`); the router keeps
-  a shard-level centroid summary and probes only the
+* **accuracy-preserving routing** — by default vectors are placed by
+  clustered centroid groups (:class:`CentroidPlacement`); the router
+  keeps a shard-level centroid summary and probes only the
   ``cluster_nprobe`` closest shards per query instead of broadcasting.
   ``broadcast=True`` keeps every-shard fan-out as the exactness oracle
   the routed path is gated against (CI asserts routed recall >= 0.95x
-  broadcast while probing < 100% of shards);
+  broadcast while probing < 100% of shards). ``placement=
+  HashPlacement(n)`` is the baseline of production vector stores: rows
+  homed by id hash, every query answered by every shard;
 * **shard lifecycle under growth** — :meth:`maybe_split` carves an
   oversized shard's centroid group in two and migrates the rerouted
   vectors to a freshly built shard: LIRE's split/reassign discipline at
@@ -29,15 +32,14 @@ real deployment needs:
 
 Two clocks, as everywhere in this repo: the *simulated* query latency is
 ``max(probed shard latencies) + route cost + merge cost`` (shards run in
-parallel in the model) and is what CI gates; wall-clock fan-out can run
-on real threads (``parallel=True``) or escape the GIL entirely via the
-:class:`~repro.distributed.executor.ProcessShardPool` worker processes
-(informational only). See docs/distributed.md.
+parallel in the model) and is what CI gates; wall-clock fan-out runs on
+a :class:`~repro.util.workers.WorkerPool` of threads or forked processes
+(``query(..., pool=cluster.worker_pool(fork=...))``; informational
+only). See docs/distributed.md.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,11 +47,13 @@ import numpy as np
 from repro.api import QueryRequest, SearchResponse
 from repro.core.config import SPFreshConfig
 from repro.core.index import SPFreshIndex
-from repro.distributed.placement import CentroidPlacement
+from repro.core.invariants import check_cluster_invariants
+from repro.distributed.placement import CentroidPlacement, HashPlacement
 from repro.spann.postings import dedup_top_k, live_view
 from repro.spann.searcher import SearchResult
 from repro.util.distance import as_matrix, as_vector
-from repro.util.errors import IndexError_, StorageError
+from repro.util.errors import IndexError_, StalePostingError, StorageError
+from repro.util.workers import WorkerPool, run_serial
 
 
 class ClusterUnavailableError(IndexError_):
@@ -108,8 +112,6 @@ def live_rows(index: SPFreshIndex) -> tuple[np.ndarray, np.ndarray]:
     fresh tier, through the controller so the read cost is accounted.
     Used by shard splits (migration source) and replica resync.
     """
-    from repro.util.errors import StalePostingError
-
     ids_parts: list[np.ndarray] = []
     vec_parts: list[np.ndarray] = []
     for pid in index.controller.posting_ids():
@@ -138,15 +140,28 @@ def live_rows(index: SPFreshIndex) -> tuple[np.ndarray, np.ndarray]:
     return all_ids[first], all_vecs[first]
 
 
+def _answer_shard(group: ShardGroup, job) -> list[SearchResult] | StorageError:
+    """What a shard worker runs: one replica answers one sub-batch.
+
+    A device failure is an answer, not a crash: it travels back so the
+    router can mark the replica down and ask the next one.
+    """
+    replica_id, sub_request = job
+    try:
+        return list(group.replicas[replica_id].query(sub_request))
+    except StorageError as exc:
+        return exc
+
+
 class ClusterSPFresh:
-    """Centroid-routed cluster of replicated single-node SPFresh shards."""
+    """Placed cluster of replicated single-node SPFresh shards."""
 
     MERGE_COST_US = 10.0  # modelled cost of merging shard result lists
 
     def __init__(
         self,
         groups: list[ShardGroup],
-        placement: CentroidPlacement,
+        placement: CentroidPlacement | HashPlacement,
         directory: dict[int, int],
         config: SPFreshConfig,
         device_factory=None,
@@ -159,7 +174,9 @@ class ClusterSPFresh:
         self.config = config
         self.stats = ClusterStats()
         self._device_factory = device_factory
-        self._pool: ThreadPoolExecutor | None = None
+        # Replica chosen by the most recent read, per shard (tests and the
+        # determinism contract observe fan-out through this).
+        self.last_replica_read: dict[int, int] = {}
         # Deterministic replica fan-out: a counter mixed with the seed
         # picks the replica, so a fixed seed reproduces the exact read
         # schedule (and therefore the exact failover sequence).
@@ -175,10 +192,14 @@ class ClusterSPFresh:
         num_shards: int = 4,
         config: SPFreshConfig | None = None,
         device_factory=None,
+        placement: CentroidPlacement | HashPlacement | None = None,
     ) -> "ClusterSPFresh":
         """Fit the placement, partition the base set, build every replica.
 
-        ``device_factory(shard_id, replica_id, config)`` optionally
+        By default a :class:`CentroidPlacement` is fitted over ``vectors``
+        for ``num_shards`` shards; a ready ``placement`` (say
+        ``HashPlacement(8)``) is used as given and brings its own shard
+        count. ``device_factory(shard_id, replica_id, config)`` optionally
         supplies each replica's block device — the hook the fault tests
         use to wrap a replica in a
         :class:`~repro.storage.faults.FaultInjectingSSD`.
@@ -190,16 +211,17 @@ class ClusterSPFresh:
         if len(ids) != len(vectors):
             raise ValueError("ids and vectors must have the same length")
         config = (config or SPFreshConfig(dim=vectors.shape[1])).validate()
-        placement = CentroidPlacement.fit(
-            vectors,
-            num_shards,
-            centroids_per_shard=config.cluster.centroids_per_shard,
-            seed=config.seed,
-        )
-        homes = placement.route_vectors(vectors)
+        if placement is None:
+            placement = CentroidPlacement.fit(
+                vectors,
+                num_shards,
+                centroids_per_shard=config.cluster.centroids_per_shard,
+                seed=config.seed,
+            )
+        homes = placement.homes(ids, vectors)
         groups: list[ShardGroup] = []
         directory: dict[int, int] = {}
-        for shard_id in range(num_shards):
+        for shard_id in range(placement.num_shards):
             rows = np.nonzero(homes == shard_id)[0]
             if len(rows) == 0:
                 raise ValueError(
@@ -256,17 +278,20 @@ class ClusterSPFresh:
         request: QueryRequest,
         *,
         broadcast: bool = False,
-        parallel: bool = False,
+        pool: WorkerPool | None = None,
     ) -> SearchResponse:
-        """Answer a typed request through centroid-aware routing.
+        """Answer a typed request through the placement's routing.
 
-        Each query probes the ``cluster_nprobe`` shards whose centroid
-        summaries rank closest (``broadcast=True`` forces every shard —
+        Each query probes the shards the placement names — under centroid
+        placement the ``cluster_nprobe`` whose summaries rank closest,
+        under a hash all of them (``broadcast=True`` forces every shard —
         the exactness oracle). Per-shard work is batched: one engine call
         per probed shard covers all the queries routed to it. Simulated
         latency per query is ``max(probed shard latencies) + route cost +
-        merge cost``. ``parallel=True`` fans shards out on real threads
-        for the wall-clock path; the simulated model is identical.
+        merge cost``. With a ``pool`` from :meth:`worker_pool` the
+        per-shard calls run on its workers for the wall-clock path;
+        routing, replica choice, failover, counters and the merge stay
+        here, so the simulated model is identical.
         """
         if not isinstance(request, QueryRequest):
             raise TypeError(
@@ -288,13 +313,7 @@ class ClusterSPFresh:
             1 for p in plan if len(p) == len(self.groups)
         )
         shard_batches = self._per_shard_batches(plan)
-        replica_picks = {
-            shard_id: self._next_replica(shard_id)
-            for shard_id in shard_batches
-        }
-        per_shard = self._run_shards(
-            request, shard_batches, replica_picks, parallel
-        )
+        per_shard = self._run_shards(request, shard_batches, pool)
         return SearchResponse(
             results=tuple(self._merge(request, plan, shard_batches, per_shard)),
             request=request,
@@ -312,56 +331,57 @@ class ClusterSPFresh:
         self,
         request: QueryRequest,
         shard_batches: dict[int, list[int]],
-        replica_picks: dict[int, int],
-        parallel: bool,
+        pool: WorkerPool | None,
     ) -> dict[int, list[SearchResult]]:
-        def one(shard_id: int) -> list[SearchResult]:
-            rows = shard_batches[shard_id]
-            sub = request.with_vectors(request.vectors[rows])
-            return self._query_with_failover(
-                shard_id, sub, replica_picks[shard_id]
-            )
+        """Every probed shard's sub-batch, answered by one live replica.
 
-        if parallel and len(shard_batches) > 1:
-            pool = self._ensure_pool()
-            results = list(pool.map(one, shard_batches))
-        else:
-            results = [one(shard_id) for shard_id in shard_batches]
-        return dict(zip(shard_batches, results))
-
-    def _query_with_failover(
-        self, shard_id: int, sub_request: QueryRequest, first_choice: int
-    ) -> list[SearchResult]:
-        """Run one shard's sub-batch, failing over across its replicas.
-
-        The deterministic first choice is tried first; a replica that is
-        marked down is skipped, and one whose device errors mid-read
-        (:class:`~repro.util.errors.StorageError`, e.g. an injected fault)
-        is marked down and the next live replica takes the read.
+        Each shard starts on its deterministic pick; a replica whose
+        device errors mid-read (:class:`~repro.util.errors.StorageError`,
+        e.g. an injected fault) is marked down and the shard is asked
+        again on its next live replica, in ring order. One round of jobs
+        runs in-process, or on ``pool`` (one worker per shard group).
         """
-        group = self.groups[shard_id]
-        order = [
-            (first_choice + i) % len(group.replicas)
-            for i in range(len(group.replicas))
-        ]
-        last_error: Exception | None = None
-        for attempt, replica_id in enumerate(order):
-            if group.down[replica_id]:
-                continue
-            try:
-                results = list(group.replicas[replica_id].query(sub_request))
-            except StorageError as exc:
+        if pool is not None and len(pool) != len(self.groups):
+            raise ValueError(
+                f"worker pool has {len(pool)} workers for {len(self.groups)} "
+                f"shards: it predates a shard split; open a new one"
+            )
+        first = {s: self._next_replica(s) for s in shard_batches}
+        jobs = {
+            s: (first[s], request.with_vectors(request.vectors[rows]))
+            for s, rows in shard_batches.items()
+        }
+        per_shard: dict[int, list[SearchResult]] = {}
+        while jobs:
+            if pool is None:
+                answers = run_serial(self.groups, _answer_shard, jobs)
+            else:
+                answers = pool.run(jobs)
+            retries = {}
+            for shard_id, answer in answers.items():
+                replica_id, sub_request = jobs[shard_id]
+                if not isinstance(answer, StorageError):
+                    if replica_id != first[shard_id]:
+                        self.stats.replica_failovers += 1
+                    self.last_replica_read[shard_id] = replica_id
+                    per_shard[shard_id] = answer
+                    continue
+                group = self.groups[shard_id]
                 group.down[replica_id] = True
                 self.stats.replica_failovers += 1
-                last_error = exc
-                continue
-            if attempt > 0:
-                self.stats.replica_failovers += 1
-            self.last_replica_read[shard_id] = replica_id
-            return results
-        raise ClusterUnavailableError(
-            f"shard {shard_id}: no live replica could answer"
-        ) from last_error
+                size = len(group.replicas)
+                tried = (replica_id - first[shard_id]) % size + 1
+                untried = (
+                    (first[shard_id] + i) % size for i in range(tried, size)
+                )
+                successor = next((r for r in untried if not group.down[r]), None)
+                if successor is None:
+                    raise ClusterUnavailableError(
+                        f"shard {shard_id}: no live replica could answer"
+                    ) from answer
+                retries[shard_id] = (successor, sub_request)
+            jobs = retries
+        return per_shard
 
     def _merge(
         self,
@@ -403,14 +423,6 @@ class ClusterSPFresh:
             )
         return merged
 
-    # Replica chosen by the most recent read, per shard (tests and the
-    # determinism contract observe fan-out through this).
-    @property
-    def last_replica_read(self) -> dict[int, int]:
-        if not hasattr(self, "_last_replica_read"):
-            self._last_replica_read: dict[int, int] = {}
-        return self._last_replica_read
-
     def _next_replica(self, shard_id: int) -> int:
         """Deterministic replica pick: seeded golden-ratio counter mix."""
         group = self.groups[shard_id]
@@ -431,7 +443,7 @@ class ClusterSPFresh:
     # updates
     # ------------------------------------------------------------------
     def insert(self, vector_id: int, vector: np.ndarray) -> float:
-        """Insert one vector into its centroid-routed home shard.
+        """Insert one vector into the home shard its placement names.
 
         Writes fan out to every live replica of the group; the returned
         simulated latency is the slowest replica's (the ack waits for the
@@ -439,8 +451,10 @@ class ClusterSPFresh:
         (drift) is re-homed: deleted from the old shard, inserted fresh.
         """
         vector = as_vector(vector, self.config.dim)
-        shard_id = int(self.placement.route_vectors(vector[None])[0])
         vector_id = int(vector_id)
+        shard_id = int(
+            self.placement.homes(np.array([vector_id]), vector[None])[0]
+        )
         old = self.directory.get(vector_id)
         if old is not None and old != shard_id:
             self._apply_write(old, "delete", vector_id)
@@ -490,7 +504,9 @@ class ClusterSPFresh:
         Each pass picks the largest oversized shard, carves its centroid
         group in two, and migrates the rerouted vectors into a freshly
         built shard group — repeating until every shard is within bounds
-        (mirroring the posting-level split cascade).
+        (mirroring the posting-level split cascade). A shard that owns a
+        single region cannot be carved: under a hash placement, where
+        every shard is one, this always returns 0.
         """
         threshold = self.config.cluster.split_threshold
         if threshold is None:
@@ -507,37 +523,16 @@ class ClusterSPFresh:
 
     def _split_shard(self, shard_id: int) -> bool:
         group = self.groups[shard_id]
-        members = np.nonzero(
-            self.placement.shard_of_centroid == shard_id
-        )[0]
-        if len(members) < 2:
+        if self.placement.group_sizes()[shard_id] < 2:
             return False  # one region left: nothing to carve
         new_shard_id = len(self.groups)
         moved_centroids = self.placement.split_group(
             shard_id, new_shard_id, self._rng
         )
         ids, vectors = live_rows(group.primary)
-        if len(ids) == 0:
-            self._undo_split(shard_id, moved_centroids)
-            return False
-        # Rows whose nearest centroid *within the old group* moved follow
-        # it to the new shard (the cluster-level NPA property).
-        from repro.util.distance import pairwise_sq_l2
-
-        group_members = np.concatenate(
-            [
-                moved_centroids,
-                np.nonzero(self.placement.shard_of_centroid == shard_id)[0],
-            ]
-        )
-        nearest = group_members[
-            pairwise_sq_l2(
-                vectors, self.placement.centroids[group_members]
-            ).argmin(axis=1)
-        ]
-        moving = np.isin(nearest, moved_centroids)
+        moving = self.placement.rows_moved(vectors, shard_id, moved_centroids)
         if not moving.any() or moving.all():
-            self._undo_split(shard_id, moved_centroids)
+            self.placement.undo_split(shard_id, moved_centroids)
             return False
         moved_ids, moved_vectors = ids[moving], vectors[moving]
         self.groups.append(
@@ -561,12 +556,6 @@ class ClusterSPFresh:
         self.stats.shard_splits += 1
         self.stats.migrated_vectors += int(moving.sum())
         return True
-
-    def _undo_split(self, shard_id: int, moved_centroids: np.ndarray) -> None:
-        # Revert a placement carve that turned out to move nothing (or
-        # everything): put the centroids back and drop the new shard id.
-        self.placement.shard_of_centroid[moved_centroids] = shard_id
-        self.placement.num_shards -= 1
 
     # ------------------------------------------------------------------
     # failure / recovery
@@ -618,11 +607,18 @@ class ClusterSPFresh:
     def gc_pass(self) -> int:
         return sum(replica.gc_pass() for replica in self._live_replicas())
 
+    def worker_pool(self, *, fork: bool) -> WorkerPool:
+        """One worker per shard group for ``query(..., pool=)``.
+
+        ``fork=True`` workers answer from the replicas as they were at
+        this call (see :mod:`repro.util.workers`); thread workers share
+        them. Close it (it is a context manager) before the facade; a
+        shard split outdates it.
+        """
+        return WorkerPool(self.groups, _answer_shard, fork=fork)
+
     def close(self) -> None:
-        """Shut down the thread pool and every replica's workers."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Stop every replica's background workers. Idempotent."""
         for group in self.groups:
             for replica in group.replicas:
                 replica.stop()
@@ -632,11 +628,6 @@ class ClusterSPFresh:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=len(self.groups))
-        return self._pool
 
     # ------------------------------------------------------------------
     # accounting
@@ -658,7 +649,7 @@ class ClusterSPFresh:
             replica.memory_bytes()
             for group in self.groups
             for replica in group.replicas
-        ) + self.placement.centroids.nbytes
+        ) + self.placement.memory_bytes()
 
     def shard_sizes(self) -> list[int]:
         return [g.primary.live_vector_count for g in self.groups]
@@ -673,6 +664,4 @@ class ClusterSPFresh:
 
     def check_invariants(self, **kwargs):
         """Cluster-wide audit; see docs/distributed.md."""
-        from repro.core.invariants import check_cluster_invariants
-
         return check_cluster_invariants(self, **kwargs)

@@ -1,14 +1,20 @@
-"""Accuracy-preserving, centroid-aware shard placement.
+"""Shard placement: the one pluggable decision of ``ClusterSPFresh``.
 
-Blind hash routing spreads every region of the vector space over every
-shard, so a query can only be answered by broadcasting. "Scalable
-Distributed Vector Search via Accuracy Preserving Index Construction"
-(PAPERS.md) shows the alternative this module implements: partition the
-space by *clustered centroid groups* so each shard owns a few compact
-regions, keep a shard-level centroid summary on the router, and probe
-only the shards whose summaries can contribute to a query.
+A placement says which shard is a row's home (``homes``), which shards a
+query must probe (``shards_for_queries``), how many regions each shard
+owns (``group_sizes``) and what it costs in memory (``memory_bytes``).
+Two are provided.
 
-Concretely, placement is a two-level clustering:
+:class:`HashPlacement` is the baseline: blind hash routing spreads every
+region of the vector space over every shard, so a query can only be
+answered by broadcasting. "Scalable Distributed Vector Search via
+Accuracy Preserving Index Construction" (PAPERS.md) shows the
+alternative :class:`CentroidPlacement` implements: partition the space
+by *clustered centroid groups* so each shard owns a few compact regions,
+keep a shard-level centroid summary on the router, and probe only the
+shards whose summaries can contribute to a query.
+
+Concretely, centroid placement is a two-level clustering:
 
 1. ``num_shards * centroids_per_shard`` **fine centroids** are fit over
    the base vectors with balanced k-means (the same clusterer SPANN uses
@@ -24,10 +30,11 @@ SPANN's nprobe, one level up. The summary is tiny (``G x dim`` floats),
 so routing costs one small matrix product; the modelled cost rides in
 ``ClusterConfig.route_cost_us``.
 
-The placement is mutable under growth: :meth:`split_group` carves one
-shard's centroid group in two (LIRE's split discipline at cluster
-granularity) and returns the row movement the cluster facade uses to
-migrate postings.
+The centroid placement is mutable under growth: :meth:`split_group`
+carves one shard's centroid group in two (LIRE's split discipline at
+cluster granularity) and :meth:`rows_moved` names the rows the cluster
+facade then migrates. A hash has one indivisible region per shard and
+cannot be carved.
 """
 
 from __future__ import annotations
@@ -100,8 +107,11 @@ class CentroidPlacement:
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    def route_vectors(self, vectors: np.ndarray) -> np.ndarray:
-        """Home shard per row: the shard owning the nearest fine centroid."""
+    def homes(self, ids: np.ndarray | None, vectors: np.ndarray) -> np.ndarray:
+        """Home shard per row: the shard owning the nearest fine centroid.
+
+        Placement is by vector; the ids play no part.
+        """
         vectors = as_matrix(vectors, self.centroids.shape[1])
         if len(vectors) == 0:
             return np.empty(0, dtype=np.int64)
@@ -129,10 +139,7 @@ class CentroidPlacement:
         """Ranked shard ids to probe per query (all shards when ``None``)."""
         queries = as_matrix(queries, self.centroids.shape[1])
         if nprobe is None or nprobe >= self.num_shards:
-            return [
-                np.arange(self.num_shards, dtype=np.int64)
-                for _ in range(len(queries))
-            ]
+            return _every_shard(len(queries), self.num_shards)
         dists = self.shard_distances(queries)
         take = max(1, int(nprobe))
         order = np.argsort(dists, axis=1, kind="stable")[:, :take]
@@ -178,9 +185,38 @@ class CentroidPlacement:
         self.num_shards += 1
         return moved
 
+    def rows_moved(
+        self, vectors: np.ndarray, shard_id: int, moved: np.ndarray
+    ) -> np.ndarray:
+        """Mask of ``shard_id``'s rows that follow ``moved`` after a split.
+
+        A row moves when its nearest centroid *within the old group* is
+        one of the moved ones (the cluster-level NPA property).
+        """
+        members = np.concatenate(
+            [moved, np.nonzero(self.shard_of_centroid == shard_id)[0]]
+        )
+        nearest = members[
+            pairwise_sq_l2(vectors, self.centroids[members]).argmin(axis=1)
+        ]
+        return np.isin(nearest, moved)
+
+    def undo_split(self, shard_id: int, moved: np.ndarray) -> None:
+        """Revert a :meth:`split_group` that moved no row (or every row)."""
+        self.shard_of_centroid[moved] = shard_id
+        self.num_shards -= 1
+
     def group_sizes(self) -> np.ndarray:
         """Fine centroids owned per shard."""
         return np.bincount(self.shard_of_centroid, minlength=self.num_shards)
+
+    def memory_bytes(self) -> int:
+        return self.centroids.nbytes
+
+
+def _every_shard(num_queries: int, num_shards: int) -> list[np.ndarray]:
+    """The broadcast plan: each query probes shards ``0..num_shards-1``."""
+    return [np.arange(num_shards, dtype=np.int64) for _ in range(num_queries)]
 
 
 def _compact_groups(
@@ -201,3 +237,47 @@ def _compact_groups(
             far = members[int(pairwise_sq_l2(fine[members], center).argmax())]
             groups[far] = shard
     return groups
+
+
+class HashPlacement:
+    """Id-hash placement: the scatter-gather baseline of vector stores.
+
+    A row's home is a multiplicative hash of its *id*, so every update is
+    a single-shard operation and shards stay balanced in expectation
+    whatever the data looks like. The price: the hash says nothing about
+    the vector, so every query probes every shard.
+    """
+
+    _MIX = 0x9E3779B97F4A7C15  # 64-bit golden-ratio multiplier
+
+    def __init__(self, num_shards: int) -> None:
+        if num_shards < 1:
+            raise ValueError("num_shards must be at least 1")
+        self.num_shards = num_shards
+
+    def homes(self, ids: np.ndarray, vectors: np.ndarray | None = None) -> np.ndarray:
+        """Home shard per row — by id; the vectors play no part.
+
+        uint64 arithmetic wraps modulo 2**64 exactly like the scalar
+        ``((id * _MIX) & (2**64 - 1)) >> 32`` (negative ids reinterpret
+        two's-complement, matching Python's masked product), so this is
+        bit-identical to it for the full int64 range.
+        """
+        ids_u = np.ascontiguousarray(ids, dtype=np.int64).view(np.uint64)
+        mixed = ids_u * np.uint64(self._MIX)
+        return (
+            (mixed >> np.uint64(32)) % np.uint64(self.num_shards)
+        ).astype(np.int64)
+
+    def shards_for_queries(
+        self, queries: np.ndarray, nprobe: int | None = None
+    ) -> list[np.ndarray]:
+        """Every shard for every query, whatever ``nprobe`` says."""
+        return _every_shard(len(queries), self.num_shards)
+
+    def group_sizes(self) -> np.ndarray:
+        """One indivisible region per shard."""
+        return np.ones(self.num_shards, dtype=np.int64)
+
+    def memory_bytes(self) -> int:
+        return 0

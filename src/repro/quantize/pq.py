@@ -1,11 +1,11 @@
 """Product quantization (Jégou et al.), generalized for the main engine.
 
-Lifted from the DiskANN baseline (``repro/baselines/diskann/pq.py``, now a
-re-export of this class) and extended with the :class:`VectorQuantizer`
-contract: batched distance tables, the fused :func:`adc_scan` kernel, and
-snapshot-ready ``state_dict``. The classic layout is unchanged — the
-vector is cut into ``num_subspaces`` chunks, each chunk quantized against
-a ≤256-entry codebook learned with k-means, one uint8 code per chunk.
+Lifted from the DiskANN baseline (which imports it from here) and
+extended with the :class:`VectorQuantizer` contract: batched distance
+tables, the fused :func:`adc_scan` kernel, and snapshot-ready
+``state_dict``. The classic layout is unchanged — the vector is cut
+into ``num_subspaces`` chunks, each chunk quantized against a ≤256-entry
+codebook learned with k-means, one uint8 code per chunk.
 """
 
 from __future__ import annotations

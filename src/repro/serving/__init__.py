@@ -11,8 +11,9 @@ and gate CI like every other simulated metric.
 
 The engine side is a K-worker pool on both clocks: simulated (the
 frontend's per-worker busy-until horizons — deterministic, gated) and
-wall (``engine_pool``'s thread/forked-process pools — informational,
-parity-checked against serial replay). Batch seats are assigned FIFO or
+wall (``replay`` of the recorded batch schedule, serially or on a
+thread/forked-process ``WorkerPool`` — informational, parity-checked
+against the serial replay). Batch seats are assigned FIFO or
 by deficit-weighted round robin across tenants (``DwrrBatcher``).
 
 See ``docs/serving.md`` for the model and knobs.
@@ -20,19 +21,18 @@ See ``docs/serving.md`` for the model and knobs.
 
 from repro.serving.admission import AdmissionController, AdmissionDecision
 from repro.serving.batcher import DwrrBatcher, DynamicBatcher
-from repro.serving.engine_pool import (
-    ProcessEnginePool,
-    ReplayResult,
-    ThreadEnginePool,
-    batch_jobs,
-    count_mismatches,
-    serial_replay,
-)
 from repro.serving.frontend import (
     BatchRecord,
     RequestOutcome,
     ServingFrontend,
     ServingReport,
+)
+from repro.serving.replay import (
+    ReplayResult,
+    batch_jobs,
+    count_mismatches,
+    replay,
+    replay_pool,
 )
 
 __all__ = [
@@ -41,13 +41,12 @@ __all__ = [
     "BatchRecord",
     "DwrrBatcher",
     "DynamicBatcher",
-    "ProcessEnginePool",
     "ReplayResult",
     "RequestOutcome",
     "ServingFrontend",
     "ServingReport",
-    "ThreadEnginePool",
     "batch_jobs",
     "count_mismatches",
-    "serial_replay",
+    "replay",
+    "replay_pool",
 ]

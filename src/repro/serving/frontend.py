@@ -36,7 +36,7 @@ deficit-weighted round robin across tenants (see
 monopolize dispatch; ``tenant_quota_fraction`` additionally bounds any
 one tenant's share of the queue at admission. Wall-clock execution of
 the same batches on real threads/processes lives in
-``repro.serving.engine_pool`` — informational only, never gated.
+``repro.serving.replay`` — informational only, never gated.
 """
 
 from __future__ import annotations
@@ -53,6 +53,33 @@ from repro.datasets.arrival import ArrivalTrace
 from repro.metrics.latency import percentile_metrics
 from repro.serving.admission import AdmissionController
 from repro.serving.batcher import DwrrBatcher, DynamicBatcher
+
+
+def batch_surface(engine):
+    """The engine's batch entry point as ``answer(QueryRequest) -> list``.
+
+    Typed-API engines (``SPFreshIndex``, ``ClusterSPFresh``) take the
+    request through ``query``; bare searcher-level engines
+    (``SpannSearcher``) take ``search_many(queries, k, nprobe)`` and
+    none of the other knobs. The frontend and the replay workers both
+    answer batches through this, so a replay asks what was served.
+    """
+    query = getattr(engine, "query", None)
+    if query is not None:
+        return lambda request: list(query(request).results)
+    search = getattr(engine, "search_many", None)
+    if search is None:
+        raise TypeError("engine must expose query or search_many")
+
+    def answer(request: QueryRequest) -> list:
+        if request.rerank_k is not None or request.quantized is not None:
+            raise TypeError(
+                "rerank_k/quantized knobs need a QueryRequest-capable "
+                "engine (one exposing query())"
+            )
+        return search(request.vectors, request.k, request.nprobe)
+
+    return answer
 
 
 @dataclass
@@ -266,19 +293,7 @@ class ServingFrontend:
             raise ValueError(
                 f"unknown fairness {fairness!r} (choose 'fifo' or 'dwrr')"
             )
-        # Typed-API engines (SPFreshIndex, ShardedSPFresh) take a
-        # QueryRequest through ``query``; bare searcher-level engines
-        # (SpannSearcher) take (queries, k, nprobe).
-        self._query = getattr(engine, "query", None)
-        if self._query is None:
-            self._search = getattr(engine, "search_many", None)
-            if self._search is None:
-                raise TypeError("engine must expose query or search_many")
-            if rerank_k is not None or quantized is not None:
-                raise TypeError(
-                    "rerank_k/quantized knobs need a QueryRequest-capable "
-                    "engine (one exposing query())"
-                )
+        self._answer = batch_surface(engine)
         self.engine = engine
         self.k = k
         self.nprobe = nprobe
@@ -325,19 +340,6 @@ class ServingFrontend:
         )
         kwargs.update(overrides)
         return cls(engine, k=k, nprobe=nprobe, **kwargs)
-
-    def _run_batch(self, queries: np.ndarray) -> list:
-        """Answer one dispatched batch through the engine's best surface."""
-        if self._query is not None:
-            request = QueryRequest(
-                vectors=queries,
-                k=self.k,
-                nprobe=self.nprobe,
-                rerank_k=self.rerank_k,
-                quantized=self.quantized,
-            )
-            return list(self._query(request).results)
-        return self._search(queries, self.k, self.nprobe)
 
     # ------------------------------------------------------------------
     def run(self, trace: ArrivalTrace) -> ServingReport:
@@ -397,7 +399,15 @@ class ServingFrontend:
             for r in batch:
                 queued_by_tenant[r.tenant] -= 1
             rows = [r.query_index for r in batch]
-            results = self._run_batch(trace.queries[rows])
+            results = self._answer(
+                QueryRequest(
+                    vectors=trace.queries[rows],
+                    k=self.k,
+                    nprobe=self.nprobe,
+                    rerank_k=self.rerank_k,
+                    quantized=self.quantized,
+                )
+            )
             io_us = max(r.io_latency_us for r in results)
             cpu_us = sum(r.latency_us - r.io_latency_us for r in results)
             service_us = io_us + cpu_us

@@ -2,11 +2,37 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
+import pytest
 
 from repro.core.jobs import ReassignJob
 from repro.spann.postings import live_view
 from repro.util.distance import sq_l2
+from repro.util.workers import fork_available
+
+# ``fork`` values for tests that run on both kinds of WorkerPool.
+EXECUTORS = [
+    pytest.param(False, id="thread"),
+    pytest.param(
+        True,
+        id="fork",
+        marks=pytest.mark.skipif(
+            not fork_available(), reason="needs the 'fork' start method"
+        ),
+    ),
+]
+
+
+def assert_same_results(got, want) -> None:
+    """Two result sequences agree in every ``SearchResult`` field."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for field in dataclasses.fields(a):
+            np.testing.assert_array_equal(
+                getattr(a, field.name), getattr(b, field.name), field.name
+            )
 
 
 def live_assignment(index) -> dict[int, set[int]]:

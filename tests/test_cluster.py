@@ -1,4 +1,9 @@
-"""Tests for the cluster model: placement, routing, splits, replicas."""
+"""Tests for the cluster model: placement, routing, splits, replicas, pools.
+
+Centroid placement is the default under test; what holds whatever the
+placement (worker-pool fan-out, failover, the audit) runs over both, and
+what only a hash does is in test_distributed.py.
+"""
 
 import numpy as np
 import pytest
@@ -9,15 +14,15 @@ from repro.distributed import (
     CentroidPlacement,
     ClusterSPFresh,
     ClusterUnavailableError,
-    ProcessShardPool,
-    ShardedSPFresh,
-    fork_available,
+    HashPlacement,
 )
 from repro.serving import ServingFrontend
 from repro.storage.faults import FaultInjectingSSD, FaultPlan
 from repro.storage.ssd import SimulatedSSD, SSDProfile
 from repro.util.errors import IndexError_
+from repro.util.workers import fork_available
 from tests.conftest import DIM
+from tests.helpers import EXECUTORS, assert_same_results
 
 
 @pytest.fixture
@@ -58,7 +63,7 @@ class TestPlacement:
 
     def test_route_vectors_in_range(self, vectors):
         placement = CentroidPlacement.fit(vectors, 3, centroids_per_shard=4)
-        homes = placement.route_vectors(vectors)
+        homes = placement.homes(None, vectors)
         assert homes.min() >= 0 and homes.max() < 3
         assert len(homes) == len(vectors)
 
@@ -101,7 +106,7 @@ class TestBuild:
         assert report.conservation_violations == 0
 
     def test_placement_and_directory_agree(self, cluster, vectors):
-        homes = cluster.placement.route_vectors(vectors)
+        homes = cluster.placement.homes(None, vectors)
         for vid, home in enumerate(homes):
             assert cluster.directory[vid] == home
 
@@ -146,7 +151,8 @@ class TestRoutedSearch:
     def test_parallel_mode_same_results(self, cluster, vectors):
         request = QueryRequest(vectors=vectors[:8] + 0.01, k=5)
         serial = cluster.query(request)
-        parallel = cluster.query(request, parallel=True)
+        with cluster.worker_pool(fork=False) as pool:
+            parallel = cluster.query(request, pool=pool)
         for s, p in zip(serial.results, parallel.results):
             np.testing.assert_array_equal(s.ids, p.ids)
             np.testing.assert_array_equal(s.distances, p.distances)
@@ -159,7 +165,7 @@ class TestRoutedSearch:
 class TestUpdates:
     def test_insert_routes_by_centroid(self, cluster, rng):
         vec = rng.normal(size=DIM).astype(np.float32)
-        want = int(cluster.placement.route_vectors(vec[None])[0])
+        want = int(cluster.placement.homes(None, vec[None])[0])
         before = cluster.shard_sizes()
         cluster.insert(90_000, vec)
         after = cluster.shard_sizes()
@@ -183,7 +189,7 @@ class TestUpdates:
             cluster.delete(5)
 
     def test_reinsert_rehomes_on_drift(self, cluster, vectors):
-        homes = cluster.placement.route_vectors(vectors)
+        homes = cluster.placement.homes(None, vectors)
         a = int(np.nonzero(homes == homes[0])[0][0])
         b = int(np.nonzero(homes != homes[0])[0][0])
         cluster.insert(95_000, vectors[a])
@@ -363,10 +369,11 @@ class TestEmptyBatch:
         assert response.results == ()
 
     def test_sharded(self, vectors, small_config):
-        with ShardedSPFresh.build(
-            vectors, num_shards=3, config=small_config
+        with ClusterSPFresh.build(
+            vectors, config=small_config, placement=HashPlacement(3)
         ) as sharded:
             assert sharded.query(self._empty()).results == ()
+            assert sharded.stats.queries == 0
 
     def test_cluster(self, cluster):
         response = cluster.query(self._empty())
@@ -378,38 +385,169 @@ class TestEmptyBatch:
 class TestProcessPool:
     def test_pooled_answers_match_serial_replay(self, cluster, vectors):
         queries = (vectors[:12] + 0.01).astype(np.float32)
-        plan = cluster.placement.shards_for_queries(
-            queries, cluster.config.cluster.nprobe
+        batches = cluster._per_shard_batches(
+            cluster.placement.shards_for_queries(
+                queries, cluster.config.cluster.nprobe
+            )
         )
-        batches: dict[int, list[int]] = {}
-        for qi, shards in enumerate(plan):
-            for shard in shards:
-                batches.setdefault(int(shard), []).append(qi)
         # Fork BEFORE the parent runs anything: workers and the parent
         # then replay identical sub-batches from identical (build) state.
-        with ProcessShardPool(
-            [g.primary for g in cluster.groups]
-        ) as pool:
+        with cluster.worker_pool(fork=True) as pool:
             jobs = {
-                shard: (queries[rows], 5, None)
+                shard: (0, QueryRequest(vectors=queries[rows], k=5))
                 for shard, rows in batches.items()
             }
-            pooled = pool.query_shards(jobs)
-            for shard, rows in batches.items():
-                sub = QueryRequest(vectors=queries[rows], k=5)
-                serial = list(cluster.groups[shard].primary.query(sub))
-                assert len(pooled[shard]) == len(serial)
-                for (ids, dists, latency), want in zip(pooled[shard], serial):
-                    np.testing.assert_array_equal(ids, want.ids)
-                    np.testing.assert_array_equal(dists, want.distances)
-                    assert latency == want.latency_us
+            pooled = pool.run(jobs)
+            for shard, (replica_id, sub) in jobs.items():
+                serial = cluster.groups[shard].replicas[replica_id].query(sub)
+                assert_same_results(pooled[shard], serial.results)
 
-    def test_closed_pool_rejects_jobs(self, cluster):
-        pool = ProcessShardPool([g.primary for g in cluster.groups])
+    def test_closed_pool_rejects_jobs(self, cluster, vectors):
+        pool = cluster.worker_pool(fork=True)
         pool.close()
         pool.close()  # idempotent
         with pytest.raises(RuntimeError):
-            pool.query_shards({0: (np.zeros((1, DIM), np.float32), 1, None)})
+            cluster.query(QueryRequest.single(vectors[0], k=1), pool=pool)
+
+
+PQ = dict(
+    quant_enabled=True,
+    quant_kind="pq",
+    quant_subspaces=8,
+    quant_codebook_size=16,
+)
+
+
+@pytest.mark.parametrize("fork", EXECUTORS)
+class TestPooledQuery:
+    """``query(pool=)`` is ``query()`` with the shard calls moved out.
+
+    Each case builds the same cluster twice — a query has maintenance
+    side effects, so equal answers need equal starting states — and asks
+    one serially, the other through a pool.
+    """
+
+    @pytest.fixture
+    def twins(self, vectors, cluster_config):
+        built = []
+
+        def build(config=cluster_config, hashed=False, **kwargs):
+            for _ in range(2):
+                built.append(
+                    ClusterSPFresh.build(
+                        vectors,
+                        num_shards=3,
+                        config=config,
+                        placement=HashPlacement(3) if hashed else None,
+                        **kwargs,
+                    )
+                )
+            return built[-2:]
+
+        yield build
+        for facade in built:
+            facade.close()
+
+    @staticmethod
+    def assert_same_bookkeeping(serial, pooled):
+        assert pooled.stats == serial.stats
+        assert pooled.last_replica_read == serial.last_replica_read
+        assert pooled._read_counter == serial._read_counter
+        assert [g.down for g in pooled.groups] == [g.down for g in serial.groups]
+
+    @pytest.mark.parametrize("hashed", [False, True], ids=["centroid", "hash"])
+    def test_equals_serial_in_every_field(self, twins, vectors, fork, hashed):
+        serial, pooled = twins(hashed=hashed)
+        request = QueryRequest(vectors=vectors[:12] + 0.01, k=5)
+        with pooled.worker_pool(fork=fork) as pool:
+            for broadcast in (False, True, False):
+                assert_same_results(
+                    pooled.query(request, broadcast=broadcast, pool=pool),
+                    serial.query(request, broadcast=broadcast),
+                )
+        self.assert_same_bookkeeping(serial, pooled)
+        assert serial.stats.queries == 36
+
+    def test_request_knobs_reach_the_workers(
+        self, twins, vectors, cluster_config, fork
+    ):
+        # The forked shard pool used to ship (vectors, k, nprobe) only:
+        # with rerank_k=1 on a PQ index most pooled answers were wrong.
+        serial, pooled = twins(cluster_config.with_overrides(**PQ))
+        with pooled.worker_pool(fork=fork) as pool:
+            # k * rerank_k exact rows per shard (4 by default), none for
+            # an unquantized scan.
+            for knobs, reranked_per_shard in (
+                ({}, 20),
+                ({"rerank_k": 1}, 5),
+                ({"quantized": False}, 0),
+            ):
+                request = QueryRequest(vectors=vectors[:20] + 0.01, k=5, **knobs)
+                got = pooled.query(request, broadcast=True, pool=pool)
+                assert_same_results(got, serial.query(request, broadcast=True))
+                assert {r.reranked_entries for r in got} == {3 * reranked_per_shard}
+
+    def test_mid_read_fault_fails_over_like_serial(
+        self, twins, vectors, cluster_config, fork
+    ):
+        plans = []
+
+        def device_factory(shard_id, replica_id, shard_config):
+            device = SimulatedSSD(
+                shard_config.ssd_blocks,
+                SSDProfile(block_size=shard_config.block_size),
+            )
+            if shard_id == 0 and replica_id == 0:
+                plans.append(FaultPlan(seed=3, read_error_rate=1.0).disarm())
+                return FaultInjectingSSD(device, plans[-1])
+            return device
+
+        serial, pooled = twins(
+            cluster_config.with_overrides(cluster_replication_factor=2),
+            device_factory=device_factory,
+        )
+        for plan in plans:
+            plan.arm()  # every read on shard 0 / replica 0 now errors
+        with pooled.worker_pool(fork=fork) as pool:
+            for q in vectors[:12]:
+                request = QueryRequest.single(q, k=3)
+                assert_same_results(
+                    pooled.query(request, broadcast=True, pool=pool),
+                    serial.query(request, broadcast=True),
+                )
+        assert pooled.groups[0].down == [True, False]
+        assert pooled.stats.replica_failovers >= 2
+        assert pooled.last_replica_read[0] == 1
+        self.assert_same_bookkeeping(serial, pooled)
+
+    def test_pool_older_than_a_split_is_refused(
+        self, vectors, cluster_config, fork, rng
+    ):
+        config = cluster_config.with_overrides(cluster_split_threshold=160)
+        request = QueryRequest.single(vectors[0], k=3)
+        with ClusterSPFresh.build(vectors, num_shards=3, config=config) as cluster:
+            with cluster.worker_pool(fork=fork) as pool:
+                cluster.query(request, pool=pool)
+                for i in range(80):
+                    noise = rng.normal(scale=0.3, size=DIM).astype(np.float32)
+                    cluster.insert(10_000 + i, vectors[0] + noise)
+                assert cluster.maybe_split() >= 1
+                with pytest.raises(ValueError, match="predates a shard split"):
+                    cluster.query(request, pool=pool)
+            with cluster.worker_pool(fork=fork) as pool:
+                assert len(cluster.query(request, pool=pool).result.ids) == 3
+
+    def test_fork_refuses_live_background_workers(self, cluster, fork):
+        replica = cluster.groups[1].replicas[0]
+        replica.start()
+        try:
+            if fork:
+                with pytest.raises(RuntimeError, match="background"):
+                    cluster.worker_pool(fork=True)
+            else:
+                cluster.worker_pool(fork=False).close()
+        finally:
+            replica.stop()
 
 
 class TestServingPassthrough:

@@ -1,4 +1,12 @@
-"""Tests for the sharded (distributed) SPFresh extension."""
+"""Tests for ``ClusterSPFresh`` under a ``HashPlacement``.
+
+The scatter-gather baseline: rows homed by id hash, every query answered
+by every shard. What the facade does whatever its placement (replicas,
+failover, splits under centroid placement, worker pools over both
+placements) is in test_cluster.py.
+"""
+
+import threading
 
 import numpy as np
 import pytest
@@ -8,13 +16,30 @@ from hypothesis import strategies as st
 from repro.api import QueryRequest
 from repro.core.index import SPFreshIndex
 from repro.datasets import GroundTruthTracker, exact_knn
-from repro.distributed import ShardRouter, ShardedSPFresh
+from repro.distributed import ClusterSPFresh, HashPlacement, ShardGroup
 from tests.conftest import DIM
+from tests.helpers import assert_same_results
+
+
+def build_sharded(vectors, config, num_shards=3):
+    return ClusterSPFresh.build(
+        vectors, config=config, placement=HashPlacement(num_shards)
+    )
+
+
+def shards(cluster):
+    return [group.primary for group in cluster.groups]
+
+
+def scalar_hash(vector_id: int, num_shards: int) -> int:
+    """Scalar oracle ``HashPlacement.homes`` is pinned bit-identical to."""
+    mixed = (int(vector_id) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    return (mixed >> 32) % num_shards
 
 
 @pytest.fixture
 def sharded(vectors, small_config):
-    with ShardedSPFresh.build(vectors, num_shards=3, config=small_config) as index:
+    with build_sharded(vectors, small_config) as index:
         yield index
 
 
@@ -43,41 +68,41 @@ def facade(request, vectors, small_config):
             quant_codebook_size=16,
         )
     config = small_config.with_overrides(**overrides) if overrides else small_config
-    with ShardedSPFresh.build(vectors, num_shards=3, config=config) as index:
+    with build_sharded(vectors, config) as index:
         if "fresh" in request.param:
             rng = np.random.default_rng(99)
             for i in range(40):
                 index.insert(50_000 + i, rng.normal(size=DIM).astype(np.float32))
-            assert any(len(s.fresh_tier) > 0 for s in index.shards)
+            assert any(len(s.fresh_tier) > 0 for s in shards(index))
         yield index
 
 
 class TestRouter:
     def test_deterministic(self):
-        router = ShardRouter(4)
-        assert router.shard_of(123) == router.shard_of(123)
+        placement = HashPlacement(4)
+        ids = np.array([123, 123])
+        assert placement.homes(ids)[0] == placement.homes(ids)[1]
 
     def test_range(self):
-        router = ShardRouter(5)
-        shards = {router.shard_of(i) for i in range(1000)}
-        assert shards == {0, 1, 2, 3, 4}
+        assert set(HashPlacement(5).homes(np.arange(1000))) == {0, 1, 2, 3, 4}
 
     def test_balance(self):
-        router = ShardRouter(4)
-        counts = np.bincount(
-            [router.shard_of(i) for i in range(4000)], minlength=4
-        )
+        counts = np.bincount(HashPlacement(4).homes(np.arange(4000)), minlength=4)
         assert counts.max() / counts.min() < 1.3
 
-    def test_partition_covers_all(self):
-        router = ShardRouter(3)
-        ids = np.arange(100, dtype=np.int64)
-        parts = router.partition(ids)
-        assert sorted(np.concatenate(parts)) == list(range(100))
+    def test_partition_covers_all(self, vectors, small_config):
+        # build() partitions by homes(): every row lands in its hash shard.
+        ids = np.arange(1000, 1000 + len(vectors), dtype=np.int64)
+        with ClusterSPFresh.build(
+            vectors, ids=ids, config=small_config, placement=HashPlacement(3)
+        ) as cluster:
+            homes = cluster.placement.homes(ids)
+            assert cluster.directory == dict(zip(ids.tolist(), homes.tolist()))
+            assert cluster.shard_sizes() == np.bincount(homes).tolist()
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
-            ShardRouter(0)
+            HashPlacement(0)
 
     @given(
         ids=st.lists(
@@ -92,22 +117,33 @@ class TestRouter:
         # The vectorized uint64 path must agree with the scalar oracle on
         # the FULL int64 range, including negatives (two's-complement
         # reinterpretation) and values whose product wraps mod 2**64.
-        router = ShardRouter(num_shards)
-        id_arr = np.asarray(ids, dtype=np.int64)
-        expected = np.asarray(
-            [router.shard_of(int(i)) for i in ids], dtype=np.int64
-        )
-        np.testing.assert_array_equal(router.shard_of_batch(id_arr), expected)
-        parts = router.partition(id_arr)
-        for shard, rows in enumerate(parts):
-            assert all(expected[r] == shard for r in rows)
-        assert sum(len(p) for p in parts) == len(ids)
+        expected = [scalar_hash(i, num_shards) for i in ids]
+        homes = HashPlacement(num_shards).homes(np.asarray(ids, dtype=np.int64))
+        assert homes.dtype == np.int64
+        np.testing.assert_array_equal(homes, expected)
 
     def test_batch_hash_accepts_non_contiguous_input(self):
-        router = ShardRouter(5)
         ids = np.arange(0, 200, dtype=np.int64)[::2]  # strided view
-        expected = [router.shard_of(int(i)) for i in ids]
-        np.testing.assert_array_equal(router.shard_of_batch(ids), expected)
+        expected = [scalar_hash(i, 5) for i in ids]
+        np.testing.assert_array_equal(HashPlacement(5).homes(ids), expected)
+
+    def test_every_query_probes_every_shard(self, sharded, vectors):
+        # A hash says nothing about the vector: nprobe cannot narrow it.
+        placement = sharded.placement
+        for probed in placement.shards_for_queries(vectors[:4], 1):
+            assert probed.tolist() == [0, 1, 2]
+        sharded.query(QueryRequest(vectors=vectors[:4], k=3))
+        assert sharded.shards_probed_fraction() == 1.0
+        assert sharded.stats.broadcasts == 4
+
+    def test_one_region_per_shard_never_splits(self, vectors, small_config):
+        config = small_config.with_overrides(cluster_split_threshold=10)
+        with build_sharded(vectors, config) as cluster:
+            assert cluster.placement.group_sizes().tolist() == [1, 1, 1]
+            assert max(cluster.shard_sizes()) > 10
+            assert cluster.maybe_split() == 0
+            assert cluster.num_shards == 3
+            assert cluster.check_invariants().ok
 
 
 class TestBuild:
@@ -115,20 +151,26 @@ class TestBuild:
         assert sharded.live_vector_count == len(vectors)
         assert sharded.num_shards == 3
         assert sum(sharded.shard_sizes()) == len(vectors)
+        assert len(sharded.directory) == len(vectors)
+        assert sharded.placement.memory_bytes() == 0
+        report = sharded.check_invariants()
+        assert report.ok, report.failures
 
     def test_shards_roughly_balanced(self, sharded):
         sizes = sharded.shard_sizes()
-        assert max(sizes) / max(min(sizes), 1) < 2.0
+        assert max(sizes) / min(sizes) <= 1.5
 
     def test_mismatched_router_rejected(self, vectors, small_config):
         single = SPFreshIndex.build(vectors, config=small_config)
         with pytest.raises(ValueError):
-            ShardedSPFresh([single], ShardRouter(2))
+            ClusterSPFresh(
+                [ShardGroup(0, [single])], HashPlacement(2), {}, small_config
+            )
 
     def test_too_many_shards_for_tiny_data(self, small_config, rng):
         few = rng.normal(size=(3, DIM)).astype(np.float32)
-        with pytest.raises(ValueError):
-            ShardedSPFresh.build(few, num_shards=64, config=small_config)
+        with pytest.raises(ValueError, match="empty"):
+            build_sharded(few, small_config, num_shards=64)
 
 
 class TestSearch:
@@ -140,17 +182,21 @@ class TestSearch:
             assert set(map(int, result.ids)) == set(map(int, gt[i]))
 
     def test_latency_is_max_plus_merge(self, sharded, vectors):
-        result = sharded.query(QueryRequest.single(vectors[0], k=5, nprobe=4)).result
         request = QueryRequest.single(vectors[0], k=5, nprobe=4)
-        per_shard = [s.query(request).result for s in sharded.shards]
-        assert result.latency_us >= max(r.latency_us for r in per_shard)
+        result = sharded.query(request).result
+        per_shard = [s.query(request).result for s in shards(sharded)]
+        assert result.latency_us == pytest.approx(
+            max(r.latency_us for r in per_shard)
+            + sharded.config.cluster.route_cost_us
+            + ClusterSPFresh.MERGE_COST_US
+        )
 
     def test_parallel_mode_same_results(self, sharded, vectors):
-        serial = sharded.query(QueryRequest.single(vectors[0], k=8, nprobe=8)).result
-        parallel = sharded.query(
-            QueryRequest.single(vectors[0], k=8, nprobe=8), parallel=True
-        ).result
-        assert set(map(int, serial.ids)) == set(map(int, parallel.ids))
+        request = QueryRequest.single(vectors[0], k=8, nprobe=8)
+        serial = sharded.query(request).result
+        with sharded.worker_pool(fork=False) as pool:
+            parallel = sharded.query(request, pool=pool).result
+        assert_same_results([serial], [parallel])
 
     def test_dedup_across_shards(self, sharded, vectors):
         result = sharded.query(QueryRequest.single(vectors[0], k=20, nprobe=16)).result
@@ -165,7 +211,7 @@ class TestUpdates:
         assert sum(after) == sum(before) + 1
         changed = [i for i in range(3) if after[i] != before[i]]
         assert len(changed) == 1
-        assert changed[0] == sharded.router.shard_of(99_999)
+        assert changed[0] == scalar_hash(99_999, 3) == sharded.directory[99_999]
 
     def test_inserted_vector_found(self, sharded, rng):
         vec = rng.normal(size=DIM).astype(np.float32)
@@ -205,7 +251,7 @@ class TestUpdates:
 
     def test_memory_is_sum_of_shards(self, sharded):
         assert sharded.memory_bytes() == sum(
-            s.memory_bytes() for s in sharded.shards
+            s.memory_bytes() for s in shards(sharded)
         )
 
 
@@ -223,10 +269,33 @@ class TestBatchedFacade:
         queries = vectors[:8] + 0.01
         request = QueryRequest(vectors=queries, k=5, nprobe=8)
         serial = facade.query(request).results
-        parallel = facade.query(request, parallel=True).results
+        with facade.worker_pool(fork=False) as pool:
+            parallel = facade.query(request, pool=pool).results
         for s, p in zip(serial, parallel):
             np.testing.assert_array_equal(s.ids, p.ids)
             np.testing.assert_array_equal(s.distances, p.distances)
+
+    def test_merge_sums_every_shard_counter(self, request, facade, vectors):
+        # The hash-sharded merge used to rebuild its SearchResult without
+        # fresh_entries_scanned and reranked_entries: both read 0
+        # whatever the shards did.
+        variant = request.node.callspec.params["facade"]
+        query = QueryRequest(vectors=vectors[:6] + 0.01, k=5, nprobe=8)
+        merged = facade.query(query).results
+        per_shard = [s.query(query).results for s in shards(facade)]
+        counters = (
+            "postings_probed",
+            "entries_scanned",
+            "fresh_entries_scanned",
+            "reranked_entries",
+        )
+        for qi, result in enumerate(merged):
+            for name in counters:
+                assert getattr(result, name) == sum(
+                    getattr(results[qi], name) for results in per_shard
+                ), name
+            assert (result.fresh_entries_scanned > 0) == ("fresh" in variant)
+            assert (result.reranked_entries > 0) == ("pq" in variant)
 
     def test_empty_batch(self, sharded):
         empty = QueryRequest(vectors=np.empty((0, DIM), dtype=np.float32), k=5)
@@ -235,7 +304,7 @@ class TestBatchedFacade:
     def test_latency_model_matches_single_facade(self, facade, vectors):
         queries = vectors[:4] + 0.01
         for result in facade.query(QueryRequest(vectors=queries, k=5, nprobe=8)).results:
-            assert result.latency_us > ShardedSPFresh.MERGE_COST_US
+            assert result.latency_us > ClusterSPFresh.MERGE_COST_US
             assert result.io_latency_us <= result.latency_us
 
 
@@ -253,44 +322,43 @@ class TestShardedFreshTierParity:
         rng = np.random.default_rng(5)
         extra = rng.normal(size=(40, DIM)).astype(np.float32)
         single = SPFreshIndex.build(vectors, config=config)
-        with ShardedSPFresh.build(
-            vectors, num_shards=3, config=config
-        ) as sharded_index:
+        with build_sharded(vectors, config) as sharded_index:
             for i, vec in enumerate(extra):
                 single.insert(60_000 + i, vec)
                 sharded_index.insert(60_000 + i, vec)
             assert len(single.fresh_tier) == len(extra)
-            assert any(len(s.fresh_tier) > 0 for s in sharded_index.shards)
+            assert any(len(s.fresh_tier) > 0 for s in shards(sharded_index))
             queries = np.concatenate([vectors[:8] + 0.01, extra[:8] + 0.01])
             for q in queries:
                 want = single.query(QueryRequest.single(q, k=5, nprobe=10**6)).result
                 got = sharded_index.query(QueryRequest.single(q, k=5, nprobe=10**6)).result
                 np.testing.assert_array_equal(got.ids, want.ids)
                 np.testing.assert_array_equal(got.distances, want.distances)
+                # The tier is scanned whole by whoever holds it, so the
+                # merged counter is the unsharded one.
+                assert got.fresh_entries_scanned == want.fresh_entries_scanned > 0
 
 
 class TestLifecycle:
-    def test_context_manager_shuts_down_pool(self, vectors, small_config):
-        with ShardedSPFresh.build(
-            vectors, num_shards=3, config=small_config
-        ) as index:
-            index.query(QueryRequest.single(vectors[0], k=5, nprobe=4), parallel=True)
-            assert index._pool is not None
-            pool = index._pool
-        # __exit__ drained and released the executor.
-        assert index._pool is None
-        assert pool._shutdown
+    def test_context_manager_shuts_down_pool(self, sharded, vectors):
+        request = QueryRequest.single(vectors[0], k=5, nprobe=4)
+        with sharded.worker_pool(fork=False) as pool:
+            sharded.query(request, pool=pool)
+        with pytest.raises(RuntimeError, match="closed"):
+            sharded.query(request, pool=pool)
 
     def test_close_is_idempotent(self, vectors, small_config):
-        index = ShardedSPFresh.build(vectors, num_shards=3, config=small_config)
-        index.query(QueryRequest.single(vectors[0], k=5), parallel=True)
+        index = build_sharded(vectors, small_config)
+        index.query(QueryRequest.single(vectors[0], k=5))
         index.close()
         index.close()
-        assert index._pool is None
 
-    def test_no_pool_until_parallel_use(self, vectors, small_config):
-        with ShardedSPFresh.build(
-            vectors, num_shards=3, config=small_config
-        ) as index:
-            index.query(QueryRequest.single(vectors[0], k=5))
-            assert index._pool is None
+    def test_no_pool_until_parallel_use(self, sharded, vectors):
+        # The facade owns no pool: a serial query starts no thread, and a
+        # pool's threads live exactly as long as the pool is open.
+        before = threading.active_count()
+        sharded.query(QueryRequest.single(vectors[0], k=5))
+        assert threading.active_count() == before
+        with sharded.worker_pool(fork=False):
+            assert threading.active_count() == before + sharded.num_shards
+        assert threading.active_count() == before

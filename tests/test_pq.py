@@ -1,9 +1,14 @@
-"""Tests for the product quantizer."""
+"""Tests for the product quantizer's single-query surface.
+
+``distance_table`` / ``adc_distances``, constructor validation, the
+unfitted errors and the memory model — what the DiskANN baseline uses.
+The batched kernels the engine scans with are in test_quantize.py.
+"""
 
 import numpy as np
 import pytest
 
-from repro.baselines.diskann.pq import ProductQuantizer
+from repro.quantize.pq import ProductQuantizer
 
 
 @pytest.fixture

@@ -4,8 +4,8 @@ Covers the simulated K-worker engine pool in ``ServingFrontend.run``
 (determinism, goodput scaling, worker-occupancy invariants), the DWRR
 fairness path end to end (victim p99 protection on a skewed trace), the
 degenerate inputs a report must survive (empty trace, shed-only
-tenants), the wall-clock replay pools in ``repro.serving.engine_pool``
-(thread/process parity against serial replay), and a hypothesis suite
+tenants), the wall-clock replay in ``repro.serving.replay`` (thread and
+forked-worker parity against the serial replay), and a hypothesis suite
 for the batcher's two-trigger edges under the event loop. See the
 "Concurrency model" section of docs/serving.md.
 """
@@ -21,17 +21,17 @@ from hypothesis import strategies as st
 
 from repro.datasets import make_arrival_trace
 from repro.datasets.arrival import ArrivalTrace
-from repro.distributed.executor import fork_available
+from repro.api import QueryRequest
 from repro.metrics.profiling import Profiler
 from repro.serving import (
-    ProcessEnginePool,
     ServingFrontend,
-    ThreadEnginePool,
     batch_jobs,
     count_mismatches,
-    serial_replay,
+    replay,
+    replay_pool,
 )
-from repro.serving.engine_pool import answer_batch
+from repro.serving.frontend import batch_surface
+from repro.util.workers import fork_available
 from tests.conftest import DIM
 
 K = 4
@@ -321,7 +321,7 @@ def replay_setup(built_index, saturating_trace):
         saturating_trace
     )
     jobs = batch_jobs(saturating_trace, report)
-    baseline = serial_replay(built_index.searcher, jobs, 5)
+    baseline = replay(built_index.searcher, jobs, 5)
     return jobs, baseline
 
 
@@ -344,7 +344,9 @@ class TestEnginePools:
         self, built_index, replay_setup
     ):
         jobs, baseline = replay_setup
-        pooled = ThreadEnginePool(built_index.searcher, 3).run(jobs, 5)
+        assert baseline.num_workers == 1
+        with replay_pool(built_index.searcher, 3, fork=False) as pool:
+            pooled = replay(built_index.searcher, jobs, 5, pool=pool)
         assert pooled.num_workers == 3
         assert count_mismatches(baseline, pooled) == 0
 
@@ -353,10 +355,10 @@ class TestEnginePools:
     ):
         jobs, _ = replay_setup
         profiler = Profiler(enabled=True)
-        serial_replay(built_index.searcher, jobs, 5, profiler=profiler)
-        ThreadEnginePool(built_index.searcher, 2, profiler=profiler).run(
-            jobs, 5
-        )
+        engine = built_index.searcher
+        replay(engine, jobs, 5, profiler=profiler)
+        with replay_pool(engine, 2, fork=False, profiler=profiler) as pool:
+            replay(engine, jobs, 5, pool=pool)
         snapshot = profiler.snapshot()
         assert "serve_replay_serial" in snapshot
         assert "serve_worker0" in snapshot and "serve_worker1" in snapshot
@@ -368,19 +370,23 @@ class TestEnginePools:
         self, built_index, replay_setup
     ):
         jobs, baseline = replay_setup
-        with ProcessEnginePool(built_index.searcher, 2) as pool:
-            pooled = pool.run(jobs, 5)
+        engine = built_index.searcher
+        with replay_pool(engine, 2, fork=True) as pool:
+            pooled = replay(engine, jobs, 5, pool=pool)
             assert count_mismatches(baseline, pooled) == 0
             # Reusing the warm pool must stay bit-identical too.
-            assert count_mismatches(baseline, pool.run(jobs, 5)) == 0
+            again = replay(engine, jobs, 5, pool=pool)
+            assert count_mismatches(baseline, again) == 0
         pool.close()  # idempotent after context exit
         with pytest.raises(RuntimeError):
-            pool.run(jobs, 5)
+            replay(engine, jobs, 5, pool=pool)
 
     @pytest.mark.skipif(
         not fork_available(), reason="needs the 'fork' start method"
     )
-    def test_process_pool_refuses_background_engines(self):
+    def test_process_pool_refuses_background_engines(
+        self, vectors, small_config
+    ):
         class _Bg:
             _background_running = True
 
@@ -388,11 +394,22 @@ class TestEnginePools:
                 return []
 
         with pytest.raises(RuntimeError, match="background"):
-            ProcessEnginePool(_Bg(), 2)
+            replay_pool(_Bg(), 2, fork=True)
+        # A facade engine is searched through groups[*].replicas.
+        from repro.distributed import ClusterSPFresh
+
+        with ClusterSPFresh.build(
+            vectors, num_shards=2, config=small_config
+        ) as cluster:
+            cluster.groups[1].replicas[0].start()
+            with pytest.raises(RuntimeError, match="background"):
+                replay_pool(cluster, 2, fork=True)
 
     def test_empty_schedule_replays_to_nothing(self, built_index):
-        baseline = serial_replay(built_index.searcher, [], 5)
-        pooled = ThreadEnginePool(built_index.searcher, 2).run([], 5)
+        engine = built_index.searcher
+        baseline = replay(engine, [], 5)
+        with replay_pool(engine, 2, fork=False) as pool:
+            pooled = replay(engine, [], 5, pool=pool)
         assert baseline.batch_answers == [] and pooled.batch_answers == []
         assert count_mismatches(baseline, pooled) == 0
 
@@ -400,7 +417,7 @@ class TestEnginePools:
         self, built_index, replay_setup
     ):
         jobs, baseline = replay_setup
-        other = serial_replay(built_index.searcher, jobs, 5)
+        other = replay(built_index.searcher, jobs, 5)
         assert count_mismatches(baseline, other) == 0
         ids, distances = other.batch_answers[0][0]
         other.batch_answers[0][0] = (ids, distances + 1.0)
@@ -410,7 +427,7 @@ class TestEnginePools:
         self, built_index, replay_setup
     ):
         jobs, baseline = replay_setup
-        short = serial_replay(built_index.searcher, jobs[:-1], 5)
+        short = replay(built_index.searcher, jobs[:-1], 5)
         with pytest.raises(ValueError):
             count_mismatches(baseline, short)
 
@@ -419,16 +436,58 @@ class TestEnginePools:
             def search_many(self, vectors, k, nprobe=None):
                 raise RuntimeError("engine exploded")
 
-        with pytest.raises(RuntimeError, match="engine exploded"):
-            ThreadEnginePool(_Boom(), 2).run([np.zeros((1, DIM))], 5)
+        with replay_pool(_Boom(), 2, fork=False) as pool:
+            with pytest.raises(RuntimeError, match="engine exploded"):
+                replay(_Boom(), [np.zeros((1, DIM))], 5, pool=pool)
 
-    def test_answer_batch_rejects_surfaceless_engine(self):
+    def test_answer_batch_rejects_surfaceless_engine(self, built_index):
         with pytest.raises(TypeError):
-            answer_batch(object(), np.zeros((1, DIM)), 5, None)
+            batch_surface(object())
+        # A searcher-level engine has no rerank_k/quantized to honour.
+        request = QueryRequest(vectors=np.zeros((1, DIM)), k=5, rerank_k=2)
+        with pytest.raises(TypeError, match="rerank_k"):
+            batch_surface(built_index.searcher)(request)
 
     def test_pool_validation(self, built_index):
         with pytest.raises(ValueError):
-            ThreadEnginePool(built_index.searcher, 0)
+            replay_pool(built_index.searcher, 0, fork=False)
+
+    def test_replay_asks_what_was_served(
+        self, vectors, small_config, saturating_trace
+    ):
+        # The replay pools used to rebuild (vectors, k, nprobe) requests:
+        # a frontend run with rerank_k set was replayed without it.
+        from repro.core.index import SPFreshIndex
+
+        index = SPFreshIndex.build(
+            vectors,
+            config=small_config.with_overrides(
+                enable_merge=False,  # keep query() free of side effects
+                quant_enabled=True,
+                quant_kind="pq",
+                quant_subspaces=8,
+                quant_codebook_size=16,
+            ),
+        )
+        with replay_pool(index, 2, fork=False) as pool:
+            for knobs in ({"rerank_k": 1}, {"quantized": False}):
+                report = ServingFrontend(
+                    index, k=5, num_workers=2, keep_results=True, **knobs
+                ).run(saturating_trace)
+                jobs = batch_jobs(saturating_trace, report)
+                for replayed in (
+                    replay(index, jobs, 5, **knobs),
+                    replay(index, jobs, 5, pool=pool, **knobs),
+                ):
+                    seats = [s for batch in replayed.batch_answers for s in batch]
+                    assert len(seats) == len(report.answered)
+                    for (ids, distances), outcome in zip(seats, report.answered):
+                        np.testing.assert_array_equal(ids, outcome.result.ids)
+                        np.testing.assert_array_equal(
+                            distances, outcome.result.distances
+                        )
+                # ... and without the knob the replay answers something else.
+                assert count_mismatches(replay(index, jobs, 5), replayed) > 0
 
 
 # ----------------------------------------------------------------------
