@@ -144,6 +144,7 @@ class StressReport:
     chaos_calls: int = 0
     chaos_yields: int = 0
     lock_recycles: int = 0
+    reassign_posting_missing: int = 0  # appends that found their posting gone
     live_vectors: int = 0
     duration_s: float = 0.0
 
@@ -165,7 +166,9 @@ class StressReport:
             f"  ops: {self.inserts} inserts, {self.deletes} deletes, "
             f"{self.searches} searches in {self.duration_s:.2f}s",
             f"  chaos: {self.chaos_yields}/{self.chaos_calls} yields, "
-            f"{self.lock_recycles} lock recycles, {self.live_vectors} live vectors",
+            f"{self.lock_recycles} lock recycles, "
+            f"{self.reassign_posting_missing} reassign_posting_missing, "
+            f"{self.live_vectors} live vectors",
             f"  self-recall: {self.self_recall:.3f}",
         ]
         if self.errors:
@@ -314,6 +317,7 @@ def run_stress(config: StressConfig | None = None) -> StressReport:
     report.chaos_calls = chaos.calls
     report.chaos_yields = chaos.yields
     report.lock_recycles = index.locks.lock_recycles
+    report.reassign_posting_missing = index.stats.reassign_posting_missing
     report.live_vectors = index.live_vector_count
     return report
 

@@ -128,15 +128,25 @@ class FreshTier:
     # ------------------------------------------------------------------
     # snapshots (search + flush + audit)
     # ------------------------------------------------------------------
-    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Copies of (ids, versions, matrix) for every buffered row."""
+    def entries(
+        self, limit: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Copies of (ids, versions, matrix) for the first ``limit``
+        buffered rows (default: all), in array order.
+
+        Nothing is removed: a flush discards each id only after its copy
+        has durably landed in a posting, so a crash mid-flush never loses
+        a buffered vector (the WAL replays it either way).
+        """
         with self._lock:
-            n = self._size
+            n = self._size if limit is None else min(self._size, limit)
             return (
                 self._ids[:n].copy(),
                 self._versions[:n].copy(),
                 self._matrix[:n].copy(),
             )
+
+    take = entries  # the flush's name for its bounded column snapshot
 
     def live_snapshot(self) -> tuple[np.ndarray, np.ndarray]:
         """(ids, matrix) of rows that are still live per the version map.
@@ -152,22 +162,3 @@ class FreshTier:
         if mask.all():
             return ids, matrix
         return ids[mask], matrix[mask]
-
-    def take(
-        self, max_vectors: int | None = None
-    ) -> list[tuple[int, int, np.ndarray]]:
-        """Snapshot up to ``max_vectors`` rows for a flush, in array order.
-
-        Rows are *not* removed — the flush discards each id only after its
-        copy has durably landed in a posting, so a crash mid-flush never
-        loses a buffered vector (the WAL replays it either way).
-        """
-        ids, versions, matrix = self.entries()
-        if max_vectors is not None:
-            ids = ids[:max_vectors]
-            versions = versions[:max_vectors]
-            matrix = matrix[:max_vectors]
-        return [
-            (int(vid), int(ver), vec)
-            for vid, ver, vec in zip(ids, versions, matrix)
-        ]

@@ -33,14 +33,14 @@ from repro.core.ids import IdAllocator
 from repro.core.jobs import FlushJob, JobQueue, MergeJob, PostingLockManager
 from repro.core.rebuilder import LocalRebuilder
 from repro.core.stats import LireStats
-from repro.core.updater import Updater
+from repro.core.updater import PostingWriter, Updater
 from repro.core.version_map import VersionMap
 from repro.metrics.profiling import Profiler, format_report
 from repro.spann.build import build_plan
 from repro.spann.searcher import SearchResult, SpannSearcher
 from repro.storage.controller import BlockController
 from repro.quantize import make_quantizer
-from repro.storage.layout import PostingCodec, PostingData, QuantizedPostingCodec
+from repro.storage.layout import PostingData, make_codec
 from repro.storage.snapshot import SnapshotManager
 from repro.storage.ssd import SimulatedSSD, SSDProfile
 from repro.storage.wal import WriteAheadLog
@@ -86,28 +86,27 @@ class SPFreshIndex:
             if config.enable_fresh_tier
             else None
         )
-        self.updater = Updater(
+        # The one write path (docs/lire-protocol.md): foreground inserts
+        # and every background copy reach postings through this object.
+        self.writer = PostingWriter(
             centroid_index,
             controller,
-            version_map,
             self.locks,
             self.job_queue,
             self.stats,
             config,
             posting_ids,
+        )
+        self.updater = Updater(
+            self.writer,
+            version_map,
             wal=wal,
             profiler=self.profiler,
             fresh_tier=self.fresh_tier,
         )
         self.rebuilder = LocalRebuilder(
-            centroid_index,
-            controller,
+            self.writer,
             version_map,
-            self.locks,
-            self.job_queue,
-            self.stats,
-            config,
-            posting_ids,
             rng=np.random.default_rng(config.seed + 1),
             profiler=self.profiler,
             fresh_tier=self.fresh_tier,
@@ -175,6 +174,7 @@ class SPFreshIndex:
                 queue_depth=config.queue_depth,
             ),
         )
+        quantizer = None
         if config.quantize.enabled:
             # Codebooks are trained once at build time on (a sample of)
             # the base vectors, then persisted in snapshots; the codec
@@ -195,10 +195,7 @@ class SPFreshIndex:
                 )
             else:
                 quantizer.fit(vectors, rng)
-            codec = QuantizedPostingCodec(config.dim, config.block_size, quantizer)
-        else:
-            codec = PostingCodec(config.dim, config.block_size)
-        controller = BlockController(ssd, codec)
+        controller = BlockController(ssd, make_codec(config, quantizer))
         version_map = VersionMap(initial_capacity=max(int(ids.max()) + 1, 1024))
         for vid in ids:
             version_map.register(int(vid))
@@ -315,6 +312,8 @@ class SPFreshIndex:
 
     def insert_batch(self, ids: np.ndarray, vectors: np.ndarray) -> list[float]:
         vectors = as_matrix(vectors, self.config.dim)
+        if len(ids) != len(vectors):
+            raise ValueError("ids and vectors must have the same length")
         return [self.insert(int(vid), vec) for vid, vec in zip(ids, vectors)]
 
     def delete_batch(self, ids: np.ndarray) -> list[float]:
@@ -411,19 +410,7 @@ class SPFreshIndex:
         for pid in self.controller.posting_ids():
             if max_postings is not None and rewritten >= max_postings:
                 break
-            with self.locks.hold(pid):
-                if not self.controller.exists(pid):
-                    continue
-                data, io_us = self.controller.get(pid)
-                self.rebuilder.background_io_us += io_us
-                live_mask = self.version_map.live_mask(data.ids, data.versions)
-                if live_mask.all():
-                    continue
-                self.rebuilder.background_io_us += self.controller.put(
-                    pid, data.select(live_mask)
-                )
-                self.stats.incr("gc_writebacks")
-                rewritten += 1
+            rewritten += self.rebuilder.gc_posting(pid)
         return rewritten
 
     @property

@@ -7,7 +7,9 @@ undersized (or garbage-laden) indefinitely. This scanner is the
 complementary policy a production deployment runs at low priority: sweep
 the posting table, queue merges for undersized postings, GC rewrites for
 garbage-heavy ones, and splits for any posting that slipped past the
-updater's check.
+updater's check. The sweep reads postings without their locks — enough to
+choose candidates; anything it rewrites goes through the rebuilder's
+locked ``gc_posting``, the same call ``SPFreshIndex.gc_pass`` makes.
 """
 
 from __future__ import annotations
@@ -80,13 +82,9 @@ class MaintenanceScanner:
                 if self.index.job_queue.put(MergeJob(posting_id=pid)):
                     report.merges_scheduled += 1
             elif dead and dead / len(data) >= self.garbage_threshold:
-                with self.index.locks.hold(pid):
-                    if self.index.controller.exists(pid):
-                        self.index.rebuilder.background_io_us += (
-                            self.index.controller.put(pid, live)
-                        )
-                        self.index.stats.incr("gc_writebacks")
-                        report.gc_rewrites += 1
+                # The read above only picks the candidate; the rewrite
+                # re-reads under the posting lock.
+                report.gc_rewrites += self.index.rebuilder.gc_posting(pid)
         if drain and self.index.config.synchronous_rebuild:
             self.index.drain()
         return report

@@ -1,6 +1,6 @@
-"""Background Local Rebuilder: split, merge, reassign (paper §4.2).
+"""Background Local Rebuilder: split, merge, reassign, flush (paper §4.2).
 
-The rebuilder consumes jobs from the shared queue and executes the three
+The rebuilder consumes jobs from the shared queue and executes the
 internal LIRE operators with posting-level locking and version-map CAS:
 
 * **split** — GC the oversized posting; if still oversized, run balanced
@@ -9,12 +9,18 @@ internal LIRE operators with posting-level locking and version-map CAS:
 * **merge** — fold an undersized posting into its nearest neighbor and
   reassign the moved vectors (no neighbor-range check needed, §4.2.1);
 * **reassign** — one job per source posting carries all its candidates;
-  each is re-validated on its own: search its true nearest posting,
-  discard false positives (NPA check), CAS-bump its version, and append
-  the fresh copy; all stale replicas die by version.
+  each is re-validated on its own: route it, discard false positives
+  (NPA check), CAS-bump its version, and place the fresh copy; all stale
+  replicas die by version;
+* **flush** — route the fresh tier's rows, one grouped append per target
+  posting (docs/fresh-tier.md).
 
-Jobs can run inline (synchronous mode, deterministic — the default for
-tests) or on background worker threads (the paper's two-stage pipeline).
+A split installs whole new postings itself; every other copy that reaches
+a posting — merge, reassign, flush — goes through the Updater's
+:class:`~repro.core.updater.PostingWriter` (route, locked append, split
+trigger, re-route after a vanished posting). Jobs can run inline
+(synchronous mode, deterministic — the default for tests) or on background
+worker threads (the paper's two-stage pipeline).
 """
 
 from __future__ import annotations
@@ -24,28 +30,16 @@ import threading
 
 import numpy as np
 
-from repro.centroids.base import CentroidIndex
 from repro.clustering.balanced import split_in_two
 from repro.core.conditions import condition_one_mask, condition_two_mask
-from repro.core.config import SPFreshConfig
 from repro.core.fresh_tier import FreshTier
-from repro.core.ids import IdAllocator
-from repro.core.jobs import (
-    FlushJob,
-    JobQueue,
-    MergeJob,
-    PostingLockManager,
-    ReassignJob,
-    SplitJob,
-)
-from repro.core.stats import LireStats
+from repro.core.jobs import FlushJob, MergeJob, ReassignJob, SplitJob
+from repro.core.updater import PostingWriter
 from repro.core.version_map import VersionMap
 from repro.metrics.profiling import NULL_PROFILER, Profiler
-from repro.spann.closure import select_replicas
 from repro.spann.postings import live_view
-from repro.storage.controller import BlockController
 from repro.storage.layout import PostingData
-from repro.util.errors import IndexError_, StalePostingError
+from repro.util.errors import IndexError_
 
 
 class LocalRebuilder:
@@ -53,28 +47,26 @@ class LocalRebuilder:
 
     def __init__(
         self,
-        centroid_index: CentroidIndex,
-        controller: BlockController,
+        writer: PostingWriter,
         version_map: VersionMap,
-        locks: PostingLockManager,
-        job_queue: JobQueue,
-        stats: LireStats,
-        config: SPFreshConfig,
-        posting_ids: IdAllocator,
         rng: np.random.Generator | None = None,
         profiler: Profiler | None = None,
         fresh_tier: FreshTier | None = None,
     ) -> None:
         self.profiler = profiler or NULL_PROFILER
-        self.centroid_index = centroid_index
-        self.controller = controller
+        # Locks, queue, device and counters must be the write path's own
+        # (a split has to exclude the appends the writer makes), so they
+        # are read off the writer rather than wired in a second time.
+        self.writer = writer
+        self.centroid_index = writer.centroid_index
+        self.controller = writer.controller
+        self.locks = writer.locks
+        self.job_queue = writer.job_queue
+        self.stats = writer.stats
+        self.config = writer.config
+        self.posting_ids = writer.posting_ids
         self.version_map = version_map
-        self.locks = locks
-        self.job_queue = job_queue
-        self.stats = stats
-        self.config = config
-        self.posting_ids = posting_ids
-        self.rng = rng or np.random.default_rng(config.seed + 1)
+        self.rng = rng or np.random.default_rng(self.config.seed + 1)
         self.fresh_tier = fresh_tier
         self.background_io_us = 0.0  # simulated device time spent by rebuilds
         self.io_by_job = {
@@ -294,7 +286,6 @@ class LocalRebuilder:
         target = self._pick_merge_target(pid)
         if target is None:
             return
-        moved: PostingData | None = None
         with self.locks.hold(pid, target):
             if not (self.controller.exists(pid) and self.controller.exists(target)):
                 return
@@ -306,21 +297,18 @@ class LocalRebuilder:
             if len(live) >= self.config.min_posting_size:
                 return  # grew back; merge no longer needed
             if len(live) > 0:
-                self.background_io_us += self.controller.append(target, live)
+                # The target exists and its lock is held, so this lands.
+                self.background_io_us += self.writer.append(target, live)
             self.controller.delete(pid)
             self.centroid_index.remove(pid)
-            moved = live
-            target_len = self.controller.length(target)
         self.locks.forget(pid)
         self.stats.incr("merges")
-        if self.config.enable_split and target_len > self.config.max_posting_size:
-            self.job_queue.put(SplitJob(posting_id=target))
-        if self.config.enable_reassign and moved is not None and len(moved) > 0:
+        if self.config.enable_reassign and len(live) > 0:
             # The deleted centroid may break NPA for the moved vectors only
             # (paper §3.3: merged postings need no neighbor check).
-            self.stats.incr("reassign_evaluated", len(moved))
-            mask = np.ones(len(moved), dtype=bool)
-            self._schedule_reassigns(moved, mask, target)
+            self.stats.incr("reassign_evaluated", len(live))
+            mask = np.ones(len(live), dtype=bool)
+            self._schedule_reassigns(live, mask, target)
 
     def _pick_merge_target(self, pid: int) -> int | None:
         """Nearest other posting, by centroid distance."""
@@ -357,46 +345,29 @@ class LocalRebuilder:
     ) -> None:
         # Re-checked per row: an earlier row of the same batch may have
         # moved this id (it can occur twice in one batch).
-        if (
-            self.version_map.is_deleted(vid)
-            or self.version_map.current_version(vid) != expected_version
-        ):
+        if not self.version_map.is_live(vid, expected_version):
             self.stats.incr("reassign_aborted_version")
             return
-        hits = self.centroid_index.search(
-            vector, max(self.config.reassign_replicas * 2, 4)
-        )
-        if len(hits) == 0:
+        # Re-apply the build's closure rule so a reassigned vector keeps
+        # the same boundary-replica structure it had before the move.
+        replicas = self.config.reassign_replicas
+        targets = self.writer.route(vector, replicas)
+        if not targets:
             return
-        if hits.nearest == source_posting:
+        if targets[0] == source_posting:
             # False positive: the vector already sits in its nearest posting.
             self.stats.incr("reassign_aborted_npa")
             return
-        # Re-apply the build's closure rule (pure distance ratio — see
-        # SPFreshConfig.build_rng_rule) so a reassigned vector keeps the
-        # same boundary-replica structure it had before the move.
-        targets = select_replicas(
-            hits.posting_ids,
-            hits.distances,
-            self.config.reassign_replicas,
-            self.config.closure_epsilon,
-        )
         new_version = self.version_map.cas_bump(vid, expected_version)
         if new_version is None:
             self.stats.incr("reassign_aborted_version")
             return
-        placed = self._append_entry(vid, new_version, vector, targets)
-        if not placed:
-            # Every target vanished mid-flight (posting-missing): re-route
-            # with a fresh centroid search until a copy lands.
-            for _ in range(self.config.max_reassign_retries):
-                self.stats.incr("reassign_posting_missing")
-                hits = self.centroid_index.search(vector, 4)
-                if len(hits) == 0:
-                    break
-                placed = self._append_entry(vid, new_version, vector, [hits.nearest])
-                if placed:
-                    break
+        # A split these appends cause cascades from the split (or merge)
+        # that queued the row: depth 1.
+        placed, io_us = self.writer.place(
+            vid, new_version, vector, replicas, targets, cascade_depth=1
+        )
+        self.background_io_us += io_us
         if not placed:
             raise IndexError_(
                 f"reassign of vector {vid} could not place a copy anywhere"
@@ -421,125 +392,77 @@ class LocalRebuilder:
         if tier is None:
             return
         self.stats.incr("fresh_flush_jobs")
-        batch = tier.take(job.max_vectors)
-        placed: set[int] = set()
-        flushed = 0
-        pending: dict[int, list[tuple[int, int, np.ndarray]]] = {}
-        for vid, version, vector in batch:
-            # Deleted (or concurrently re-versioned) rows never reach disk.
-            if (
-                self.version_map.is_deleted(vid)
-                or self.version_map.current_version(vid) != version
-            ):
-                tier.discard(vid)
-                continue
-            targets = self._route_fresh(vector)
-            if not targets:
-                # Flush into an empty index bootstraps the first posting,
-                # exactly like the Updater's first insert.
-                pid = self.posting_ids.next()
-                entry = PostingData.from_rows([vid], [version], vector)
-                self.background_io_us += self.controller.create(pid, entry)
-                self.centroid_index.add(pid, vector)
-                self.stats.incr("appends")
-                self.stats.incr("fresh_flush_appends")
-                placed.add(vid)
-                flushed += 1
-                tier.discard(vid)
-                continue
-            for pid in targets:
-                pending.setdefault(pid, []).append((vid, version, vector))
-        for pid in sorted(pending):
-            rows = pending[pid]
-            data = PostingData.from_rows(
-                [r[0] for r in rows],
-                [r[1] for r in rows],
-                np.stack([r[2] for r in rows]),
+        ids, versions, matrix = tier.take(job.max_vectors)
+        replicas = self.config.insert_replicas
+        landed = np.zeros(len(ids), dtype=bool)  # rows with a copy on disk
+        pending: dict[int, list[int]] = {}  # target posting -> its rows
+
+        def place_alone(row: int) -> None:
+            vid = int(ids[row])
+            placed, io_us = self.writer.place(
+                vid, int(versions[row]), matrix[row], replicas
             )
-            try:
-                with self.locks.hold(pid):
-                    if not self.controller.exists(pid):
-                        raise StalePostingError(f"posting {pid} vanished")
-                    self.background_io_us += self.controller.append(pid, data)
-                    length = self.controller.length(pid)
-            except StalePostingError:
-                self.stats.incr("reassign_posting_missing")
-                continue  # every row of this group retries individually below
-            self.stats.incr("appends", len(rows))
-            self.stats.incr("fresh_flush_appends")
-            for vid, _, _ in rows:
-                if vid not in placed:
-                    placed.add(vid)
-                    flushed += 1
-                tier.discard(vid)
-            if self.config.enable_split and length > self.config.max_posting_size:
-                self.job_queue.put(SplitJob(posting_id=pid))
-        for vid, version, vector in batch:
-            # Rows whose every target posting vanished mid-flush re-route
-            # one by one with the Updater's retry discipline.
-            if (
-                vid in placed
-                or self.version_map.is_deleted(vid)
-                or self.version_map.current_version(vid) != version
-            ):
-                continue
-            for _ in range(1 + self.config.max_reassign_retries):
-                hits = self.centroid_index.search(vector, 4)
-                if len(hits) == 0:
-                    break
-                if self._append_entry(vid, version, vector, [int(hits.nearest)]):
-                    self.stats.incr("appends")
-                    self.stats.incr("fresh_flush_appends")
-                    placed.add(vid)
-                    flushed += 1
-                    tier.discard(vid)
-                    break
-            if vid not in placed:
+            self.background_io_us += io_us
+            if not placed:
                 raise IndexError_(
                     f"flush of vector {vid} kept racing with posting splits"
                 )
+            self.stats.incr("appends", placed)
+            self.stats.incr("fresh_flush_appends", placed)
+            landed[row] = True
+            tier.discard(vid)
+
+        for row, (vid, version) in enumerate(zip(ids.tolist(), versions.tolist())):
+            if not self.version_map.is_live(vid, version):
+                tier.discard(vid)  # deleted rows never reach disk
+                continue
+            targets = self.writer.route(matrix[row], replicas)
+            if not targets:
+                # Empty index: this row creates the first posting now, so
+                # the rest of the batch routes to it.
+                place_alone(row)
+            for pid in targets:
+                pending.setdefault(pid, []).append(row)
+        for pid in sorted(pending):
+            rows = pending[pid]
+            io_us = self.writer.append(
+                pid, PostingData(ids[rows], versions[rows], matrix[rows])
+            )
+            if io_us is None:
+                continue  # vanished; rows with no other copy are placed below
+            self.background_io_us += io_us
+            self.stats.incr("appends", len(rows))
+            self.stats.incr("fresh_flush_appends")
+            landed[rows] = True
+            for vid in ids[rows].tolist():
+                tier.discard(vid)
+        for row in np.flatnonzero(~landed).tolist():
+            # Not on disk yet: dropped above as dead, or every target
+            # vanished mid-flush. What is still live is routed again.
+            if self.version_map.is_live(int(ids[row]), int(versions[row])):
+                place_alone(row)
+        flushed = int(landed.sum())
         if flushed:
             self.stats.incr("fresh_flushes")
             self.stats.incr("fresh_flushed_vectors", flushed)
 
-    def _route_fresh(self, vector: np.ndarray) -> list[int]:
-        """Target posting(s) for a flushed vector (Updater's insert rule)."""
-        want = max(self.config.insert_replicas * 2, 4)
-        hits = self.centroid_index.search(vector, want)
-        if len(hits) == 0:
-            return []
-        if self.config.insert_replicas == 1:
-            return [int(hits.nearest)]
-        return select_replicas(
-            hits.posting_ids,
-            hits.distances,
-            self.config.insert_replicas,
-            self.config.closure_epsilon,
-        )
+    # ------------------------------------------------------------------
+    # garbage collection
+    # ------------------------------------------------------------------
+    def gc_posting(self, pid: int) -> bool:
+        """Rewrite one posting without its dead entries; True if rewritten.
 
-    def _centroid_or_none(self, pid: int):
-        try:
-            return self.centroid_index.get(pid)
-        except IndexError_:
-            return None
-
-    def _append_entry(
-        self, vid: int, version: int, vector: np.ndarray, targets: list[int]
-    ) -> bool:
-        """Append one entry to each target posting; True if any append landed."""
-        entry = PostingData.from_rows([vid], [version], vector)
-        placed = False
-        for pid in targets:
-            try:
-                with self.locks.hold(pid):
-                    if not self.controller.exists(pid):
-                        raise StalePostingError(f"posting {pid} vanished")
-                    self.background_io_us += self.controller.append(pid, entry)
-                    length = self.controller.length(pid)
-                placed = True
-            except StalePostingError:
-                self.stats.incr("reassign_posting_missing")
-                continue
-            if self.config.enable_split and length > self.config.max_posting_size:
-                self.job_queue.put(SplitJob(posting_id=pid, cascade_depth=1))
-        return placed
+        Read, mask and write-back all happen under the posting lock, so an
+        append can land before or after the rewrite but never inside it.
+        """
+        with self.locks.hold(pid):
+            if not self.controller.exists(pid):
+                return False
+            data, io_us = self.controller.get(pid)
+            self.background_io_us += io_us
+            live = live_view(data, self.version_map)
+            if len(live) == len(data):
+                return False
+            self.background_io_us += self.controller.put(pid, live)
+            self.stats.incr("gc_writebacks")
+            return True

@@ -98,7 +98,7 @@ def restore_index(
     """Rebuild an index object from snapshot + WAL on a surviving device."""
     from repro.quantize import quantizer_from_state
     from repro.storage.controller import BlockController
-    from repro.storage.layout import PostingCodec, QuantizedPostingCodec
+    from repro.storage.layout import make_codec
 
     state = snapshots.load()  # raises RecoveryError on integrity failure
     if state is None:
@@ -109,6 +109,7 @@ def restore_index(
         )
 
     quantizer_state = state.get("quantizer")
+    quantizer = None
     if config.quantize.enabled:
         if quantizer_state is None:
             raise RecoveryError(
@@ -126,15 +127,12 @@ def restore_index(
                 f"snapshot quantizer dim {quantizer.dim} != config dim "
                 f"{config.dim}"
             )
-        codec = QuantizedPostingCodec(config.dim, config.block_size, quantizer)
-    else:
-        if quantizer_state is not None:
-            raise RecoveryError(
-                "snapshot was taken from a quantized index but the config "
-                "disables quantization"
-            )
-        codec = PostingCodec(config.dim, config.block_size)
-    controller = BlockController(ssd, codec)
+    elif quantizer_state is not None:
+        raise RecoveryError(
+            "snapshot was taken from a quantized index but the config "
+            "disables quantization"
+        )
+    controller = BlockController(ssd, make_codec(config, quantizer))
     try:
         controller.load_state_dict(state["controller"])
     except (StorageError, KeyError, TypeError, ValueError) as exc:

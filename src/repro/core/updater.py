@@ -1,13 +1,20 @@
-"""Foreground in-place Updater (paper §4.1).
+"""The write path: PostingWriter and the foreground Updater (paper §4.1).
 
-The Updater is the write front-end of the feed-forward pipeline: it
-appends a new vector to the tail of its nearest posting(s), maintains the
-version map for deletes, and hands oversized postings to the Local
-Rebuilder as split jobs. It never splits, merges, or reassigns itself —
-that work is off the critical path by design.
+Every vector copy reaches a posting through one :class:`PostingWriter`:
+route by the closure rule, append under the posting lock, turn an
+oversized posting into a split job, and re-route a copy whose posting a
+concurrent split deleted (§4.2.2). Insert, fresh-tier flush, reassign and
+merge are its callers (docs/lire-protocol.md, "Write path").
+
+The :class:`Updater` is the front-end of the feed-forward pipeline: log,
+register, then buffer in the fresh tier or place on disk; deletes are
+tombstones in the version map. It never splits, merges, or reassigns
+itself — that work is off the critical path by design.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +31,87 @@ from repro.storage.controller import BlockController
 from repro.storage.layout import PostingData
 from repro.storage.wal import WriteAheadLog
 from repro.util.distance import as_vector
-from repro.util.errors import IndexError_, StalePostingError
+from repro.util.errors import IndexError_
+
+
+@dataclass
+class PostingWriter:
+    """The one route / lock / append / split-trigger / re-route path."""
+
+    centroid_index: CentroidIndex
+    controller: BlockController
+    locks: PostingLockManager
+    job_queue: JobQueue
+    stats: LireStats
+    config: SPFreshConfig
+    posting_ids: IdAllocator
+
+    def route(self, vector: np.ndarray, replicas: int) -> list[int]:
+        """Target posting(s) by the closure rule (pure distance ratio, see
+        SPFreshConfig.build_rng_rule), nearest first; [] in an empty index."""
+        hits = self.centroid_index.search(vector, max(replicas * 2, 4))
+        if len(hits) == 0:
+            return []
+        if replicas == 1:
+            return [hits.nearest]
+        return select_replicas(
+            hits.posting_ids, hits.distances, replicas, self.config.closure_epsilon
+        )
+
+    def append(
+        self, posting_id: int, rows: PostingData, cascade_depth: int = 0
+    ) -> float | None:
+        """Append under the posting lock and maybe schedule its split;
+        returns the device time (us). A posting that no longer exists is
+        counted once (``reassign_posting_missing``) and reported as None."""
+        with self.locks.hold(posting_id):
+            if not self.controller.exists(posting_id):
+                self.stats.incr("reassign_posting_missing")
+                return None
+            io_us = self.controller.append(posting_id, rows)
+            length = self.controller.length(posting_id)
+        if self.config.enable_split and length > self.config.max_posting_size:
+            self.job_queue.put(SplitJob(posting_id, cascade_depth))
+        return io_us
+
+    def bootstrap(self, vector: np.ndarray, rows: PostingData) -> float:
+        """The first write into an empty index creates the first posting."""
+        pid = self.posting_ids.next()
+        io_us = self.controller.create(pid, rows)
+        self.centroid_index.add(pid, vector)
+        return io_us
+
+    def place(
+        self,
+        vector_id: int,
+        version: int,
+        vector: np.ndarray,
+        replicas: int,
+        targets: list[int] | None = None,
+        cascade_depth: int = 0,
+    ) -> tuple[int, float]:
+        """Append one vector to each of its targets, in routing order.
+
+        ``targets`` (default: ``route``) serve the first attempt; when all
+        of them vanished the vector is routed again by the same replica
+        rule, ``1 + max_reassign_retries`` attempts in all. Returns (copies
+        placed, device us); zero copies is the caller's error to raise.
+        """
+        entry = PostingData.from_rows([vector_id], [version], vector)
+        placed, io_us = 0, 0.0
+        for _ in range(1 + self.config.max_reassign_retries):
+            targets = targets or self.route(vector, replicas)
+            if not targets:
+                return 1, self.bootstrap(vector, entry)
+            for pid in targets:
+                appended = self.append(pid, entry, cascade_depth)
+                if appended is not None:
+                    placed += 1
+                    io_us += appended
+            if placed:
+                break
+            targets = None
+        return placed, io_us
 
 
 class Updater:
@@ -32,26 +119,17 @@ class Updater:
 
     def __init__(
         self,
-        centroid_index: CentroidIndex,
-        controller: BlockController,
+        writer: PostingWriter,
         version_map: VersionMap,
-        locks: PostingLockManager,
-        job_queue: JobQueue,
-        stats: LireStats,
-        config: SPFreshConfig,
-        posting_ids: IdAllocator,
         wal: WriteAheadLog | None = None,
         profiler: Profiler | None = None,
         fresh_tier: FreshTier | None = None,
     ) -> None:
-        self.centroid_index = centroid_index
-        self.controller = controller
+        self.writer = writer
         self.version_map = version_map
-        self.locks = locks
-        self.job_queue = job_queue
-        self.stats = stats
-        self.config = config
-        self.posting_ids = posting_ids
+        self.job_queue = writer.job_queue
+        self.stats = writer.stats
+        self.config = writer.config
         self.wal = wal
         self.profiler = profiler or NULL_PROFILER
         self.fresh_tier = fresh_tier
@@ -63,69 +141,52 @@ class Updater:
     def insert(self, vector_id: int, vector: np.ndarray, log: bool = True) -> float:
         """Insert a vector; returns the simulated foreground latency (us).
 
-        The vector is appended to its nearest posting (plus boundary
-        replicas when ``insert_replicas > 1``). A posting deleted by a
-        concurrent split triggers a re-route rather than a failure.
-
-        With the fresh tier enabled the vector is buffered in memory
-        instead (after WAL logging, so the ack stays durable) and reaches
-        disk via the next batch flush (docs/fresh-tier.md).
+        An id the version map would refuse (negative, already live) is
+        rejected before anything is logged. The vector is then logged
+        (the WAL record *is* the ack), registered, and either buffered in
+        the fresh tier — reaching disk via the next batch flush
+        (docs/fresh-tier.md) — or placed on its nearest posting (plus
+        boundary replicas when ``insert_replicas > 1``).
         """
-        if self.fresh_tier is not None:
-            return self._insert_fresh(vector_id, vector, log)
         with self.profiler.section("update"):
             vector = as_vector(vector, self.config.dim)
+            self.version_map.check_registrable(vector_id)
             if log and self.wal is not None:
                 self.wal.log_insert(vector_id, vector)
             version = self.version_map.register(vector_id)
-            latency = self.config.cpu_cost_per_query_us  # centroid navigation
-            entry = PostingData.from_rows([vector_id], [version], vector)
-
-            for _ in range(1 + self.config.max_reassign_retries):
-                targets = self._route(vector)
-                if not targets:
-                    latency += self._bootstrap_posting(vector, entry)
-                    self.stats.incr("inserts")
-                    return latency
-                placed = 0
-                for pid in targets:
-                    try:
-                        latency += self._append_to(pid, entry)
-                        placed += 1
-                    except StalePostingError:
-                        self.stats.incr("reassign_posting_missing")
-                if placed:
-                    self.stats.incr("inserts")
-                    self.stats.incr("appends", placed)
-                    return latency
-        # The vector was registered but never landed on disk. Tombstone it
-        # before failing so the version map does not advertise a live id
-        # with zero replicas (a conservation violation every audit and
-        # future reassign would trip over).
-        self.version_map.delete(vector_id)
-        raise IndexError_(
-            f"insert of vector {vector_id} kept racing with posting splits"
-        )
-
-    def _insert_fresh(self, vector_id: int, vector: np.ndarray, log: bool) -> float:
-        """Buffer an insert in the fresh tier (WAL first: log *is* the ack)."""
-        with self.profiler.section("update"):
-            vector = as_vector(vector, self.config.dim)
-            if log and self.wal is not None:
-                self.wal.log_insert(vector_id, vector)
-            version = self.version_map.register(vector_id)
-            self.fresh_tier.add(vector_id, vector, version)
+            if self.fresh_tier is not None:
+                self._buffer(vector_id, vector, version)
+                return self.config.fresh_insert_cpu_us
+            placed, io_us = self.writer.place(
+                vector_id, version, vector, self.config.insert_replicas
+            )
+            if not placed:
+                # Registered but never landed on disk: tombstone it so the
+                # version map does not advertise a live id with zero
+                # replicas (a conservation violation every audit and
+                # future reassign would trip over).
+                self.version_map.delete(vector_id)
+                raise IndexError_(
+                    f"insert of vector {vector_id} kept racing with posting splits"
+                )
             self.stats.incr("inserts")
-            self.stats.incr("fresh_inserts")
-            if len(self.fresh_tier) == 1:
-                # A new batch starts buffering: restart its age clock.
-                self._fresh_age_ops = 0
-            if len(self.fresh_tier) >= self.config.fresh_flush_threshold:
-                self.job_queue.put(FlushJob())
-                self._fresh_age_ops = 0
-            else:
-                self._age_fresh_tier()
-            return self.config.fresh_insert_cpu_us
+            self.stats.incr("appends", placed)
+            # One centroid navigation plus the appends' device time.
+            return self.config.cpu_cost_per_query_us + io_us
+
+    def _buffer(self, vector_id: int, vector: np.ndarray, version: int) -> None:
+        """Buffer a logged insert in the fresh tier; maybe request a flush."""
+        self.fresh_tier.add(vector_id, vector, version)
+        self.stats.incr("inserts")
+        self.stats.incr("fresh_inserts")
+        if len(self.fresh_tier) == 1:
+            # A new batch starts buffering: restart its age clock.
+            self._fresh_age_ops = 0
+        if len(self.fresh_tier) >= self.config.fresh_flush_threshold:
+            self.job_queue.put(FlushJob())
+            self._fresh_age_ops = 0
+        else:
+            self._age_fresh_tier()
 
     def _age_fresh_tier(self) -> None:
         """Charge one foreground op against the buffered batch's age.
@@ -157,37 +218,3 @@ class Updater:
             self._age_fresh_tier()
             # Tombstones touch only the in-memory map: negligible latency.
             return 1.0
-
-    # ------------------------------------------------------------------
-    def _route(self, vector: np.ndarray) -> list[int]:
-        """Nearest posting(s) for an insert, honoring the replica rule."""
-        want = max(self.config.insert_replicas * 2, 4)
-        hits = self.centroid_index.search(vector, want)
-        if len(hits) == 0:
-            return []
-        if self.config.insert_replicas == 1:
-            return [hits.nearest]
-        return select_replicas(
-            hits.posting_ids,
-            hits.distances,
-            self.config.insert_replicas,
-            self.config.closure_epsilon,
-        )
-
-    def _append_to(self, posting_id: int, entry: PostingData) -> float:
-        """Append under the posting write lock; maybe schedule a split."""
-        with self.locks.hold(posting_id):
-            if not self.controller.exists(posting_id):
-                raise StalePostingError(f"posting {posting_id} vanished")
-            latency = self.controller.append(posting_id, entry)
-            length = self.controller.length(posting_id)
-        if self.config.enable_split and length > self.config.max_posting_size:
-            self.job_queue.put(SplitJob(posting_id=posting_id))
-        return latency
-
-    def _bootstrap_posting(self, vector: np.ndarray, entry: PostingData) -> float:
-        """First insert into an empty index creates the first posting."""
-        pid = self.posting_ids.next()
-        latency = self.controller.create(pid, entry)
-        self.centroid_index.add(pid, vector)
-        return latency

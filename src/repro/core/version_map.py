@@ -68,21 +68,29 @@ class VersionMap:
         for it) carry an older version and stay dead, which a reset to 0
         would undo.
         """
-        if vector_id < 0:
-            raise IndexError_("vector ids must be non-negative")
         with self._lock:
+            self.check_registrable(vector_id)
             self._ensure_capacity(vector_id)
             current = int(self._bytes[vector_id])
             if current == int(_UNREGISTERED):
                 self._registered += 1
                 version = 0
-            elif not current & DELETED_BIT:
-                raise IndexError_(f"vector {vector_id} is already live")
             else:
                 self._deleted -= 1
                 version = _next_version(current & VERSION_MASK)
             self._bytes[vector_id] = version
             return version
+
+    def check_registrable(self, vector_id: int) -> None:
+        """Raise unless :meth:`register` would accept the id right now (the
+        Updater asks before it logs, so a rejected insert leaves no record)."""
+        if vector_id < 0:
+            raise IndexError_("vector ids must be non-negative")
+        with self._lock:
+            if vector_id < len(self._bytes) and not (
+                int(self._bytes[vector_id]) & DELETED_BIT
+            ):
+                raise IndexError_(f"vector {vector_id} is already live")
 
     def is_registered(self, vector_id: int) -> bool:
         with self._lock:
@@ -121,6 +129,15 @@ class VersionMap:
             if not self.is_registered(vector_id):
                 return -1
             return int(self._bytes[vector_id]) & VERSION_MASK
+
+    def is_live(self, vector_id: int, version: int) -> bool:
+        """Scalar :meth:`live_mask`: registered, undeleted, at ``version``
+        (a live byte *is* its 7-bit version, so one comparison decides)."""
+        with self._lock:
+            return (
+                0 <= vector_id < len(self._bytes)
+                and int(self._bytes[vector_id]) == version & VERSION_MASK
+            )
 
     def cas_bump(self, vector_id: int, expected_version: int) -> int | None:
         """Atomically bump the version if it still equals ``expected``.

@@ -552,3 +552,12 @@ class QuantizedPostingCodec:
         return PostingArena(
             posting_ids, num_entries_list, ids, versions, vectors.copy(), codes
         )
+
+
+def make_codec(config, quantizer=None):
+    """The posting codec an ``SPFreshConfig`` asks for: the sectioned v2
+    layout around the fitted ``quantizer`` when quantization is enabled,
+    the exact v1 layout otherwise."""
+    if config.quantize.enabled:
+        return QuantizedPostingCodec(config.dim, config.block_size, quantizer)
+    return PostingCodec(config.dim, config.block_size)

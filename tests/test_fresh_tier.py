@@ -123,10 +123,14 @@ class TestFreshTierUnit:
         tier = FreshTier(DIM)
         for vid in range(6):
             tier.add(vid, np.full(DIM, vid, dtype=np.float32), 0)
-        batch = tier.take(4)
-        assert len(batch) == 4
+        ids, versions, matrix = tier.take(4)
+        np.testing.assert_array_equal(ids, [0, 1, 2, 3])  # array order
+        assert versions.dtype == np.uint8 and len(versions) == 4
+        assert matrix.shape == (4, DIM) and matrix.dtype == np.float32
         assert len(tier) == 6  # flush discards only after a durable append
-        assert len(tier.take(None)) == 6
+        assert all(len(column) == 6 for column in tier.take(None))
+        matrix[:] = -1.0  # columns are copies: the tier's rows are untouched
+        np.testing.assert_array_equal(tier.take(1)[2][0], np.zeros(DIM))
 
     def test_live_snapshot_masks_deleted_rows(self):
         vmap = VersionMap()

@@ -207,6 +207,12 @@ class TestBatchAPI:
         latencies = built_index.insert_batch(ids, vecs)
         assert len(latencies) == 10
         assert built_index.live_vector_count >= 10
+        # A length mismatch is an error, not a silent truncation to the
+        # shorter input — and nothing of the batch is applied.
+        live = built_index.live_vector_count
+        with pytest.raises(ValueError):
+            built_index.insert_batch(np.arange(300_010, 300_013), vecs[:5])
+        assert built_index.live_vector_count == live
 
     def test_delete_batch(self, built_index):
         live_before = built_index.live_vector_count

@@ -46,6 +46,35 @@ class TestScanner:
         assert report.gc_rewrites >= 1
         assert built_index.controller.total_entries() < entries_before
 
+    def test_gc_rewrite_keeps_an_append_that_raced_the_scan(self, built_index):
+        """The scanner reads a posting unlocked, then rewrites it under the
+        lock: an insert landing in between must survive the rewrite."""
+        index = built_index
+        pid = max(index.controller.posting_ids(), key=index.controller.length)
+        data, _ = index.controller.get(pid)
+        # Garbage-heavy, yet neither undersized (merge) nor oversized (split).
+        for vid in data.ids[: len(data) - index.config.min_posting_size]:
+            index.delete(int(vid))
+        centroid = index.centroid_index.get(pid).astype(np.float32)
+        real_hold = index.locks.hold
+        raced = []
+
+        def hold_after_a_racing_insert(*pids):
+            if pids == (pid,) and not raced:
+                raced.append(pid)
+                index.updater.insert(9999, centroid)  # takes and drops the lock
+            return real_hold(*pids)
+
+        index.locks.hold = hold_after_a_racing_insert
+        report = MaintenanceScanner(index).scan(drain=False)
+        index.locks.hold = real_hold
+        # (boundary replicas of the deleted ids make a few neighbours heavy too)
+        assert raced == [pid] and report.gc_rewrites >= 1
+        rewritten, _ = index.controller.get(pid)
+        assert 9999 in rewritten.ids
+        assert len(rewritten) == index.config.min_posting_size + 1
+        assert index.check_invariants().lost_vectors == []
+
     def test_max_postings_bound(self, built_index):
         report = MaintenanceScanner(built_index).scan(max_postings=3)
         assert report.postings_scanned == 3

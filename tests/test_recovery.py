@@ -7,7 +7,7 @@ from repro.api import QueryRequest
 from repro.core.index import SPFreshIndex
 from repro.storage.snapshot import SnapshotManager
 from repro.storage.wal import WriteAheadLog
-from repro.util.errors import RecoveryError
+from repro.util.errors import IndexError_, RecoveryError
 from tests.conftest import DIM
 from tests.helpers import live_assignment
 
@@ -68,6 +68,29 @@ class TestWalReplay:
             assert result.ids[0] == vid
         for vid in range(5):
             assert recovered.version_map.is_deleted(vid)
+
+    @pytest.mark.parametrize("fresh_tier", [False, True])
+    def test_rejected_insert_leaves_no_record(
+        self, vectors, small_config, rng, fresh_tier
+    ):
+        """An insert the caller saw fail was never logged: the WAL does not
+        grow and the next recovery has nothing to fail on."""
+        config = small_config.with_overrides(enable_fresh_tier=fresh_tier)
+        index, wal, snaps = build_with_recovery(vectors, config)
+        index.checkpoint()
+        vec = rng.normal(size=DIM).astype(np.float32)
+        index.insert(40_000, vec)
+        records, size = wal.record_count, wal.size_bytes()
+        for rejected in (-1, 0, 40_000):  # negative, live since build, live now
+            with pytest.raises(IndexError_):
+                index.insert(rejected, vec)
+        with pytest.raises(ValueError):
+            index.insert_batch(np.arange(50_000, 50_003), np.tile(vec, (5, 1)))
+        assert (wal.record_count, wal.size_bytes()) == (records, size)
+        recovered = crash_and_recover(index, wal, snaps)
+        report = recovered.last_recovery
+        assert report.clean and report.records_failed == 0, report.summary()
+        assert (report.records_replayed, report.records_skipped) == (1, 0)
 
     def test_search_results_match_after_recovery(self, vectors, small_config, rng):
         index, wal, snaps = build_with_recovery(vectors, small_config)

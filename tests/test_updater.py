@@ -6,6 +6,7 @@ import pytest
 from repro.api import QueryRequest
 from repro.core.config import SPFreshConfig
 from repro.core.index import SPFreshIndex
+from repro.core.jobs import FlushJob, ReassignJob, SplitJob
 from repro.util.errors import IndexError_
 from tests.conftest import DIM
 from tests.helpers import live_assignment
@@ -137,3 +138,209 @@ class TestSplitTrigger:
         index.drain()
         assert index.stats.splits == 0
         assert index.num_postings == len(index.controller.posting_ids())
+
+
+# ----------------------------------------------------------------------
+# the one write path: re-route after a vanished posting
+# ----------------------------------------------------------------------
+class VanishingRoute:
+    """Seam for the stale-target branch: the first ``times`` centroid
+    searches return normally and then their nearest posting vanishes the
+    way a concurrent merge would take it (rows folded into the nearest
+    other posting, posting and centroid deleted) — so the writer's append
+    finds its routed target gone."""
+
+    def __init__(self, index, times: int) -> None:
+        self.index, self.times = index, times
+        self.real = index.centroid_index.search
+        self.vanished: list[int] = []
+        index.centroid_index.search = self
+
+    def __call__(self, query, k):
+        hits = self.real(query, k)
+        if self.times > 0 and len(hits) > 1:
+            self.times -= 1
+            victim, heir = (int(pid) for pid in hits.posting_ids[:2])
+            index = self.index
+            data, _ = index.controller.get(victim)
+            index.controller.append(heir, data)
+            index.controller.delete(victim)
+            index.centroid_index.remove(victim)
+            index.locks.forget(victim)
+            self.vanished.append(victim)
+        return hits
+
+    def restore(self) -> None:
+        self.index.centroid_index.search = self.real
+
+
+def _write_path_index(vectors, small_config, **overrides):
+    """Queue kept undrained so a test can see the jobs the writer put."""
+    config = small_config.with_overrides(
+        synchronous_rebuild=False, reassign_replicas=1, **overrides
+    )
+    return SPFreshIndex.build(vectors, config=config)
+
+
+def _run_queued_jobs(index) -> list:
+    """Run what the write queued (not the cascade behind it); return it."""
+    jobs = []
+    while not index.job_queue.empty():
+        jobs.append(index.job_queue.get())
+        index.job_queue.task_done()
+    for job in jobs:
+        index.rebuilder.process(job)
+    return jobs
+
+
+def _insert(index, vid, vector):
+    index.insert(vid, vector)
+    return [vid]
+
+
+def _flush(index, vid, vector):
+    """Three buffered rows near ``vector``; the first one's posting vanishes."""
+    vids = [vid, vid + 1, vid + 2]
+    for each in vids:
+        index.insert(each, vector)
+    assert len(index.fresh_tier) == 3 and index.job_queue.empty()
+    index.rebuilder.process(FlushJob())
+    return vids
+
+
+def _reassign(index, vid, vector):
+    """Move build vector 0 as a split's reassign job would (``vid`` unused)."""
+    far = int(index.centroid_index.search(-vector, 1).nearest)
+    job = ReassignJob(
+        vector_ids=np.array([0]),
+        vectors=vector[None, :],
+        expected_versions=np.array([index.version_map.current_version(0)]),
+        source_posting=far,
+    )
+    index.rebuilder.process(job)
+    return [0]
+
+
+WRITE_PATH_CALLERS = [
+    pytest.param(_insert, False, id="insert"),
+    pytest.param(_flush, True, id="flush"),
+    pytest.param(_reassign, False, id="reassign"),
+]
+
+
+class TestWritePathReroute:
+    @pytest.mark.parametrize("write, fresh_tier", WRITE_PATH_CALLERS)
+    def test_vanished_target_is_rerouted(self, vectors, small_config, write, fresh_tier):
+        index = _write_path_index(vectors, small_config, enable_fresh_tier=fresh_tier)
+        vector = vectors[0].copy()
+        nearest, next_nearest = index.centroid_index.search(vector, 2).posting_ids
+        route = VanishingRoute(index, times=1)
+        vids = write(index, 9000, vector)
+        route.restore()
+        # One target vanished, counted once, and the copy went next door.
+        assert route.vanished == [nearest]
+        assert index.stats.reassign_posting_missing == 1
+        assignment = live_assignment(index)
+        assert all(assignment[vid] == {next_nearest} for vid in vids)
+        # The heir took the victim's rows too, so it is now oversized and
+        # the writer's split trigger still fired for it.
+        assert index.controller.length(next_nearest) > index.config.max_posting_size
+        # (cascade depth 1 when a reassign caused it, 0 for foreground data)
+        depth = 1 if write is _reassign else 0
+        assert SplitJob(next_nearest, depth) in _run_queued_jobs(index)
+        if fresh_tier:
+            assert len(index.fresh_tier) == 0  # every row landed, then left
+            assert index.stats.fresh_flushed_vectors == len(vids)
+            assert index.stats.appends == len(vids)
+        index.drain()
+        for vid in vids:
+            found = index.query(
+                QueryRequest.single(vector, k=5, nprobe=index.num_postings)
+            ).result
+            assert vid in found.ids
+        assert index.check_invariants().ok
+
+    @pytest.mark.parametrize("write, fresh_tier", WRITE_PATH_CALLERS)
+    def test_losing_every_attempt_is_the_callers_error(
+        self, vectors, small_config, write, fresh_tier
+    ):
+        index = _write_path_index(
+            vectors, small_config, enable_fresh_tier=fresh_tier, max_reassign_retries=0
+        )
+        route = VanishingRoute(index, times=10**6)
+        with pytest.raises(IndexError_):
+            write(index, 9000, vectors[0].copy())
+        route.restore()
+        assert index.stats.reassign_posting_missing == len(route.vanished)
+        if write is _insert:
+            # Registered, never landed: tombstoned rather than left live
+            # with zero replicas.
+            assert index.version_map.is_deleted(9000)
+            assert index.stats.inserts == 0
+            assert index.check_invariants().ok
+        elif write is _flush:
+            assert 9000 in index.fresh_tier  # still buffered, still acked
+            assert index.stats.fresh_flushed_vectors == 0
+
+    def test_retries_are_bounded_by_max_reassign_retries(self, vectors, small_config):
+        index = _write_path_index(vectors, small_config, max_reassign_retries=2)
+        route = VanishingRoute(index, times=2)  # lose twice, land on the third
+        index.insert(9000, vectors[0].copy())
+        assert len(route.vanished) == index.stats.reassign_posting_missing == 2
+        index.delete(9000)
+        route.times = 3  # lose all 1 + 2 attempts
+        with pytest.raises(IndexError_):
+            index.insert(9001, vectors[0].copy())
+        assert index.stats.reassign_posting_missing == 5
+
+    def test_one_of_several_replicas_vanishing_needs_no_reroute(
+        self, vectors, small_config
+    ):
+        index = _write_path_index(
+            vectors, small_config, insert_replicas=3, closure_epsilon=100.0
+        )
+        vector = vectors[0].copy()
+        targets = index.writer.route(vector, 3)
+        assert len(targets) == 3
+        route = VanishingRoute(index, times=1)
+        index.insert(9000, vector)
+        route.restore()
+        assert route.vanished == [targets[0]]
+        assert live_assignment(index)[9000] == set(targets[1:])
+        assert index.stats.reassign_posting_missing == 1
+        assert index.stats.appends == 2
+
+    def test_replicas_append_in_routing_order(self, vectors, small_config):
+        index = _write_path_index(
+            vectors, small_config, insert_replicas=3, closure_epsilon=100.0
+        )
+        vector = vectors[:64].mean(axis=0).astype(np.float32)
+        hits = index.centroid_index.search(vector, 3)
+        appended = []
+        real_append = index.controller.append
+        index.controller.append = lambda pid, rows: (
+            appended.append(pid) or real_append(pid, rows)
+        )
+        index.insert(9000, vector)
+        assert appended == [int(pid) for pid in hits.posting_ids]  # by distance
+        assert index.stats.appends == 3
+
+    @pytest.mark.parametrize("fresh_tier", [False, True])
+    def test_bootstrap_counts_the_same_through_insert_and_flush(
+        self, small_config, rng, fresh_tier
+    ):
+        config = small_config.with_overrides(enable_fresh_tier=fresh_tier)
+        index = SPFreshIndex.build(
+            rng.normal(size=(1, DIM)).astype(np.float32), config=config
+        )
+        index.delete(0)
+        for pid in index.controller.posting_ids():
+            index.controller.delete(pid)
+            index.centroid_index.remove(pid)
+        before = index.stats.snapshot()
+        vec = rng.normal(size=DIM).astype(np.float32)
+        index.insert(1, vec)
+        index.flush_fresh_tier()
+        delta = index.stats.snapshot().delta(before)
+        assert (delta.inserts, delta.appends, index.num_postings) == (1, 1, 1)
+        assert index.query(QueryRequest.single(vec, k=1)).result.ids[0] == 1

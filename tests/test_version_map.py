@@ -24,6 +24,18 @@ class TestRegistration:
         with pytest.raises(IndexError_):
             vm.register(1)
 
+    def test_check_registrable_is_registers_own_verdict(self):
+        vm = VersionMap(initial_capacity=4)
+        vm.register(1)
+        vm.register(2)
+        vm.delete(2)
+        for vid in (0, 2, 3, 10**6):  # unseen, tombstoned, beyond capacity
+            vm.check_registrable(vid)  # no error, and nothing registered
+        assert vm.live_count == 1 and not vm.is_registered(10**6)
+        for vid in (-1, 1):
+            with pytest.raises(IndexError_):
+                vm.check_registrable(vid)
+
     def test_negative_id_rejected(self):
         with pytest.raises(IndexError_):
             VersionMap().register(-1)
@@ -195,7 +207,10 @@ class TestLiveMask:
                 and not vm.is_deleted(vid)
                 and vm.current_version(vid) == 0
             )
-            assert mask[i] == expected
+            assert mask[i] == expected == vm.is_live(vid, 0)
+        # Ids the map never saw are not live at any version.
+        assert not vm.is_live(-1, 0) and not vm.is_live(10**6, 0)
+        assert not vm.is_live(51, 0xFF)  # in capacity, unregistered sentinel
 
 
 class TestStateDict:
