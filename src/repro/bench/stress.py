@@ -37,6 +37,7 @@ from repro.api import QueryRequest
 from repro.core.config import SPFreshConfig
 from repro.core.index import SPFreshIndex
 from repro.core.invariants import InvariantReport, check_invariants
+from repro.core.jobs import ReassignJob
 
 
 class ChaosSchedule:
@@ -145,6 +146,9 @@ class StressReport:
     chaos_yields: int = 0
     lock_recycles: int = 0
     reassign_posting_missing: int = 0  # appends that found their posting gone
+    # Rows of each reassign job queued while the threads ran: a row's CAS
+    # and its first landed copy are at most one job's grouped appends apart.
+    reassign_job_rows: list[int] = field(default_factory=list)
     live_vectors: int = 0
     duration_s: float = 0.0
 
@@ -171,6 +175,12 @@ class StressReport:
             f"{self.live_vectors} live vectors",
             f"  self-recall: {self.self_recall:.3f}",
         ]
+        if self.reassign_job_rows:
+            rows = self.reassign_job_rows
+            lines.append(
+                f"  reassign rows/job: mean {sum(rows) / len(rows):.1f}, "
+                f"max {max(rows)} over {len(rows)} jobs"
+            )
         if self.errors:
             lines.append(f"  foreground errors: {self.errors[:3]}")
         if self.worker_errors:
@@ -293,6 +303,14 @@ def run_stress(config: StressConfig | None = None) -> StressReport:
         max_sleep_us=config.chaos_max_sleep_us,
     ).install(index)
 
+    put = index.job_queue.put
+
+    def counting_put(job: object) -> bool:
+        if isinstance(job, ReassignJob):
+            report.reassign_job_rows.append(len(job.vector_ids))
+        return put(job)
+
+    index.job_queue.put = counting_put
     counts_lock = threading.Lock()
     started = time.perf_counter()
     index.start(config.background_workers)

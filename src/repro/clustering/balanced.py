@@ -5,13 +5,17 @@ size. Its balanced k-means augments the assignment step with a size
 penalty: a point is assigned to ``argmin_j D(x, c_j) + lambda * count_j``
 where ``count_j`` is the running size of cluster ``j`` during the pass.
 The penalty couples assignments, so points are processed sequentially in a
-shuffled order each round.
+shuffled order each round — on Python floats, one generic loop for any
+``k``: the arithmetic is the same IEEE doubles a per-point numpy
+expression computes, without a numpy dispatch per point.
 
 ``split_in_two`` is the specialisation the Local Rebuilder uses to split an
 oversized posting into two balanced halves (paper §4.2.1).
 """
 
 from __future__ import annotations
+
+from operator import add
 
 import numpy as np
 
@@ -61,13 +65,20 @@ def balanced_kmeans(
     lam = _balance_lambda(points, balance_weight)
     for _ in range(max_iters):
         order = rng.permutation(n)
-        counts = np.zeros(k, dtype=np.float64)
-        new_assignments = np.empty(n, dtype=np.int64)
         dists = pairwise_sq_l2(points, centroids).astype(np.float64)
-        for i in order:
-            j = int((dists[i] + lam * counts).argmin())
-            new_assignments[i] = j
-            counts[j] += 1.0
+        # The pass is sequential by nature, so it runs on Python floats
+        # (the same IEEE doubles) instead of one numpy call per point.
+        tally = [0.0] * k
+        penalty = [lam * t for t in tally]
+        chosen = []
+        for row in dists[order].tolist():
+            costs = list(map(add, row, penalty))
+            j = costs.index(min(costs))  # first minimum wins, as argmin
+            chosen.append(j)
+            tally[j] += 1.0
+            penalty[j] = lam * tally[j]
+        new_assignments = np.empty(n, dtype=np.int64)
+        new_assignments[order] = chosen
         for j in range(k):
             members = points[new_assignments == j]
             if len(members) > 0:

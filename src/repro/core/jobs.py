@@ -4,7 +4,8 @@ The foreground Updater produces jobs; background rebuild threads consume
 them. Jobs carry everything needed to execute without re-reading foreground
 state, except data that must be re-validated at execution time (posting
 contents, vector versions) — re-validation is what makes the pipeline safe
-under concurrency.
+under concurrency. A split or merge queues all its reassign candidates as
+one :class:`ReassignJob` (row ``i`` knows the posting it was read from).
 
 Both the queue and the lock manager accept an optional ``chaos`` hook — a
 callable ``chaos(point: str, detail: int | None)`` invoked at the
@@ -44,20 +45,22 @@ class MergeJob:
 
 @dataclass(frozen=True)
 class ReassignJob:
-    """Re-evaluate the posting assignment of one source posting's candidates.
+    """Re-evaluate the posting assignment of one split's (or merge's) candidates.
 
-    One job is the batch of one scheduling call: row ``i`` is vector
+    One job is the batch one split or merge collected: row ``i`` is vector
     ``vector_ids[i]`` with payload ``vectors[i]``, observed at
-    ``expected_versions[i]`` when the candidate was collected. Rows are
-    re-validated one by one, in row order, at execution time; the CAS
-    against the version map aborts a row whose vector was concurrently
-    reassigned or deleted.
+    ``expected_versions[i]`` in posting ``source_postings[i]`` when the
+    candidate was collected (one id can arrive from several sources — its
+    replicas). At execution time each distinct id is routed once, then the
+    rows are re-validated one by one, in row order; the CAS against the
+    version map aborts a row whose vector was concurrently reassigned or
+    deleted, or already moved by an earlier row of the same job.
     """
 
     vector_ids: np.ndarray
     vectors: np.ndarray
     expected_versions: np.ndarray
-    source_posting: int
+    source_postings: np.ndarray
 
 
 @dataclass(frozen=True)

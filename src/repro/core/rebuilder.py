@@ -8,10 +8,12 @@ internal LIRE operators with posting-level locking and version-map CAS:
   collect reassign candidates via the two necessary conditions (§3.3);
 * **merge** — fold an undersized posting into its nearest neighbor and
   reassign the moved vectors (no neighbor-range check needed, §4.2.1);
-* **reassign** — one job per source posting carries all its candidates;
-  each is re-validated on its own: route it, discard false positives
-  (NPA check), CAS-bump its version, and place the fresh copy; all stale
-  replicas die by version;
+* **reassign** — one job per split (or merge) carries all its candidates:
+  each distinct vector is routed once, each row is re-validated on its
+  own, in row order (discard false positives — the NPA check against the
+  row's own source posting — then CAS-bump the version, so all stale
+  replicas die), and the moved rows land with one grouped append per
+  destination posting; a bumped row that lands nowhere gets its bump back;
 * **flush** — route the fresh tier's rows, one grouped append per target
   posting (docs/fresh-tier.md).
 
@@ -219,7 +221,7 @@ class LocalRebuilder:
                         )
                     )
         if self.config.enable_reassign and reassign_context is not None:
-            self._collect_split_reassigns(*reassign_context, job.cascade_depth)
+            self._collect_split_reassigns(*reassign_context)
 
     def _collect_split_reassigns(
         self,
@@ -227,53 +229,61 @@ class LocalRebuilder:
         new_centroids: np.ndarray,
         new_pids: list[int],
         parts: list[PostingData],
-        cascade_depth: int,
     ) -> None:
-        """Apply the two necessary conditions to find reassign candidates."""
+        """Apply the two necessary conditions; queue what they select as
+        ONE job (half 0, half 1, then each neighbour in read order)."""
+        candidates: list[tuple[PostingData, np.ndarray, int]] = []
         # Condition 1: vectors inside the split postings (Eq. 1).
         for new_pid, part in zip(new_pids, parts):
             if len(part) == 0:
                 continue
             self.stats.incr("reassign_evaluated", len(part))
             mask = condition_one_mask(part.vectors, old_centroid, new_centroids)
-            self._schedule_reassigns(part, mask, new_pid)
+            candidates.append((part, mask, new_pid))
         # Condition 2: vectors in nearby postings (Eq. 2).
-        if self.config.reassign_range <= 0:
-            return
-        hits = self.centroid_index.search(
-            old_centroid, self.config.reassign_range + len(new_pids)
-        )
-        neighbor_pids = [
-            int(p) for p in hits.posting_ids if int(p) not in new_pids
-        ][: self.config.reassign_range]
-        if not neighbor_pids:
-            return
-        postings, io_us = self.controller.parallel_get(neighbor_pids)
-        self.background_io_us += io_us
-        for neighbor_pid, data in postings.items():
-            live = live_view(data, self.version_map)
-            if len(live) == 0:
-                continue
-            self.stats.incr("reassign_evaluated", len(live))
-            mask = condition_two_mask(live.vectors, old_centroid, new_centroids)
-            self._schedule_reassigns(live, mask, neighbor_pid)
+        neighbor_pids: list[int] = []
+        if self.config.reassign_range > 0:
+            hits = self.centroid_index.search(
+                old_centroid, self.config.reassign_range + len(new_pids)
+            )
+            neighbor_pids = [
+                int(p) for p in hits.posting_ids if int(p) not in new_pids
+            ][: self.config.reassign_range]
+        if neighbor_pids:
+            postings, io_us = self.controller.parallel_get(neighbor_pids)
+            self.background_io_us += io_us
+            for neighbor_pid, data in postings.items():
+                live = live_view(data, self.version_map)
+                if len(live) == 0:
+                    continue
+                self.stats.incr("reassign_evaluated", len(live))
+                mask = condition_two_mask(live.vectors, old_centroid, new_centroids)
+                candidates.append((live, mask, neighbor_pid))
+        self._queue_reassign(candidates)
 
-    def _schedule_reassigns(
-        self, data: PostingData, mask: np.ndarray, source_posting: int
+    def _queue_reassign(
+        self, candidates: list[tuple[PostingData, np.ndarray, int]]
     ) -> None:
-        """Queue the masked rows that are still the live copy as ONE job."""
-        rows = np.flatnonzero(mask)
-        # A stale replica is skipped: the live copy is elsewhere.
-        rows = rows[self.version_map.live_mask(data.ids[rows], data.versions[rows])]
-        if len(rows) == 0:
+        """Queue the masked rows of ``[(rows, mask, the posting they were
+        read from), ...]`` that are still the live copy as ONE job, in the
+        order given; nothing live to move queues nothing."""
+        kept, sources = [], []
+        for data, mask, source in candidates:
+            rows = np.flatnonzero(mask)
+            # A stale replica is skipped: the live copy is elsewhere.
+            rows = rows[self.version_map.live_mask(data.ids[rows], data.versions[rows])]
+            kept.append(data.select(rows))
+            sources.append(np.full(len(rows), source, dtype=np.int64))
+        total = sum(map(len, kept))
+        if total == 0:
             return
-        self.stats.incr("reassign_scheduled", len(rows))
+        self.stats.incr("reassign_scheduled", total)
         self.job_queue.put(
             ReassignJob(
-                vector_ids=data.ids[rows],
-                vectors=data.vectors[rows],
-                expected_versions=data.versions[rows],
-                source_posting=source_posting,
+                vector_ids=np.concatenate([rows.ids for rows in kept]),
+                vectors=np.concatenate([rows.vectors for rows in kept]),
+                expected_versions=np.concatenate([rows.versions for rows in kept]),
+                source_postings=np.concatenate(sources),
             )
         )
 
@@ -308,7 +318,7 @@ class LocalRebuilder:
             # (paper §3.3: merged postings need no neighbor check).
             self.stats.incr("reassign_evaluated", len(live))
             mask = np.ones(len(live), dtype=bool)
-            self._schedule_reassigns(live, mask, target)
+            self._queue_reassign([(live, mask, target)])
 
     def _pick_merge_target(self, pid: int) -> int | None:
         """Nearest other posting, by centroid distance."""
@@ -328,51 +338,102 @@ class LocalRebuilder:
     # reassign
     # ------------------------------------------------------------------
     def _run_reassign(self, job: ReassignJob) -> None:
-        """Run one batch: drop the rows that went stale while queued, then
-        re-validate and move the survivors one by one, in row order."""
-        live = self.version_map.live_mask(job.vector_ids, job.expected_versions)
+        """Run one batch: drop the rows that went stale while queued, route
+        each distinct survivor once, re-validate the rows one by one in row
+        order, then land what moved with one append per destination."""
+        ids, versions = job.vector_ids, job.expected_versions
+        live = self.version_map.live_mask(ids, versions)
         self.stats.incr("reassign_aborted_version", len(live) - int(live.sum()))
-        for row in np.flatnonzero(live):
-            self._reassign_one(
-                int(job.vector_ids[row]),
-                job.vectors[row],
-                int(job.expected_versions[row]),
-                job.source_posting,
-            )
-
-    def _reassign_one(
-        self, vid: int, vector: np.ndarray, expected_version: int, source_posting: int
-    ) -> None:
-        # Re-checked per row: an earlier row of the same batch may have
-        # moved this id (it can occur twice in one batch).
-        if not self.version_map.is_live(vid, expected_version):
-            self.stats.incr("reassign_aborted_version")
+        rows = np.flatnonzero(live)
+        if len(rows) == 0:
             return
         # Re-apply the build's closure rule so a reassigned vector keeps
-        # the same boundary-replica structure it had before the move.
+        # the same boundary-replica structure it had before the move. One
+        # vector's replicas arrive as several rows; it is routed once, and
+        # all routing is done before the first CAS below.
         replicas = self.config.reassign_replicas
-        targets = self.writer.route(vector, replicas)
-        if not targets:
-            return
-        if targets[0] == source_posting:
-            # False positive: the vector already sits in its nearest posting.
-            self.stats.incr("reassign_aborted_npa")
-            return
-        new_version = self.version_map.cas_bump(vid, expected_version)
-        if new_version is None:
-            self.stats.incr("reassign_aborted_version")
-            return
-        # A split these appends cause cascades from the split (or merge)
-        # that queued the row: depth 1.
-        placed, io_us = self.writer.place(
-            vid, new_version, vector, replicas, targets, cascade_depth=1
+        _, first, route_of = np.unique(
+            ids[rows], return_index=True, return_inverse=True
         )
-        self.background_io_us += io_us
-        if not placed:
-            raise IndexError_(
-                f"reassign of vector {vid} could not place a copy anywhere"
-            )
-        self.stats.incr("reassign_executed")
+        routes = self.writer.route_batch(job.vectors[rows[first]], replicas)
+        # The job's rows at the versions they are bumped to.
+        moved = PostingData(ids, np.array(versions, dtype=np.uint8), job.vectors)
+        bumped: list[int] = []
+        # target posting -> the (row, rank in that row's routing) it takes
+        pending: dict[int, list[tuple[int, int]]] = {}
+        for row, route in zip(rows.tolist(), route_of.tolist()):
+            vid, expected = int(ids[row]), int(versions[row])
+            # Re-checked per row: an earlier row of the same batch may have
+            # moved this id (its replicas are rows of one job).
+            if not self.version_map.is_live(vid, expected):
+                self.stats.incr("reassign_aborted_version")
+                continue
+            targets = routes[route]
+            if not targets:
+                continue
+            if targets[0] == job.source_postings[row]:
+                # False positive: this copy already sits in its nearest posting.
+                self.stats.incr("reassign_aborted_npa")
+                continue
+            new_version = self.version_map.cas_bump(vid, expected)
+            if new_version is None:
+                self.stats.incr("reassign_aborted_version")
+                continue
+            moved.versions[row] = new_version
+            bumped.append(row)
+            for rank, pid in enumerate(targets):
+                pending.setdefault(pid, []).append((row, rank))
+        landed = np.zeros(len(ids), dtype=bool)  # rows with a copy on disk
+        try:
+            self._land_reassigned(moved, pending, landed)
+            for row in bumped:
+                if landed[row]:
+                    continue
+                # Every target vanished under it: routed again, alone.
+                placed, io_us = self.writer.place(
+                    int(ids[row]), int(moved.versions[row]), moved.vectors[row], replicas, 1
+                )
+                self.background_io_us += io_us
+                if not placed:
+                    raise IndexError_(
+                        f"reassign of vector {ids[row]} could not place a copy anywhere"
+                    )
+                landed[row] = True
+        finally:
+            # A bumped row that landed nowhere (the device refused the
+            # append, every attempt lost its posting) takes its bump back:
+            # the old replicas are live again instead of the vector lost.
+            for row in bumped:
+                if not landed[row]:
+                    self.version_map.compare_and_set(
+                        int(ids[row]), int(moved.versions[row]), int(versions[row])
+                    )
+            self.stats.incr("reassign_executed", int(landed.sum()))
+
+    def _land_reassigned(
+        self, moved: PostingData, pending: dict, landed: np.ndarray
+    ) -> None:
+        """One append per destination, its rows in row order — what the
+        posting would hold had the rows been appended one at a time — and
+        the split triggers in the order those single appends fire them.
+        A split these appends cause cascades from the split (or merge)
+        that queued the rows: depth 1."""
+        limit = self.config.max_posting_size
+        crossed = []
+        for pid, slots in pending.items():
+            group = [row for row, _ in slots]
+            appended = self.writer.append_rows(pid, moved.select(group))
+            if appended is None:
+                continue  # vanished; rows with no other copy are placed alone
+            io_us, length = appended
+            self.background_io_us += io_us
+            landed[group] = True
+            if length > limit:
+                # The slot whose one-row append would have crossed the limit.
+                first = max(limit - (length - len(group)), 0)
+                crossed.append((slots[first], pid, length))
+        for _, pid, length in sorted(crossed):
+            self.writer.split_if_oversized(pid, length, 1)
 
     # ------------------------------------------------------------------
     # flush (fresh tier → postings, docs/fresh-tier.md)

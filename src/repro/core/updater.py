@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.centroids.base import CentroidIndex
+from repro.centroids.base import CentroidIndex, CentroidSearchResult
 from repro.core.config import SPFreshConfig
 from repro.core.fresh_tier import FreshTier
 from repro.core.ids import IdAllocator
@@ -50,6 +50,16 @@ class PostingWriter:
         """Target posting(s) by the closure rule (pure distance ratio, see
         SPFreshConfig.build_rng_rule), nearest first; [] in an empty index."""
         hits = self.centroid_index.search(vector, max(replicas * 2, 4))
+        return self._targets(hits, replicas)
+
+    def route_batch(self, vectors: np.ndarray, replicas: int) -> list[list[int]]:
+        """:meth:`route` for every row with one ``search_batch`` — the same
+        targets per row by that call's contract; its distance kernel bounds
+        the broadcast temporary however many rows arrive."""
+        batch = self.centroid_index.search_batch(vectors, max(replicas * 2, 4))
+        return [self._targets(hits, replicas) for hits in batch]
+
+    def _targets(self, hits: CentroidSearchResult, replicas: int) -> list[int]:
         if len(hits) == 0:
             return []
         if replicas == 1:
@@ -62,17 +72,31 @@ class PostingWriter:
         self, posting_id: int, rows: PostingData, cascade_depth: int = 0
     ) -> float | None:
         """Append under the posting lock and maybe schedule its split;
-        returns the device time (us). A posting that no longer exists is
-        counted once (``reassign_posting_missing``) and reported as None."""
+        returns the device time (us), or None for a vanished posting."""
+        landed = self.append_rows(posting_id, rows)
+        if landed is None:
+            return None
+        io_us, length = landed
+        self.split_if_oversized(posting_id, length, cascade_depth)
+        return io_us
+
+    def append_rows(
+        self, posting_id: int, rows: PostingData
+    ) -> tuple[float, int] | None:
+        """The locked append alone: (device us, posting length after it).
+        The caller owes the posting :meth:`split_if_oversized`. A posting
+        that no longer exists is counted once (``reassign_posting_missing``)
+        and reported as None."""
         with self.locks.hold(posting_id):
             if not self.controller.exists(posting_id):
                 self.stats.incr("reassign_posting_missing")
                 return None
             io_us = self.controller.append(posting_id, rows)
-            length = self.controller.length(posting_id)
+            return io_us, self.controller.length(posting_id)
+
+    def split_if_oversized(self, posting_id: int, length: int, cascade_depth: int) -> None:
         if self.config.enable_split and length > self.config.max_posting_size:
             self.job_queue.put(SplitJob(posting_id, cascade_depth))
-        return io_us
 
     def bootstrap(self, vector: np.ndarray, rows: PostingData) -> float:
         """The first write into an empty index creates the first posting."""
@@ -87,20 +111,19 @@ class PostingWriter:
         version: int,
         vector: np.ndarray,
         replicas: int,
-        targets: list[int] | None = None,
         cascade_depth: int = 0,
     ) -> tuple[int, float]:
-        """Append one vector to each of its targets, in routing order.
+        """Route one vector and append it to each target, in routing order.
 
-        ``targets`` (default: ``route``) serve the first attempt; when all
-        of them vanished the vector is routed again by the same replica
-        rule, ``1 + max_reassign_retries`` attempts in all. Returns (copies
-        placed, device us); zero copies is the caller's error to raise.
+        When every target vanished the vector is routed again by the same
+        replica rule, ``1 + max_reassign_retries`` attempts in all. Returns
+        (copies placed, device us); zero copies is the caller's error to
+        raise.
         """
         entry = PostingData.from_rows([vector_id], [version], vector)
         placed, io_us = 0, 0.0
         for _ in range(1 + self.config.max_reassign_retries):
-            targets = targets or self.route(vector, replicas)
+            targets = self.route(vector, replicas)
             if not targets:
                 return 1, self.bootstrap(vector, entry)
             for pid in targets:
@@ -110,7 +133,6 @@ class PostingWriter:
                     io_us += appended
             if placed:
                 break
-            targets = None
         return placed, io_us
 
 

@@ -146,17 +146,23 @@ class VersionMap:
         reassign won the race, or the vector was deleted). This is the CAS
         the Local Rebuilder uses to serialize concurrent reassigns (§4.2.2).
         """
-        with self._lock:
-            if not self.is_registered(vector_id):
-                return None
-            current = int(self._bytes[vector_id])
-            if current & DELETED_BIT:
-                return None
-            if (current & VERSION_MASK) != expected_version:
-                return None
-            new_version = _next_version(expected_version)
-            self._bytes[vector_id] = np.uint8(new_version)
+        new_version = _next_version(expected_version)
+        if self.compare_and_set(vector_id, expected_version, new_version):
             return new_version
+        return None
+
+    def compare_and_set(self, vector_id: int, expected_version: int, version: int) -> bool:
+        """Set a live vector's version iff it is at ``expected_version``.
+
+        Besides the bump, this is how a reassign that bumped a vector and
+        then failed to land any copy takes the bump back (new version ->
+        the one its old replicas carry), so they are live again.
+        """
+        with self._lock:
+            if not self.is_live(vector_id, expected_version):
+                return False
+            self._bytes[vector_id] = np.uint8(version & VERSION_MASK)
+            return True
 
     # ------------------------------------------------------------------
     # batch filtering (search / GC hot path)

@@ -73,7 +73,7 @@ def sq_l2_batch(query: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def pairwise_sq_l2_exact(
-    queries: np.ndarray, points: np.ndarray, *, chunk_elems: int = 1 << 23
+    queries: np.ndarray, points: np.ndarray, *, chunk_elems: int = 1 << 19
 ) -> np.ndarray:
     """All-pairs squared L2 whose rows are bit-identical to ``sq_l2_batch``.
 
@@ -86,7 +86,11 @@ def pairwise_sq_l2_exact(
 
     The broadcast temporary is ``len(queries) x len(points) x dim`` floats;
     ``chunk_elems`` bounds it by splitting along the query axis (chunking
-    preserves per-row bit-identity).
+    preserves per-row bit-identity) into one reused buffer. The default,
+    2 MiB, leaves a 32-query batch against 400 centroids (or a 128-row
+    fresh tier at dim 64) in one piece and keeps a caller that routes
+    thousands of rows at once (``PostingWriter.route_batch``) from paying
+    for them all at the same time.
     """
     nq, npts = len(queries), len(points)
     if nq == 0 or npts == 0:
@@ -97,9 +101,14 @@ def pairwise_sq_l2_exact(
         diff = points[None, :, :] - queries[:, None, :]
         return np.einsum("qnj,qnj->qn", diff, diff).astype(np.float32, copy=False)
     out = np.empty((nq, npts), dtype=np.float32)
+    buffer = np.empty(
+        (rows_per_chunk, npts, dim), dtype=np.result_type(queries, points)
+    )
     for start in range(0, nq, rows_per_chunk):
         stop = min(start + rows_per_chunk, nq)
-        diff = points[None, :, :] - queries[start:stop, None, :]
+        diff = np.subtract(
+            points[None, :, :], queries[start:stop, None, :], out=buffer[: stop - start]
+        )
         out[start:stop] = np.einsum("qnj,qnj->qn", diff, diff)
     return out
 

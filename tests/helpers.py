@@ -119,5 +119,5 @@ def reassign_batch(rows, source_posting: int) -> ReassignJob:
         vector_ids=np.asarray(ids, dtype=np.int64),
         vectors=np.stack(vectors).astype(np.float32),
         expected_versions=np.asarray(versions, dtype=np.uint8),
-        source_posting=source_posting,
+        source_postings=np.full(len(ids), source_posting, dtype=np.int64),
     )

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clustering.balanced import balanced_kmeans, split_in_two
+from repro.clustering.balanced import _balance_lambda, balanced_kmeans, split_in_two
 from repro.clustering.hierarchical import hierarchical_balanced_clustering
 from repro.clustering.kmeans import kmeans, kmeans_plus_plus_init
+from repro.util.distance import pairwise_sq_l2
 
 
 def blobs(rng, n_per=50, k=4, dim=8, spread=10.0):
@@ -87,6 +88,78 @@ class TestBalancedKMeans:
         c2, a2 = balanced_kmeans(points, 4, np.random.default_rng(5))
         np.testing.assert_array_equal(a1, a2)
         np.testing.assert_array_equal(c1, c2)
+
+
+def balanced_kmeans_numpy_loop(points, k, rng, max_iters=12, balance_weight=4.0):
+    """The assignment pass as it was written before it moved to Python
+    floats: one ``(dists[i] + lam * counts).argmin()`` per point. Kept here
+    as the oracle the production loop must match bit for bit."""
+    points = np.ascontiguousarray(points, dtype=np.float32)
+    n = len(points)
+    k = min(k, n)
+    centroids = kmeans_plus_plus_init(points, k, rng)
+    assignments = np.full(n, -1, dtype=np.int64)
+    lam = _balance_lambda(points, balance_weight)
+    for _ in range(max_iters):
+        order = rng.permutation(n)
+        counts = np.zeros(k, dtype=np.float64)
+        new_assignments = np.empty(n, dtype=np.int64)
+        dists = pairwise_sq_l2(points, centroids).astype(np.float64)
+        for i in order:
+            j = int((dists[i] + lam * counts).argmin())
+            new_assignments[i] = j
+            counts[j] += 1.0
+        for j in range(k):
+            members = points[new_assignments == j]
+            if len(members) > 0:
+                centroids[j] = members.mean(axis=0)
+        if np.array_equal(new_assignments, assignments):
+            break
+        assignments = new_assignments
+    return centroids.astype(np.float32, copy=False), assignments
+
+
+class TestBalancedLoopParity:
+    """The Python-float pass is the numpy pass: same doubles, same ties."""
+
+    def assert_same(self, points, k, seed, balance_weight):
+        ours = balanced_kmeans(
+            points, k, np.random.default_rng(seed), balance_weight=balance_weight
+        )
+        theirs = balanced_kmeans_numpy_loop(
+            points, k, np.random.default_rng(seed), balance_weight=balance_weight
+        )
+        assert ours[1].tobytes() == theirs[1].tobytes()
+        assert ours[0].tobytes() == theirs[0].tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    @pytest.mark.parametrize("balance_weight", [0.0, 4.0, 64.0])
+    def test_seeded_blobs(self, k, balance_weight):
+        points, _ = blobs(np.random.default_rng(k), n_per=40, k=3)
+        self.assert_same(points, k, seed=17, balance_weight=balance_weight)
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_duplicate_points_tie_the_same_way(self, k):
+        rng = np.random.default_rng(3)
+        distinct = rng.integers(-2, 3, size=(5, 4)).astype(np.float32)
+        points = distinct[rng.integers(0, 5, size=60)]
+        self.assert_same(points, k, seed=1, balance_weight=4.0)
+        self.assert_same(np.ones((12, 4), np.float32), k, seed=1, balance_weight=4.0)
+
+    @given(
+        st.integers(1, 48),
+        st.sampled_from([2, 3, 8]),
+        st.sampled_from([0.0, 0.5, 4.0]),
+        st.booleans(),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property(self, n, k, balance_weight, coarse, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.normal(scale=3.0, size=(n, 5))
+        if coarse:
+            points = points.round()  # many exact duplicates and ties
+        self.assert_same(points.astype(np.float32), k, seed, balance_weight)
 
 
 class TestSplitInTwo:

@@ -79,6 +79,10 @@ class TestStressHarness:
         text = report.summary()
         assert "stress seed=5" in text
         assert "self-recall" in text
+        # The batch a row's CAS-to-first-copy gap is bounded by.
+        assert ("reassign rows/job" in text) == bool(report.reassign_job_rows)
+        if report.reassign_job_rows:
+            assert f"max {max(report.reassign_job_rows)}" in text
 
     @pytest.mark.slow
     @pytest.mark.parametrize(

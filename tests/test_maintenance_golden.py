@@ -1,6 +1,4 @@
-"""Golden digests of the index state after seeded maintenance, recorded
-before reassign jobs were batched per source posting and before APPEND
-continued the record stream byte for byte.
+"""Golden digests of the index after seeded maintenance, in two halves.
 
 Split, merge, reassign, flush and append have differential and invariant
 tests, but those compare the pipeline with a model of itself; these
@@ -8,15 +6,23 @@ literals are the independent oracle that the *order* of maintenance work
 did not move. Each case builds one seeded index, applies a fixed
 insert/delete churn with synchronous drains (queries interleaved, since
 a query is what reports undersized postings for merging), and hashes
-everything the maintenance path writes: every posting's decoded columns
-and block list, every centroid, the version map, every ``LireStats``
-counter and the device ``IOStats``. A refactor of ``core/rebuilder.py``,
-``core/jobs.py`` or ``BlockController.append`` must reproduce them byte
-for byte.
+what the maintenance path leaves behind:
 
-To re-record after an *intended* change of operation order, run
+* ``STATE`` — what the index holds: every posting's decoded columns and
+  PQ codes, every centroid, the version map and every ``LireStats``
+  counter. A refactor of ``core/rebuilder.py``, ``core/jobs.py`` or
+  ``BlockController.append`` must reproduce it byte for byte. These
+  literals were recorded before a split's reassign rows became one job
+  with one grouped append per destination posting, and did not move.
+* ``DEVICE`` — how it got to disk: the device ``IOStats``, the rebuilder's
+  ``io_by_job`` and every posting's block list. Re-recorded by a change
+  that is *meant* to touch the device differently; last for the grouped
+  reassign appends (``exact``: 20,652 -> 3,054 device write ops for the
+  same postings).
+
+To re-record after an *intended* change, run
 ``PYTHONPATH=src python tests/test_maintenance_golden.py`` and paste the
-printed table over ``GOLDEN``.
+printed tables over ``STATE`` / ``DEVICE``.
 """
 
 from __future__ import annotations
@@ -61,11 +67,17 @@ CASES = {
     "merging": MERGING,
 }
 
-GOLDEN: dict[str, str] = {
-    "exact": "89db22a243144a5a81b6c7230adf2563",
-    "pq": "0e27de46a46f1dc3e463e9b78c706104",
-    "pq_fresh": "904135500de963d76cdd8d91f9769235",
-    "merging": "1e8ab1f63f5d30ec0c78f02a014f7860",
+STATE: dict[str, str] = {
+    "exact": "97d92611902dff4758a3d58cb7697b5f",
+    "pq": "510e853e9c07a8b7069de8ca0cdf467d",
+    "pq_fresh": "e22dbcd97e3a4a376014554469ad6ae2",
+    "merging": "9b812ba7cff2a2d11783535ade43baf1",
+}
+DEVICE: dict[str, str] = {
+    "exact": "1d60c69825bce2d838a4a6693ab73411",
+    "pq": "808ec55be21c1986abc5253d0a46db51",
+    "pq_fresh": "ba3ad5b5072c407810b12449fea2cacc",
+    "merging": "1a7490f286c9832fcc0ef4fcde0efe72",
 }
 
 
@@ -108,34 +120,37 @@ def _churn(case: str) -> SPFreshIndex:
     return index
 
 
-def _digest(index: SPFreshIndex) -> str:
-    h = hashlib.sha256()
+def _digest(index: SPFreshIndex) -> tuple[str, str]:
+    """``(state, device)``: what the index holds, and how it got to disk."""
+    state, device = hashlib.sha256(), hashlib.sha256()
     # Device counters first: reading the postings back below moves them.
-    io = index.ssd.stats.snapshot()
-    h.update(repr(astuple(io)).encode())
+    device.update(repr(astuple(index.ssd.stats.snapshot())).encode())
+    device.update(repr(sorted(index.rebuilder.io_by_job.items())).encode())
     stats = index.stats.snapshot()
-    h.update(repr([(f.name, getattr(stats, f.name)) for f in fields(StatsSnapshot)]).encode())
-    h.update(repr(sorted(index.rebuilder.io_by_job.items())).encode())
+    state.update(
+        repr([(f.name, getattr(stats, f.name)) for f in fields(StatsSnapshot)]).encode()
+    )
     mapping = index.controller.state_dict()["mapping"]
     for pid in sorted(mapping):
         length, blocks = mapping[pid]
         data, _ = index.controller.get(pid)
-        h.update(struct.pack("<qqq", pid, length, len(blocks)))
-        h.update(np.asarray(blocks, dtype=np.int64).tobytes())
-        h.update(data.ids.tobytes())
-        h.update(data.versions.tobytes())
-        h.update(np.ascontiguousarray(data.vectors).tobytes())
+        device.update(struct.pack("<qq", pid, len(blocks)))
+        device.update(np.asarray(blocks, dtype=np.int64).tobytes())
+        state.update(struct.pack("<qq", pid, length))
+        state.update(data.ids.tobytes())
+        state.update(data.versions.tobytes())
+        state.update(np.ascontiguousarray(data.vectors).tobytes())
         if data.codes is not None:
-            h.update(np.ascontiguousarray(data.codes).tobytes())
-        h.update(np.asarray(index.centroid_index.get(pid), dtype=np.float32).tobytes())
-    h.update(index.version_map.state_dict()["bytes"].tobytes())
-    return h.hexdigest()[:32]
+            state.update(np.ascontiguousarray(data.codes).tobytes())
+        state.update(np.asarray(index.centroid_index.get(pid), dtype=np.float32).tobytes())
+    state.update(index.version_map.state_dict()["bytes"].tobytes())
+    return state.hexdigest()[:32], device.hexdigest()[:32]
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_golden_digest(case):
     index = _churn(case)
-    digest = _digest(index)  # before the audit below reads the device
+    state, device = _digest(index)  # before the audit below reads the device
     stats = index.stats.snapshot()
     # The digest means nothing unless the case reaches the work it is
     # there for.
@@ -152,11 +167,14 @@ def test_golden_digest(case):
     report = index.check_invariants()
     assert not report.lost_vectors and not report.oversized_postings
     assert not report.postings_without_centroid and not report.code_mismatches
-    assert digest == GOLDEN[case]
+    assert state == STATE[case]
+    assert device == DEVICE[case]
 
 
 if __name__ == "__main__":
-    print("GOLDEN: dict[str, str] = {")
-    for name in CASES:
-        print(f'    "{name}": "{_digest(_churn(name))}",')
-    print("}")
+    digests = {name: _digest(_churn(name)) for name in CASES}
+    for half, table in enumerate(("STATE", "DEVICE")):
+        print(f"{table}: dict[str, str] = {{")
+        for name, digest in digests.items():
+            print(f'    "{name}": "{digest[half]}",')
+        print("}")

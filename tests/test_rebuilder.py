@@ -1,12 +1,15 @@
 """Tests for the Local Rebuilder: split, merge, reassign semantics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.api import QueryRequest
+from repro.core.index import SPFreshIndex
 from repro.core.jobs import MergeJob, SplitJob
 from repro.storage.layout import PostingData
-from repro.util.errors import IndexError_
+from repro.util.errors import IndexError_, StorageError
 from tests.conftest import DIM
 from tests.helpers import (
     assert_no_vector_lost,
@@ -227,26 +230,246 @@ class TestReassign:
             assert far_pid not in assignment[vid]
 
     def test_reassign_scheduled_counts_rows_not_jobs(self, built_index, rng):
-        """One job per scheduling call; the counter is the rows it holds."""
-        pid = built_index.controller.posting_ids()[0]
+        """One job per scheduling call; the counter is the rows it holds,
+        and every row remembers the posting it was read from."""
+        pid, other = built_index.controller.posting_ids()[:2]
         data, _ = built_index.controller.get(pid)
-        assert len(data) >= 4
+        more, _ = built_index.controller.get(other)
+        assert len(data) >= 4 and len(more) >= 1
         built_index.updater.delete(int(data.ids[0]))  # dead rows are not queued
         mask = np.ones(len(data), dtype=bool)
         mask[1] = False
+        rebuilder = built_index.rebuilder
         before = built_index.stats.reassign_scheduled
-        built_index.rebuilder._schedule_reassigns(data, mask, pid)
+        everything, nothing = np.ones(len(more), bool), np.zeros(len(data), bool)
+        rebuilder._queue_reassign(
+            [(data, mask, pid), (data, nothing, 99), (more, everything, other)]
+        )
         assert built_index.job_queue.pending == 1
         job = built_index.job_queue.get()
         built_index.job_queue.task_done()
-        assert job.source_posting == pid
-        assert job.vector_ids.tolist() == data.ids[2:].tolist()
-        assert np.array_equal(job.vectors, data.vectors[2:])
-        assert np.array_equal(job.expected_versions, data.versions[2:])
-        assert built_index.stats.reassign_scheduled - before == len(data) - 2
+        kept = len(data) - 2
+        # (the deleted id may have a replica in the second posting too)
+        more = more.select(more.ids != data.ids[0])
+        assert job.source_postings.tolist() == [pid] * kept + [other] * len(more)
+        assert job.vector_ids.tolist() == data.ids[2:].tolist() + more.ids.tolist()
+        assert np.array_equal(job.vectors[:kept], data.vectors[2:])
+        assert np.array_equal(job.expected_versions[:kept], data.versions[2:])
+        assert built_index.stats.reassign_scheduled - before == kept + len(more)
         # Nothing live to move: no job at all.
-        built_index.rebuilder._schedule_reassigns(data, np.zeros(len(data), bool), pid)
+        rebuilder._queue_reassign([(data, nothing, pid)])
         assert built_index.job_queue.pending == 0
+
+    def test_a_split_queues_one_reassign_job(self, built_index, rng):
+        """Both halves and every neighbour's candidates ride in one job."""
+        stuff_posting(built_index, rng)
+        split = built_index.job_queue.get()
+        built_index.job_queue.task_done()
+        assert isinstance(split, SplitJob) and built_index.job_queue.empty()
+        before = built_index.stats.snapshot()
+        built_index.rebuilder.process(split)
+        delta = built_index.stats.snapshot().delta(before)
+        jobs = []
+        while not built_index.job_queue.empty():
+            jobs.append(built_index.job_queue.get())
+            built_index.job_queue.task_done()
+        reassigns = [job for job in jobs if not isinstance(job, SplitJob)]
+        assert delta.splits == 1 and len(reassigns) == 1
+        (job,) = reassigns
+        assert len(job.vector_ids) == delta.reassign_scheduled > 0
+        assert len(set(job.source_postings.tolist())) > 1
+        # Grouped by source, in collection order: each source is one run.
+        sources = job.source_postings
+        assert np.count_nonzero(np.diff(sources)) == len(set(sources.tolist())) - 1
+
+    @pytest.mark.parametrize("false_positive_first", [True, False])
+    def test_one_id_from_two_sources_is_routed_once_and_moved_once(
+        self, built_index, rng, false_positive_first
+    ):
+        """The NPA check is per row (against *that row's* source); the
+        routing is per distinct id."""
+        vec, far_pid = self.plant_misplaced(built_index, rng, 70_050)
+        near_pid = built_index.centroid_index.search(vec, 1).nearest
+        built_index.controller.append(
+            near_pid, PostingData.from_rows([70_050], [0], vec)
+        )
+        sources = [near_pid, far_pid] if false_positive_first else [far_pid, near_pid]
+        job = dataclasses.replace(
+            reassign_batch([(70_050, vec, 0), (70_050, vec, 0)], source_posting=0),
+            source_postings=np.array(sources),
+        )
+        routed = []
+        real = built_index.centroid_index.search_batch
+        built_index.centroid_index.search_batch = lambda queries, k: (
+            routed.append(len(queries)) or real(queries, k)
+        )
+        before = built_index.stats.snapshot()
+        built_index.rebuilder.process(job)
+        delta = built_index.stats.snapshot().delta(before)
+        assert routed == [1]
+        assert delta.reassign_executed == 1
+        assert delta.reassign_aborted_npa == (1 if false_positive_first else 0)
+        assert delta.reassign_aborted_version == (0 if false_positive_first else 1)
+        assert built_index.version_map.current_version(70_050) == 1
+        assert near_pid in live_assignment(built_index)[70_050]
+
+    def fill_job(self, index, rng, plan, id_start):
+        """A job of registered vectors: ``plan`` is [(posting, rows), ...],
+        each row sitting at that posting's centroid; the source is a
+        posting none of them routes to."""
+        rows = []
+        for pid, count in plan:
+            centroid = index.centroid_index.get(pid)
+            for _ in range(count):
+                vid = id_start + len(rows)
+                index.version_map.register(vid)
+                vec = centroid + rng.normal(scale=0.01, size=DIM)
+                rows.append((vid, vec.astype(np.float32), 0))
+        source = index.controller.posting_ids()[-1]
+        assert source not in {pid for pid, _ in plan}
+        return reassign_batch(rows, source_posting=source)
+
+    def test_split_triggers_fire_in_row_order_not_append_order(self, built_index, rng):
+        """Two postings tip over the limit in one job: their SplitJobs are
+        queued in the order one-row-at-a-time appends would queue them."""
+        first, second = built_index.controller.posting_ids()[:2]
+        limit = built_index.config.max_posting_size
+        room = {pid: limit - built_index.controller.length(pid) for pid in (first, second)}
+        # `first` takes the job's first row (so it is appended first), but
+        # `second` is the one that crosses the limit first in row order.
+        job = self.fill_job(
+            built_index,
+            rng,
+            [(first, 1), (second, room[second] + 1), (first, room[first] + 1)],
+            id_start=71_000,
+        )
+        replicas = built_index.config.reassign_replicas
+        controller = built_index.controller
+        lengths = {pid: controller.length(pid) for pid in controller.posting_ids()}
+        expected = []  # replay (row, rank) one append at a time
+        for vec in job.vectors:
+            for pid in built_index.writer.route(vec, replicas):
+                lengths[pid] += 1
+                if lengths[pid] > limit and pid not in expected:
+                    expected.append(pid)
+        assert expected[:2] == [second, first]
+        appended = []
+        real = built_index.controller.append
+        built_index.controller.append = lambda pid, rows: (
+            appended.append(pid) or real(pid, rows)
+        )
+        built_index.rebuilder.process(job)
+        assert appended[:2] == [first, second] and len(appended) == len(set(appended))
+        queued = []
+        while not built_index.job_queue.empty():
+            queued.append(built_index.job_queue.get())
+            built_index.job_queue.task_done()
+        assert queued == [SplitJob(pid, 1) for pid in expected]
+
+    def test_one_job_lands_what_one_job_per_source_landed(self, vectors, small_config, rng):
+        """A job spanning several sources leaves byte-identical postings
+        to the same rows fed as one job per source (the earlier shape)."""
+        whole, pieces = (
+            SPFreshIndex.build(vectors, config=small_config) for _ in range(2)
+        )
+        pids = whole.controller.posting_ids()
+        near = whole.centroid_index.get(pids[0])
+        rows, sources = [], []
+        for i, source in enumerate([pids[-1]] * 12 + [pids[-2]] * 12 + [pids[-3]] * 12):
+            vid = 72_000 + i % 30  # the last six repeat ids of the first source
+            vec = (near + np.float32(0.01) * (i % 30)).astype(np.float32)
+            rows.append((vid, vec, 0))
+            sources.append(source)
+        for index in (whole, pieces):
+            for vid, vec, _ in rows[:30]:
+                index.version_map.register(vid)
+            for (vid, vec, _), source in zip(rows, sources):
+                index.controller.append(source, PostingData.from_rows([vid], [0], vec))
+        job = reassign_batch(rows, source_posting=0)
+        whole.rebuilder.process(
+            dataclasses.replace(job, source_postings=np.array(sources))
+        )
+        for start in (0, 12, 24):
+            pieces.rebuilder.process(
+                reassign_batch(rows[start : start + 12], source_posting=sources[start])
+            )
+        whole.drain()
+        pieces.drain()
+        assert whole.stats.snapshot() == pieces.stats.snapshot()
+        assert whole.stats.reassign_executed >= 30
+        assert whole.controller.posting_ids() == pieces.controller.posting_ids()
+        for pid in whole.controller.posting_ids():
+            ours, _ = whole.controller.get(pid)
+            theirs, _ = pieces.controller.get(pid)
+            assert ours.ids.tobytes() == theirs.ids.tobytes()
+            assert ours.versions.tobytes() == theirs.versions.tobytes()
+            assert ours.vectors.tobytes() == theirs.vectors.tobytes()
+        assert np.array_equal(
+            whole.version_map.state_dict()["bytes"],
+            pieces.version_map.state_dict()["bytes"],
+        )
+
+    def test_failed_append_takes_the_version_bump_back(self, small_config, rng):
+        """A reassign that bumped a version and then could not land a copy
+        used to leave the vector live with no live replica."""
+        centers = rng.normal(scale=5.0, size=(6, DIM)).astype(np.float32)
+
+        def blobs(n, drift=0.0):
+            which = rng.integers(0, len(centers), size=n)
+            noise = rng.normal(scale=0.7, size=(n, DIM))
+            return (centers[which] + drift + noise).astype(np.float32)
+
+        base = blobs(600)
+        index = SPFreshIndex.build(base, config=small_config)
+        rebuilder, controller = index.rebuilder, index.controller
+        state = {"reassigning": False, "appends": 0, "failed": 0}
+        run_reassign, append = rebuilder._run_reassign, controller.append
+
+        def tracked_reassign(job):
+            state["reassigning"] = True
+            try:
+                run_reassign(job)
+            finally:
+                state["reassigning"] = False
+
+        def flaky_append(pid, rows):
+            if state["reassigning"]:
+                state["appends"] += 1
+                if state["appends"] % 2 == 0:
+                    state["failed"] += 1
+                    raise StorageError("injected: device refused the append")
+            return append(pid, rows)
+
+        rebuilder._run_reassign = tracked_reassign
+        controller.append = flaky_append
+        inserted = blobs(300, drift=1.5)
+        for i, vec in enumerate(inserted):
+            pending = True
+            try:
+                index.insert(10_000 + i, vec)
+                pending = False
+            except StorageError:
+                pass
+            while pending:
+                try:
+                    index.drain()
+                    pending = False
+                except StorageError:
+                    pass
+        controller.append = append
+        rebuilder._run_reassign = run_reassign
+        assert state["failed"] > 5 and index.stats.reassign_executed > 0
+        report = index.check_invariants()
+        assert report.lost_vectors == []
+        vector_of = dict(enumerate(base)) | {
+            10_000 + i: vec for i, vec in enumerate(inserted)
+        }
+        assert sorted(vector_of) == index.version_map.live_ids().tolist()
+        for vid, vec in vector_of.items():
+            found = index.query(
+                QueryRequest.single(vec, k=1, nprobe=index.num_postings)
+            ).result
+            assert found.ids[0] == vid
 
     def test_drain_counts_a_batch_as_one_job(self, built_index, rng):
         rows = []

@@ -179,9 +179,9 @@ class TestJobTypes:
         assert job.vector_ids.tolist() == [7, 8]
         assert job.expected_versions.tolist() == [3, 0]
         assert job.vectors.shape == (2, 4) and job.vectors[1, 0] == 2.0
-        assert job.source_posting == 9
+        assert job.source_postings.tolist() == [9, 9]  # one source per row
         with pytest.raises(Exception):
-            job.source_posting = 1
+            job.source_postings = np.array([1, 1])
 
 
 class TestIdAllocator:

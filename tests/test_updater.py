@@ -145,19 +145,26 @@ class TestSplitTrigger:
 # ----------------------------------------------------------------------
 class VanishingRoute:
     """Seam for the stale-target branch: the first ``times`` centroid
-    searches return normally and then their nearest posting vanishes the
-    way a concurrent merge would take it (rows folded into the nearest
-    other posting, posting and centroid deleted) — so the writer's append
-    finds its routed target gone."""
+    searches (single, or one row of a batch) return normally and then their
+    nearest posting vanishes the way a concurrent merge would take it (rows
+    folded into the nearest other posting, posting and centroid deleted) —
+    so the writer's append finds its routed target gone."""
 
     def __init__(self, index, times: int) -> None:
         self.index, self.times = index, times
         self.real = index.centroid_index.search
+        self.real_batch = index.centroid_index.search_batch
         self.vanished: list[int] = []
         index.centroid_index.search = self
+        index.centroid_index.search_batch = self.batch
+
+    def batch(self, queries, k):
+        return [self.vanish(hits) for hits in self.real_batch(queries, k)]
 
     def __call__(self, query, k):
-        hits = self.real(query, k)
+        return self.vanish(self.real(query, k))
+
+    def vanish(self, hits):
         if self.times > 0 and len(hits) > 1:
             self.times -= 1
             victim, heir = (int(pid) for pid in hits.posting_ids[:2])
@@ -172,6 +179,7 @@ class VanishingRoute:
 
     def restore(self) -> None:
         self.index.centroid_index.search = self.real
+        self.index.centroid_index.search_batch = self.real_batch
 
 
 def _write_path_index(vectors, small_config, **overrides):
@@ -215,7 +223,7 @@ def _reassign(index, vid, vector):
         vector_ids=np.array([0]),
         vectors=vector[None, :],
         expected_versions=np.array([index.version_map.current_version(0)]),
-        source_posting=far,
+        source_postings=np.array([far]),
     )
     index.rebuilder.process(job)
     return [0]
@@ -267,6 +275,7 @@ class TestWritePathReroute:
         index = _write_path_index(
             vectors, small_config, enable_fresh_tier=fresh_tier, max_reassign_retries=0
         )
+        before = index.version_map.current_version(0), index.stats.reassign_executed
         route = VanishingRoute(index, times=10**6)
         with pytest.raises(IndexError_):
             write(index, 9000, vectors[0].copy())
@@ -281,6 +290,13 @@ class TestWritePathReroute:
         elif write is _flush:
             assert 9000 in index.fresh_tier  # still buffered, still acked
             assert index.stats.fresh_flushed_vectors == 0
+        else:
+            # Bumped, never landed: the bump is taken back, so the copies
+            # the vector already had are live again.
+            assert len(route.vanished) == 2  # the grouped append, then `place`
+            after = index.version_map.current_version(0), index.stats.reassign_executed
+            assert after == before
+            assert index.check_invariants().lost_vectors == []
 
     def test_retries_are_bounded_by_max_reassign_retries(self, vectors, small_config):
         index = _write_path_index(vectors, small_config, max_reassign_retries=2)
@@ -309,6 +325,15 @@ class TestWritePathReroute:
         assert live_assignment(index)[9000] == set(targets[1:])
         assert index.stats.reassign_posting_missing == 1
         assert index.stats.appends == 2
+
+    @pytest.mark.parametrize("replicas", [1, 3, 8])
+    def test_route_batch_is_route_row_by_row(self, vectors, small_config, replicas):
+        index = _write_path_index(vectors, small_config, closure_epsilon=0.5)
+        batch = vectors[::7] + np.float32(0.25)
+        routed = index.writer.route_batch(batch, replicas)
+        assert routed == [index.writer.route(row, replicas) for row in batch]
+        assert max(map(len, routed)) > 1 or replicas == 1
+        assert index.writer.route_batch(batch[:0], replicas) == []
 
     def test_replicas_append_in_routing_order(self, vectors, small_config):
         index = _write_path_index(

@@ -57,6 +57,36 @@ class TestKernelBitIdentity:
         chunked = pairwise_sq_l2_exact(queries, points, chunk_elems=4 * 23 * 8)
         np.testing.assert_array_equal(full, chunked)
 
+    def test_pairwise_exact_rows_do_not_depend_on_the_chunk_bound(self):
+        """Maintenance routes hundreds of rows per call; whatever bound the
+        kernel runs under, every row is the single-query row."""
+        rng = np.random.default_rng(5)
+        queries = _matrix(rng, 300, 16)
+        points = _matrix(rng, 90, 16)
+        whole = pairwise_sq_l2_exact(queries, points, chunk_elems=1 << 62)
+        for bound in (1 << 10, 1 << 20):
+            chunked = pairwise_sq_l2_exact(queries, points, chunk_elems=bound)
+            assert chunked.tobytes() == whole.tobytes()
+        assert pairwise_sq_l2_exact(queries, points).tobytes() == whole.tobytes()
+        for q in (0, 137, 299):
+            np.testing.assert_array_equal(whole[q], sq_l2_batch(queries[q], points))
+
+    def test_pairwise_exact_default_bounds_the_broadcast_temporary(self):
+        """2,000 x 400 x 32 is a 98 MiB broadcast taken whole (and was a
+        32 MiB one under the old default); the default bound keeps the
+        call within a few MiB of its 3 MiB result."""
+        import tracemalloc
+
+        rng = np.random.default_rng(6)
+        queries = _matrix(rng, 2000, 32)
+        points = _matrix(rng, 400, 32)
+        tracemalloc.start()
+        out = pairwise_sq_l2_exact(queries, points)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert out.shape == (2000, 400)
+        assert peak - out.nbytes < 3 * 2**20
+
     def test_pairwise_exact_empty_shapes(self):
         empty_q = np.empty((0, 4), dtype=np.float32)
         pts = np.ones((3, 4), dtype=np.float32)

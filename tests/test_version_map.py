@@ -117,6 +117,23 @@ class TestCas:
     def test_bump_unknown_fails(self):
         assert VersionMap().cas_bump(7, 0) is None
 
+    def test_compare_and_set_takes_a_bump_back(self):
+        """What a reassign does when its bumped row lands nowhere."""
+        vm = VersionMap()
+        vm.register(1)
+        bumped = vm.cas_bump(1, 0)
+        assert vm.compare_and_set(1, bumped, 0)
+        assert vm.is_live(1, 0) and vm.cas_bump(1, 0) == 1
+
+    def test_compare_and_set_refuses_a_moved_on_or_dead_vector(self):
+        vm = VersionMap()
+        vm.register(1)
+        assert not vm.compare_and_set(1, 5, 0)  # not at the expected version
+        assert not vm.compare_and_set(9, 0, 1)  # never registered
+        vm.delete(1)
+        assert not vm.compare_and_set(1, 0, 3)  # a tombstone stays one
+        assert vm.is_deleted(1) and vm.current_version(1) == 0
+
     def test_version_wraps_skipping_sentinel(self):
         """Versions cycle without ever producing the 0x7F value whose
         deleted form would collide with the unregistered sentinel."""
