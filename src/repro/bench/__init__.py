@@ -15,8 +15,10 @@ from repro.bench.scales import PERF_SCALES, SCALES, BenchScale, PerfScale
 
 _STRESS_EXPORTS = ("ChaosSchedule", "StressConfig", "StressReport", "run_stress")
 _PERF_EXPORTS = (
+    "CLAIMS",
     "CompareReport",
     "ScenarioResult",
+    "check_claims",
     "compare_dirs",
     "run_scenarios",
     "write_results",
@@ -71,8 +73,10 @@ __all__ = [
     "PerfScale",
     "SCALES",
     "PERF_SCALES",
+    "CLAIMS",
     "CompareReport",
     "ScenarioResult",
+    "check_claims",
     "compare_dirs",
     "run_scenarios",
     "write_results",

@@ -3,31 +3,32 @@
 The simulation substrate makes performance *reproducible*: device latency,
 I/O amplification, ParallelGET waves, probe counts, and LIRE rebalancing
 work are all functions of the seeded workload, not of the machine the
-bench runs on. This harness exploits that to give the repo a quantitative
-perf trajectory that CI can gate on:
+bench runs on. This harness records those numbers and nothing else (host
+time is measured by ``benchmarks/e2e`` and tracked in
+``BENCH_HISTORY.jsonl``):
 
 * each **scenario** runs a seeded workload over the real stack (searcher,
-  updater, LIRE split/merge/reassign, WAL + recovery, posting cache) and
-  records two metric classes:
+  updater, LIRE split/merge/reassign, WAL + recovery, posting cache,
+  cluster, serving) and records its ``deterministic`` metrics — simulated
+  latency percentiles, IOStats read/write amplification, wave counts,
+  postings probed, rebalance counters, recall against brute force, parity
+  counters. Bit-stable under a fixed seed on any machine;
 
-  - ``deterministic`` — simulated latencies (percentiles), IOStats
-    read/write amplification, wave counts, postings probed, rebalance
-    counters, recall against brute force. Bit-stable under a fixed seed;
-    **safe to gate on**.
-  - ``wall_clock`` — ops/sec via ``time.perf_counter``. Machine noise;
-    **informational only**, never gated.
+* ``CLAIMS`` states what each scenario must show in absolute terms
+  (parity counters at 0, recall ratios >= 0.95, speedups above 1). Every
+  run checks it and exits nonzero on a failed claim or on a claimed
+  metric the scenario no longer emits;
 
 * results land as ``BENCH_<scenario>.json`` (stable schema, sorted keys)
-  so every later optimization PR diffs against the same files;
+  so every later PR diffs against the same files; ``--compare
+  baseline_dir/ --tolerance 0.05`` exits nonzero when any metric
+  regresses beyond tolerance relative to the baseline.
 
-* ``--compare baseline_dir/ --tolerance 0.05`` exits nonzero when any
-  deterministic metric regresses beyond tolerance — the CI perf lane's
-  gate.
+Run from the CLI (``python -m repro.bench.perf`` is the same command)::
 
-Run from the CLI::
-
-    PYTHONPATH=src python -m repro.bench.perf --quick --out bench-out
-    PYTHONPATH=src python -m repro.bench.perf --compare baseline/ --tolerance 0.05
+    PYTHONPATH=src python -m repro perf --quick --out bench-out
+    PYTHONPATH=src python -m repro perf --compare-only \\
+        --compare baseline/ --out bench-out --tolerance 0.05
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,7 +57,10 @@ from repro.storage import CachedBlockController
 from repro.storage.snapshot import SnapshotManager
 from repro.storage.wal import WriteAheadLog
 
-SCHEMA_VERSION = 1
+# Version 2 dropped version 1's host-timed and gating-policy sections;
+# the comparator reads only ``deterministic`` and ``directions``, so a
+# version-1 baseline still compares.
+SCHEMA_VERSION = 2
 FILE_PREFIX = "BENCH_"
 
 # Deterministic metrics are gated lower-is-better unless named here.
@@ -71,12 +77,11 @@ _HIGHER_IS_BETTER_SUFFIXES = (
 
 @dataclass
 class ScenarioResult:
-    """One scenario's measurements, split by gating class."""
+    """One scenario's deterministic measurements."""
 
     scenario: str
     config: dict
     deterministic: dict[str, float]
-    wall_clock: dict[str, float]
 
     def directions(self) -> dict[str, str]:
         return {
@@ -89,7 +94,7 @@ class ScenarioResult:
         }
 
     def to_document(self) -> dict:
-        """The ``BENCH_*.json`` payload (stable schema, gate policy inline)."""
+        """The ``BENCH_*.json`` payload (stable schema, directions inline)."""
         return {
             "schema_version": SCHEMA_VERSION,
             "generated_by": "repro.bench.perf",
@@ -97,16 +102,31 @@ class ScenarioResult:
             "config": self.config,
             "deterministic": self.deterministic,
             "directions": self.directions(),
-            "wall_clock": self.wall_clock,
-            "gating": {
-                "deterministic": "gate",
-                "wall_clock": "informational",
-            },
         }
 
 
 def _round(value: float, decimals: int = 3) -> float:
     return round(float(value), decimals)
+
+
+def _ratio(num: float, den: float, decimals: int = 3) -> float:
+    """``num / den`` rounded, 0.0 when the denominator is not positive."""
+    return _round(num / den if den > 0 else 0.0, decimals)
+
+
+def _mismatches(a, b) -> int:
+    """Pairs of results whose ids *or* distances are not bit-identical."""
+    return sum(
+        not (np.array_equal(x.ids, y.ids) and np.array_equal(x.distances, y.distances))
+        for x, y in zip(a, b)
+    )
+
+
+# Small postings, so a scenario's churn crosses split/merge thresholds and
+# the LIRE counters carry signal.
+_TIGHT_POSTINGS = dict(
+    max_posting_size=48, min_posting_size=4, build_target_posting_size=24
+)
 
 
 def _base_config(scale: PerfScale, seed: int, **overrides) -> SPFreshConfig:
@@ -120,12 +140,20 @@ def _base_config(scale: PerfScale, seed: int, **overrides) -> SPFreshConfig:
     return SPFreshConfig(**base).validate()
 
 
-def _queries(dataset, scale: PerfScale, seed: int) -> np.ndarray:
+def _queries(dataset, count: int, seed: int) -> np.ndarray:
     """Seeded query set: perturbed samples of the base distribution."""
     rng = np.random.default_rng(seed + 1)
-    picks = rng.integers(0, len(dataset.base), size=scale.queries)
-    noise = rng.normal(scale=0.05, size=(scale.queries, scale.dim))
+    picks = rng.integers(0, len(dataset.base), size=count)
+    noise = rng.normal(scale=0.05, size=(count, dataset.base.shape[1]))
     return (dataset.base[picks] + noise).astype(np.float32)
+
+
+def _standard(scale: PerfScale, seed: int):
+    """The default workload: dataset, config, freshly built index, queries."""
+    dataset = make_sift_like(scale.base_vectors, 0, dim=scale.dim, seed=seed)
+    config = _base_config(scale, seed)
+    index = SPFreshIndex.build(dataset.base, config=config)
+    return dataset, config, index, _queries(dataset, scale.queries, seed)
 
 
 def _scenario_config(scale: PerfScale, seed: int, config: SPFreshConfig) -> dict:
@@ -149,57 +177,51 @@ def _scenario_config(scale: PerfScale, seed: int, config: SPFreshConfig) -> dict
 # ----------------------------------------------------------------------
 def scenario_search(scale: PerfScale, seed: int) -> ScenarioResult:
     """Single and batched search over a freshly built index."""
-    dataset = make_sift_like(scale.base_vectors, 0, dim=scale.dim, seed=seed)
-    config = _base_config(scale, seed)
-    index = SPFreshIndex.build(dataset.base, config=config)
-    queries = _queries(dataset, scale, seed)
+    dataset, config, index, queries = _standard(scale, seed)
     truth = exact_knn(
         dataset.base, np.arange(scale.base_vectors), queries, scale.k
     )
 
-    latencies: list[float] = []
-    io_latencies: list[float] = []
-    probed: list[int] = []
-    scanned: list[int] = []
-    result_ids = []
     before = index.ssd.stats.snapshot()
-    wall_start = time.perf_counter()
-    for query in queries:
-        result = index.query(
-            QueryRequest.single(query, k=scale.k, nprobe=scale.nprobe)
-        ).result
-        latencies.append(result.latency_us)
-        io_latencies.append(result.io_latency_us)
-        probed.append(result.postings_probed)
-        scanned.append(result.entries_scanned)
-        result_ids.append(result.ids)
-    single_wall = time.perf_counter() - wall_start
+    single = [
+        index.query(QueryRequest.single(q, k=scale.k, nprobe=scale.nprobe)).result
+        for q in queries
+    ]
     single_window = index.ssd.stats.since(before)
 
-    batch_latencies: list[float] = []
-    batch_ids = []
     before = index.ssd.stats.snapshot()
-    wall_start = time.perf_counter()
-    for start in range(0, len(queries), scale.batch_size):
-        chunk = queries[start : start + scale.batch_size]
+    batch = [
+        result
+        for start in range(0, len(queries), scale.batch_size)
         for result in index.query(
-            QueryRequest(vectors=chunk, k=scale.k, nprobe=scale.nprobe)
-        ):
-            batch_latencies.append(result.latency_us)
-            batch_ids.append(result.ids)
-    batch_wall = time.perf_counter() - wall_start
+            QueryRequest(
+                vectors=queries[start : start + scale.batch_size],
+                k=scale.k,
+                nprobe=scale.nprobe,
+            )
+        )
+    ]
     batch_window = index.ssd.stats.since(before)
 
+    io_latencies = [r.io_latency_us for r in single]
     # Read amplification: device bytes fetched per byte of result payload.
     result_bytes = len(queries) * scale.k * scale.dim * 4
     deterministic = {
-        **percentile_metrics(latencies, "single_latency_us"),
+        **percentile_metrics([r.latency_us for r in single], "single_latency_us"),
         **percentile_metrics(io_latencies, "single_io_latency_us"),
-        **percentile_metrics(batch_latencies, "batch_latency_us"),
-        "single_recall_at_k": _round(recall_at_k(result_ids, truth, scale.k), 4),
-        "batch_recall_at_k": _round(recall_at_k(batch_ids, truth, scale.k), 4),
-        "single_postings_probed_mean": _round(np.mean(probed)),
-        "single_entries_scanned_mean": _round(np.mean(scanned)),
+        **percentile_metrics([r.latency_us for r in batch], "batch_latency_us"),
+        "single_recall_at_k": _round(
+            recall_at_k([r.ids for r in single], truth, scale.k), 4
+        ),
+        "batch_recall_at_k": _round(
+            recall_at_k([r.ids for r in batch], truth, scale.k), 4
+        ),
+        "single_postings_probed_mean": _round(
+            np.mean([r.postings_probed for r in single])
+        ),
+        "single_entries_scanned_mean": _round(
+            np.mean([r.entries_scanned for r in single])
+        ),
         "single_io_waves_mean": _round(
             np.mean(io_latencies) / config.read_latency_us
         ),
@@ -212,19 +234,10 @@ def scenario_search(scale: PerfScale, seed: int) -> ScenarioResult:
         **single_window.to_metrics("single_io"),
         **batch_window.to_metrics("batch_io"),
     }
-    wall_clock = {
-        "single_search_qps": _round(
-            len(queries) / single_wall if single_wall > 0 else 0.0
-        ),
-        "batch_search_qps": _round(
-            len(queries) / batch_wall if batch_wall > 0 else 0.0
-        ),
-    }
     return ScenarioResult(
         scenario="search",
         config={**_scenario_config(scale, seed, config), "queries": len(queries)},
         deterministic=deterministic,
-        wall_clock=wall_clock,
     )
 
 
@@ -233,15 +246,7 @@ def scenario_update(scale: PerfScale, seed: int) -> ScenarioResult:
     dataset = make_sift_like(
         scale.base_vectors, scale.updates, dim=scale.dim, seed=seed
     )
-    # Tight posting geometry so the churn actually crosses split/merge
-    # thresholds and the LIRE counters carry signal.
-    config = _base_config(
-        scale,
-        seed,
-        max_posting_size=48,
-        min_posting_size=4,
-        build_target_posting_size=24,
-    )
+    config = _base_config(scale, seed, **_TIGHT_POSTINGS)
     index = SPFreshIndex.build(dataset.base, config=config)
     rng = np.random.default_rng(seed + 2)
 
@@ -251,7 +256,6 @@ def scenario_update(scale: PerfScale, seed: int) -> ScenarioResult:
     next_pool = 0
     stats_before = index.stats.snapshot()
     io_before = index.ssd.stats.snapshot()
-    wall_start = time.perf_counter()
     for op in range(scale.updates):
         # 2:1 insert:delete mix keeps the index growing while exercising
         # tombstones; the schedule is fully determined by the seed.
@@ -264,7 +268,6 @@ def scenario_update(scale: PerfScale, seed: int) -> ScenarioResult:
             victim = deletable.pop(int(rng.integers(len(deletable))))
             delete_lat.append(index.delete(victim))
     index.drain()
-    wall = time.perf_counter() - wall_start
     window = index.ssd.stats.since(io_before)
     delta = index.stats.snapshot().delta(stats_before)
 
@@ -283,9 +286,6 @@ def scenario_update(scale: PerfScale, seed: int) -> ScenarioResult:
         "background_io_us": _round(index.rebuilder.background_io_us),
         **window.to_metrics("io"),
     }
-    wall_clock = {
-        "updates_per_s": _round(scale.updates / wall if wall > 0 else 0.0),
-    }
     return ScenarioResult(
         scenario="update",
         config={
@@ -295,7 +295,6 @@ def scenario_update(scale: PerfScale, seed: int) -> ScenarioResult:
             "deletes": len(delete_lat),
         },
         deterministic=deterministic,
-        wall_clock=wall_clock,
     )
 
 
@@ -304,15 +303,7 @@ def scenario_rebalance(scale: PerfScale, seed: int) -> ScenarioResult:
     dataset = make_sift_like(
         max(scale.base_vectors // 2, 200), 0, dim=scale.dim, seed=seed
     )
-    # Tight posting geometry so the burst forces real rebalancing work.
-    config = _base_config(
-        scale,
-        seed,
-        max_posting_size=48,
-        min_posting_size=4,
-        build_target_posting_size=24,
-        reassign_range=12,
-    )
+    config = _base_config(scale, seed, **_TIGHT_POSTINGS, reassign_range=12)
     index = SPFreshIndex.build(dataset.base, config=config)
     rng = np.random.default_rng(seed + 3)
     hot_center = dataset.cluster_centers[0]
@@ -320,7 +311,6 @@ def scenario_rebalance(scale: PerfScale, seed: int) -> ScenarioResult:
     stats_before = index.stats.snapshot()
     io_before = index.ssd.stats.snapshot()
     postings_before = index.num_postings
-    wall_start = time.perf_counter()
     hot_ids = []
     for i in range(scale.storm_inserts):
         vector = (
@@ -348,7 +338,6 @@ def scenario_rebalance(scale: PerfScale, seed: int) -> ScenarioResult:
 
     scan = MaintenanceScanner(index).scan()
     index.drain()
-    wall = time.perf_counter() - wall_start
     window = index.ssd.stats.since(io_before)
     delta = index.stats.snapshot().delta(stats_before)
     sizes = index.posting_sizes()
@@ -373,11 +362,6 @@ def scenario_rebalance(scale: PerfScale, seed: int) -> ScenarioResult:
         "split_phase_block_writes": float(split_window.block_writes),
         **window.to_metrics("io"),
     }
-    wall_clock = {
-        "storm_ops_per_s": _round(
-            (scale.storm_inserts + len(victims)) / wall if wall > 0 else 0.0
-        ),
-    }
     return ScenarioResult(
         scenario="rebalance",
         config={
@@ -386,7 +370,6 @@ def scenario_rebalance(scale: PerfScale, seed: int) -> ScenarioResult:
             "storm_deletes": len(victims),
         },
         deterministic=deterministic,
-        wall_clock=wall_clock,
     )
 
 
@@ -422,15 +405,11 @@ def scenario_fresh_tier(scale: PerfScale, seed: int) -> ScenarioResult:
         ).astype(np.float32)
 
     def run(enable_tier: bool):
-        # Tight posting geometry so the storm crosses split thresholds the
-        # way the update/rebalance scenarios do; no search budget so the
-        # parity sweeps scan everything they probe.
+        # No search budget, so the parity sweeps scan everything they probe.
         config = _base_config(
             scale,
             seed,
-            max_posting_size=48,
-            min_posting_size=4,
-            build_target_posting_size=24,
+            **_TIGHT_POSTINGS,
             search_latency_budget_us=None,
             enable_fresh_tier=enable_tier,
             fresh_flush_threshold=threshold,
@@ -439,13 +418,11 @@ def scenario_fresh_tier(scale: PerfScale, seed: int) -> ScenarioResult:
         vectors = storm_vectors()
         stats_before = index.stats.snapshot()
         io_before = index.ssd.stats.snapshot()
-        wall_start = time.perf_counter()
         latencies = [
             index.insert(4_000_000 + i, vectors[i])
             for i in range(scale.storm_inserts)
         ]
         index.drain()
-        wall = time.perf_counter() - wall_start
         window = index.ssd.stats.since(io_before)
         # The tail rides outside the measured window: it stays buffered in
         # the fresh run (below threshold) and lands on disk in the baseline,
@@ -454,13 +431,13 @@ def scenario_fresh_tier(scale: PerfScale, seed: int) -> ScenarioResult:
             index.insert(4_000_000 + i, vectors[i])
         index.drain()
         delta = index.stats.snapshot().delta(stats_before)
-        return index, config, latencies, window, delta, wall
+        return index, config, latencies, window, delta
 
-    base_index, config, base_lat, base_window, base_delta, base_wall = run(False)
-    fresh_index, _, fresh_lat, fresh_window, fresh_delta, fresh_wall = run(True)
+    base_index, config, base_lat, base_window, base_delta = run(False)
+    fresh_index, _, fresh_lat, fresh_window, fresh_delta = run(True)
 
     # Recall at the regular probe width over the identical live sets.
-    queries = _queries(dataset, scale, seed)
+    queries = _queries(dataset, scale.queries, seed)
     all_vectors = np.concatenate([dataset.base, storm_vectors()])
     all_ids = np.concatenate(
         [
@@ -469,18 +446,15 @@ def scenario_fresh_tier(scale: PerfScale, seed: int) -> ScenarioResult:
         ]
     )
     truth = exact_knn(all_vectors, all_ids, queries, scale.k)
-    base_ids = [
-        base_index.query(
-            QueryRequest.single(q, k=scale.k, nprobe=scale.nprobe)
-        ).ids
-        for q in queries
-    ]
-    fresh_ids = [
-        fresh_index.query(
-            QueryRequest.single(q, k=scale.k, nprobe=scale.nprobe)
-        ).ids
-        for q in queries
-    ]
+
+    def recall(index) -> float:
+        ids = [
+            index.query(QueryRequest.single(q, k=scale.k, nprobe=scale.nprobe)).ids
+            for q in queries
+        ]
+        return _round(recall_at_k(ids, truth, scale.k), 4)
+
+    base_recall, fresh_recall = recall(base_index), recall(fresh_index)
 
     # Parity sweeps on the fresh index: full probe, exact merge, tier still
     # partially resident. Mismatches gate at zero.
@@ -498,32 +472,18 @@ def scenario_fresh_tier(scale: PerfScale, seed: int) -> ScenarioResult:
         fresh_index.query(QueryRequest.single(q, k=scale.k, nprobe=10**6)).result
         for q in parity_queries
     ]
-    batched = list(
+    batch_single_mismatches = _mismatches(
+        pre,
         fresh_index.query(
             QueryRequest(vectors=parity_queries, k=scale.k, nprobe=10**6)
-        )
-    )
-    batch_single_mismatches = sum(
-        1
-        for s, b in zip(pre, batched)
-        if not (
-            np.array_equal(s.ids, b.ids)
-            and np.array_equal(s.distances, b.distances)
-        )
+        ),
     )
     flushed_for_parity = fresh_index.flush_fresh_tier()
     post = [
         fresh_index.query(QueryRequest.single(q, k=scale.k, nprobe=10**6)).result
         for q in parity_queries
     ]
-    search_parity_mismatches = sum(
-        1
-        for s, p in zip(pre, post)
-        if not (
-            np.array_equal(s.ids, p.ids)
-            and np.array_equal(s.distances, p.distances)
-        )
-    )
+    search_parity_mismatches = _mismatches(pre, post)
 
     inserted_bytes = scale.storm_inserts * scale.dim * 4
     base_amp = base_window.write_amplification(inserted_bytes)
@@ -531,15 +491,11 @@ def scenario_fresh_tier(scale: PerfScale, seed: int) -> ScenarioResult:
     deterministic = {
         "baseline_write_amplification": _round(base_amp),
         "fresh_write_amplification": _round(fresh_amp),
-        "fresh_write_amp_speedup": _round(
-            base_amp / fresh_amp if fresh_amp > 0 else 0.0
-        ),
+        "fresh_write_amp_speedup": _ratio(base_amp, fresh_amp),
         **percentile_metrics(base_lat, "baseline_insert_latency_us"),
         **percentile_metrics(fresh_lat, "fresh_insert_latency_us"),
-        "baseline_recall_at_k": _round(
-            recall_at_k(base_ids, truth, scale.k), 4
-        ),
-        "fresh_recall_at_k": _round(recall_at_k(fresh_ids, truth, scale.k), 4),
+        "baseline_recall_at_k": base_recall,
+        "fresh_recall_at_k": fresh_recall,
         "search_parity_mismatches": float(search_parity_mismatches),
         "batch_single_mismatches": float(batch_single_mismatches),
         "tier_resident_at_sweep": float(tier_resident),
@@ -554,14 +510,6 @@ def scenario_fresh_tier(scale: PerfScale, seed: int) -> ScenarioResult:
         **base_window.to_metrics("baseline_io"),
         **fresh_window.to_metrics("fresh_io"),
     }
-    wall_clock = {
-        "baseline_storm_ops_per_s": _round(
-            scale.storm_inserts / base_wall if base_wall > 0 else 0.0
-        ),
-        "fresh_storm_ops_per_s": _round(
-            scale.storm_inserts / fresh_wall if fresh_wall > 0 else 0.0
-        ),
-    }
     return ScenarioResult(
         scenario="fresh_tier",
         config={
@@ -572,7 +520,6 @@ def scenario_fresh_tier(scale: PerfScale, seed: int) -> ScenarioResult:
             "parity_queries": len(parity_queries),
         },
         deterministic=deterministic,
-        wall_clock=wall_clock,
     )
 
 
@@ -582,7 +529,7 @@ def scenario_quantized(scale: PerfScale, seed: int) -> ScenarioResult:
     This scenario pins its own workload geometry instead of the generic
     ``scale`` one: SIFT-like 128-dimensional vectors and paper-realistic
     posting lengths (hundreds of entries per posting). That is the regime
-    the tentpole targets — with 32-dimensional vectors and ~50-entry
+    the codec targets — with 32-dimensional vectors and ~50-entry
     postings, per-posting bookkeeping dominates and the code/vector byte
     asymmetry (a 25-byte PQ entry vs a 521-byte vector entry) is
     invisible. Probe width, k, and the query set are identical for both
@@ -597,7 +544,7 @@ def scenario_quantized(scale: PerfScale, seed: int) -> ScenarioResult:
     the codec shrinks. Gated metrics (docs/quantization.md):
 
     * recall for both, plus ``quant_recall_ratio`` (quantized ÷ exact;
-      CI asserts >= 0.95 explicitly);
+      claimed >= 0.95);
     * simulated read bytes per query for both, plus the byte and
       simulated-latency speedups (the IO win is what quantization buys:
       scans touch only the compact code section, then fetch only the
@@ -606,17 +553,11 @@ def scenario_quantized(scale: PerfScale, seed: int) -> ScenarioResult:
       every scanned candidate, the quantized path must be bit-identical
       (ids and distances) to the exact index — expected 0;
     * ``batch_parity_mismatches``: the batched quantized path must agree
-      with the single-query path bit for bit — expected 0;
+      with the single-query path bit for bit (ids and distances) —
+      expected 0;
     * code/vector coherence after LIRE churn (inserts + deletes + drain)
       audited by ``check_invariants`` — expected 0 mismatching postings;
     * a recall-vs-bytes ablation (exact / PQ m=8 / PQ m=16 / SQ8).
-
-    Wall clock rides along informationally (the two-clock model: wall
-    clock never gates) but is the headline demonstration: the batched
-    sweep's profiler attributes time per stage, and the quantized
-    ``scan`` stage (ADC over codes) must come in under the exact path's
-    full-dimension posting scans. Rerank cost is reported separately —
-    it is refinement on fetched rows, not posting traversal.
     """
     from repro.core.invariants import check_invariants
 
@@ -631,10 +572,7 @@ def scenario_quantized(scale: PerfScale, seed: int) -> ScenarioResult:
     rerank_k = 24
 
     dataset = make_sift_like(n_base, 0, dim=dim, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    picks = rng.integers(0, n_base, size=n_queries)
-    noise = rng.normal(scale=0.05, size=(n_queries, dim))
-    queries = (dataset.base[picks] + noise).astype(np.float32)
+    queries = _queries(dataset, n_queries, seed)
     truth = exact_knn(dataset.base, np.arange(n_base), queries, scale.k)
 
     def build(**overrides):
@@ -660,70 +598,42 @@ def scenario_quantized(scale: PerfScale, seed: int) -> ScenarioResult:
 
     def sweep(index):
         """Single-query sweep: per-query simulated IO accounting."""
-        ids, latencies, io_lat, scanned, reranked = [], [], [], [], []
         before = index.ssd.stats.snapshot()
-        for q in queries:
-            r = index.query(
-                QueryRequest.single(q, k=scale.k, nprobe=nprobe)
-            ).result
-            ids.append(r.ids)
-            latencies.append(r.latency_us)
-            io_lat.append(r.io_latency_us)
-            scanned.append(r.entries_scanned)
-            reranked.append(r.reranked_entries)
-        window = index.ssd.stats.since(before)
-        return ids, latencies, io_lat, scanned, reranked, window
+        results = [
+            index.query(QueryRequest.single(q, k=scale.k, nprobe=nprobe)).result
+            for q in queries
+        ]
+        return results, index.ssd.stats.since(before)
 
-    def batched_sweep(index, runs=3):
-        """Batched sweep: wall clock + per-stage profiler attribution."""
-        request = QueryRequest(vectors=queries, k=scale.k, nprobe=nprobe)
-        response = index.query(request)  # warm caches before timing
-        index.profiler.enabled = True
-        best_wall, best_stages = math.inf, {}
-        for _ in range(runs):
-            index.profiler.reset()
-            start = time.perf_counter()
-            response = index.query(request)
-            wall = time.perf_counter() - start
-            if wall < best_wall:
-                best_wall = wall
-                best_stages = {
-                    stage: stats["total_us"] / 1e3
-                    for stage, stats in index.profiler.snapshot().items()
-                }
-        index.profiler.enabled = False
-        return response, best_wall, best_stages
-
-    e_ids, e_lat, e_io, e_scanned, _, e_window = sweep(exact_index)
-    q_ids, q_lat, q_io, q_scanned, q_reranked, q_window = sweep(quant_index)
-    exact_recall = recall_at_k(e_ids, truth, scale.k)
-    quant_recall = recall_at_k(q_ids, truth, scale.k)
-
-    e_batch, e_wall, e_stages = batched_sweep(exact_index)
-    q_batch, q_wall, q_stages = batched_sweep(quant_index)
+    e_results, e_window = sweep(exact_index)
+    q_results, q_window = sweep(quant_index)
+    e_lat = [r.latency_us for r in e_results]
+    q_lat = [r.latency_us for r in q_results]
+    exact_recall = recall_at_k([r.ids for r in e_results], truth, scale.k)
+    quant_recall = recall_at_k([r.ids for r in q_results], truth, scale.k)
 
     # Batched-vs-single parity: the grouped scan must reproduce the
-    # single-query path bit for bit (ids and distances).
-    batch_mismatches = 0
-    for single_ids, batch_result in zip(q_ids, q_batch.results):
-        if not np.array_equal(single_ids, batch_result.ids):
-            batch_mismatches += 1
+    # single-query path bit for bit.
+    batch_mismatches = _mismatches(
+        q_results,
+        quant_index.query(QueryRequest(vectors=queries, k=scale.k, nprobe=nprobe)),
+    )
 
     # Rerank-everything parity: every scanned candidate reranked against
     # exact vectors must reproduce the exact search bit for bit.
-    mismatches = 0
-    for q in queries[: min(32, len(queries))]:
-        exact_r = exact_index.query(
-            QueryRequest.single(q, k=scale.k, nprobe=nprobe)
-        ).result
-        rerank_all = quant_index.query(
-            QueryRequest.single(q, k=scale.k, nprobe=nprobe, rerank_k=10**6)
-        ).result
-        if not (
-            np.array_equal(exact_r.ids, rerank_all.ids)
-            and np.array_equal(exact_r.distances, rerank_all.distances)
-        ):
-            mismatches += 1
+    head = queries[: min(32, len(queries))]
+    mismatches = _mismatches(
+        [
+            exact_index.query(QueryRequest.single(q, k=scale.k, nprobe=nprobe)).result
+            for q in head
+        ],
+        [
+            quant_index.query(
+                QueryRequest.single(q, k=scale.k, nprobe=nprobe, rerank_k=10**6)
+            ).result
+            for q in head
+        ],
+    )
 
     # LIRE churn on the quantized index; the auditor's code-coherence
     # check proves splits/merges/GC kept codes in sync with vectors.
@@ -764,49 +674,46 @@ def scenario_quantized(scale: PerfScale, seed: int) -> ScenarioResult:
     }
     for label, overrides in ablation_overrides.items():
         index, _ = build(**overrides)
-        before = index.ssd.stats.snapshot()
-        ids = [
-            index.query(
-                QueryRequest.single(q, k=scale.k, nprobe=nprobe)
-            ).ids
-            for q in queries
-        ]
-        window = index.ssd.stats.since(before)
+        results, window = sweep(index)
         ablation[label] = (
             index.quantizer.code_bytes,
-            recall_at_k(ids, truth, scale.k),
+            recall_at_k([r.ids for r in results], truth, scale.k),
             window.bytes_read / n_queries,
         )
 
     deterministic = {
         "exact_recall_at_k": _round(exact_recall, 4),
         "quant_recall_at_k": _round(quant_recall, 4),
-        "quant_recall_ratio": _round(
-            quant_recall / exact_recall if exact_recall > 0 else 0.0, 4
-        ),
+        "quant_recall_ratio": _ratio(quant_recall, exact_recall, 4),
         "rerank_all_mismatches": float(mismatches),
         "batch_parity_mismatches": float(batch_mismatches),
         "quant_code_mismatch_postings": float(len(audit.code_mismatches)),
         "quant_lost_vectors": float(len(audit.lost_vectors)),
         "exact_read_bytes_per_query": _round(e_window.bytes_read / n_queries),
         "quant_read_bytes_per_query": _round(q_window.bytes_read / n_queries),
-        "quant_read_bytes_speedup": _round(
-            e_window.bytes_read / q_window.bytes_read
-            if q_window.bytes_read > 0
-            else 0.0
+        "quant_read_bytes_speedup": _ratio(
+            e_window.bytes_read, q_window.bytes_read
         ),
-        "quant_latency_speedup": _round(
-            float(np.mean(e_lat)) / float(np.mean(q_lat))
-            if np.mean(q_lat) > 0
-            else 0.0
+        "quant_latency_speedup": _ratio(
+            float(np.mean(e_lat)), float(np.mean(q_lat))
         ),
-        "exact_entries_scanned_mean": _round(np.mean(e_scanned)),
-        "quant_entries_scanned_mean": _round(np.mean(q_scanned)),
-        "quant_reranked_entries_mean": _round(np.mean(q_reranked)),
+        "exact_entries_scanned_mean": _round(
+            np.mean([r.entries_scanned for r in e_results])
+        ),
+        "quant_entries_scanned_mean": _round(
+            np.mean([r.entries_scanned for r in q_results])
+        ),
+        "quant_reranked_entries_mean": _round(
+            np.mean([r.reranked_entries for r in q_results])
+        ),
         **percentile_metrics(e_lat, "exact_latency_us"),
         **percentile_metrics(q_lat, "quant_latency_us"),
-        **percentile_metrics(e_io, "exact_io_latency_us"),
-        **percentile_metrics(q_io, "quant_io_latency_us"),
+        **percentile_metrics(
+            [r.io_latency_us for r in e_results], "exact_io_latency_us"
+        ),
+        **percentile_metrics(
+            [r.io_latency_us for r in q_results], "quant_io_latency_us"
+        ),
         **{
             f"ablation_{label}_code_bytes": float(bytes_)
             for label, (bytes_, _, _) in ablation.items()
@@ -821,28 +728,6 @@ def scenario_quantized(scale: PerfScale, seed: int) -> ScenarioResult:
         },
         **e_window.to_metrics("exact_io"),
         **q_window.to_metrics("quant_io"),
-    }
-    wall_clock = {
-        "exact_batch_wall_ms": _round(e_wall * 1e3),
-        "quant_batch_wall_ms": _round(q_wall * 1e3),
-        "quant_wall_speedup": _round(e_wall / q_wall if q_wall > 0 else 0.0),
-        "exact_scan_ms": _round(e_stages.get("scan", 0.0)),
-        "quant_scan_ms": _round(q_stages.get("scan", 0.0)),
-        "quant_scan_wall_speedup": _round(
-            e_stages.get("scan", 0.0) / q_stages["scan"]
-            if q_stages.get("scan")
-            else 0.0
-        ),
-        "quant_rerank_ms": _round(q_stages.get("rerank", 0.0)),
-        "quant_tables_ms": _round(q_stages.get("tables", 0.0)),
-        **{
-            f"exact_stage_{stage}_ms": _round(ms)
-            for stage, ms in e_stages.items()
-        },
-        **{
-            f"quant_stage_{stage}_ms": _round(ms)
-            for stage, ms in q_stages.items()
-        },
     }
     return ScenarioResult(
         scenario="quantized",
@@ -859,7 +744,6 @@ def scenario_quantized(scale: PerfScale, seed: int) -> ScenarioResult:
             "churn_updates": churn,
         },
         deterministic=deterministic,
-        wall_clock=wall_clock,
     )
 
 
@@ -873,7 +757,7 @@ def scenario_cluster(scale: PerfScale, seed: int) -> ScenarioResult:
     * **routing preserves accuracy** — the routed path probes only
       ``cluster_nprobe`` of the shards per query; its recall against
       brute force must stay within 0.95x of the broadcast oracle's
-      (``routing_recall_ratio`` gates >= 0.95 in CI) while
+      (``routing_recall_ratio`` claimed >= 0.95) while
       ``shards_probed_fraction`` stays < 1.0. Simulated latency is
       max-of-probed-shards + route + merge cost, so routing also shows up
       as a gated ``routed_latency_speedup`` over broadcast;
@@ -881,19 +765,17 @@ def scenario_cluster(scale: PerfScale, seed: int) -> ScenarioResult:
       storm pushes one shard over ``cluster_split_threshold``;
       ``maybe_split()`` carves its centroid group and migrates the
       rerouted vectors, and ``check_cluster_invariants`` audits the
-      cross-shard conservation story (``conservation_violations`` gates
-      at 0). A post-split routed-vs-broadcast sweep
+      cross-shard conservation story (``conservation_violations`` claimed
+      0). A post-split routed-vs-broadcast sweep
       (``post_split_recall_ratio``) shows routing survives the topology
       change;
     * **process fan-out is bit-exact** — the same request answered with
       ``query(request, pool=)`` on forked workers (they inherit the
       build-state shards, so no pickling and no divergence) must equal
       the routed path's exact ids and distances
-      (``process_parity_mismatches`` gates at 0). The pool is forked
+      (``process_parity_mismatches`` claimed 0). The pool is forked
       *before* the parent's sweeps because ``query()`` has maintenance
-      side effects. Wall-clock ``process_wall_speedup`` over the serial
-      sweep is informational (two-clock model); on platforms without
-      ``fork`` the process metrics report 0 mismatches and 0 wall time.
+      side effects. On platforms without ``fork`` the counter reads 0.
     """
     from repro.core.invariants import check_cluster_invariants
     from repro.distributed import ClusterSPFresh
@@ -914,7 +796,7 @@ def scenario_cluster(scale: PerfScale, seed: int) -> ScenarioResult:
     cluster = ClusterSPFresh.build(
         dataset.base, num_shards=scale.cluster_shards, config=config
     )
-    queries = _queries(dataset, scale, seed)
+    queries = _queries(dataset, scale.queries, seed)
     truth = exact_knn(
         dataset.base, np.arange(scale.base_vectors), queries, scale.k
     )
@@ -922,62 +804,43 @@ def scenario_cluster(scale: PerfScale, seed: int) -> ScenarioResult:
 
     # Fork the worker pool from pristine build state, before any parent
     # sweep can schedule maintenance in the parent's copies. The pooled
-    # sweeps go through a second router over the same shard groups: a
+    # sweep goes through a second router over the same shard groups: a
     # pooled query advances the read counter and ClusterStats like a
     # serial one, and the serial sweeps' replica picks must not depend on
     # whether this platform can fork. Its counter starts where the first
-    # router's does, so the first pooled sweep asks the replicas `routed`
-    # asks, in the state `routed` finds them in.
+    # router's does, so the pooled sweep asks the replicas `routed` asks,
+    # in the state `routed` finds them in.
     pooled_router = ClusterSPFresh(
         cluster.groups, cluster.placement, cluster.directory, config
     )
     pool = pooled_router.worker_pool(fork=True) if fork_available() else None
 
-    # Serial routed sweep (also the simulated-metric source). A second
-    # timed pass smooths first-touch noise; wall clock is informational,
-    # so the extra pass's maintenance side effects are harmless.
-    wall_start = time.perf_counter()
+    # Serial routed sweep (the simulated-metric source). The second sweep
+    # stays for its side effects: it advances the read counter and
+    # ClusterStats and can schedule replica maintenance, which every
+    # later sweep sees.
     routed = cluster.query(request)
-    serial_wall = time.perf_counter() - wall_start
     routed_lat = [r.latency_us for r in routed]
     probed_fraction = cluster.shards_probed_fraction()
-    wall_start = time.perf_counter()
     cluster.query(request)
-    serial_wall = min(serial_wall, time.perf_counter() - wall_start)
 
     # The same request on the forked workers; parity against the routed
     # response gates at 0.
     process_mismatches = 0
-    process_wall = 0.0
     if pool is not None:
         with pool:
-            wall_start = time.perf_counter()
-            pooled = pooled_router.query(request, pool=pool)
-            process_wall = time.perf_counter() - wall_start
-            process_mismatches = sum(
-                not (
-                    np.array_equal(p.ids, r.ids)
-                    and np.array_equal(p.distances, r.distances)
-                )
-                for p, r in zip(pooled, routed)
+            process_mismatches = _mismatches(
+                pooled_router.query(request, pool=pool), routed
             )
-            # Warm second pass: the first fork pays copy-on-write page
-            # faults for every posting the workers touch; steady state is
-            # what the serial-vs-process comparison should show. (On a
-            # single-core machine the speedup still sits near 1/fan-out —
-            # workers can only interleave; the metric is informational
-            # either way.)
-            wall_start = time.perf_counter()
-            pooled_router.query(request, pool=pool)
-            process_wall = min(process_wall, time.perf_counter() - wall_start)
 
     # Broadcast oracle: every shard answers every query.
     broadcast = cluster.query(request, broadcast=True)
     broadcast_lat = [r.latency_us for r in broadcast]
-    routed_recall = recall_at_k([r.ids for r in routed], truth, scale.k)
-    broadcast_recall = recall_at_k(
-        [r.ids for r in broadcast], truth, scale.k
-    )
+
+    def recall(response, truth) -> float:
+        return recall_at_k([r.ids for r in response], truth, scale.k)
+
+    routed_recall, broadcast_recall = recall(routed, truth), recall(broadcast, truth)
 
     # Hot-region growth: concentrated inserts push one shard past the
     # split threshold; the split migrates and the auditor must find the
@@ -1002,30 +865,19 @@ def scenario_cluster(scale: PerfScale, seed: int) -> ScenarioResult:
         ]
     )
     truth_after = exact_knn(all_vectors, all_ids, queries, scale.k)
-    post_routed = cluster.query(request)
-    post_broadcast = cluster.query(request, broadcast=True)
-    post_routed_recall = recall_at_k(
-        [r.ids for r in post_routed], truth_after, scale.k
-    )
-    post_broadcast_recall = recall_at_k(
-        [r.ids for r in post_broadcast], truth_after, scale.k
-    )
+    post_routed_recall = recall(cluster.query(request), truth_after)
+    post_broadcast_recall = recall(cluster.query(request, broadcast=True), truth_after)
     cluster.close()
 
     deterministic = {
         "routed_recall_at_k": _round(routed_recall, 4),
         "broadcast_recall_at_k": _round(broadcast_recall, 4),
-        "routing_recall_ratio": _round(
-            routed_recall / broadcast_recall if broadcast_recall > 0 else 0.0,
-            4,
-        ),
+        "routing_recall_ratio": _ratio(routed_recall, broadcast_recall, 4),
         "shards_probed_fraction": _round(probed_fraction, 4),
         **percentile_metrics(routed_lat, "routed_latency_us"),
         **percentile_metrics(broadcast_lat, "broadcast_latency_us"),
-        "routed_latency_speedup": _round(
-            float(np.mean(broadcast_lat)) / float(np.mean(routed_lat))
-            if np.mean(routed_lat) > 0
-            else 0.0
+        "routed_latency_speedup": _ratio(
+            float(np.mean(broadcast_lat)), float(np.mean(routed_lat))
         ),
         "process_parity_mismatches": float(process_mismatches),
         "shard_splits": float(splits),
@@ -1034,21 +886,10 @@ def scenario_cluster(scale: PerfScale, seed: int) -> ScenarioResult:
         "shards_after_split": float(cluster.num_shards),
         "conservation_violations": float(audit.conservation_violations),
         "cluster_live_vectors": float(audit.cluster_live_vectors),
-        "post_split_recall_ratio": _round(
-            post_routed_recall / post_broadcast_recall
-            if post_broadcast_recall > 0
-            else 0.0,
-            4,
+        "post_split_recall_ratio": _ratio(
+            post_routed_recall, post_broadcast_recall, 4
         ),
         "post_split_routed_recall_at_k": _round(post_routed_recall, 4),
-    }
-    wall_clock = {
-        "serial_routed_wall_ms": _round(serial_wall * 1e3),
-        "process_routed_wall_ms": _round(process_wall * 1e3),
-        "process_wall_speedup": _round(
-            serial_wall / process_wall if process_wall > 0 else 0.0
-        ),
-        "process_workers": float(scale.cluster_shards if pool is not None else 0),
     }
     return ScenarioResult(
         scenario="cluster",
@@ -1062,7 +903,6 @@ def scenario_cluster(scale: PerfScale, seed: int) -> ScenarioResult:
             "storm_inserts": scale.cluster_updates,
         },
         deterministic=deterministic,
-        wall_clock=wall_clock,
     )
 
 
@@ -1083,20 +923,16 @@ def scenario_recovery(scale: PerfScale, seed: int) -> ScenarioResult:
     index.checkpoint()
 
     rng = np.random.default_rng(seed + 4)
-    wall_start = time.perf_counter()
     for i in range(scale.recovery_updates):
         if i % 4 == 3:
             index.delete(int(rng.integers(len(dataset.base))))
         else:
             index.insert(3_000_000 + i, dataset.pool[i])
-    update_wall = time.perf_counter() - wall_start
     wal_bytes = wal.size_bytes()
     live_before = index.live_vector_count
 
     io_before = index.ssd.stats.snapshot()
-    wall_start = time.perf_counter()
     recovered = SPFreshIndex.recover(index.ssd, config, snapshots, wal=wal)
-    recovery_wall = time.perf_counter() - wall_start
     window = recovered.ssd.stats.since(io_before)
     report = recovered.last_recovery
 
@@ -1113,12 +949,6 @@ def scenario_recovery(scale: PerfScale, seed: int) -> ScenarioResult:
         ),
         **window.to_metrics("recovery_io"),
     }
-    wall_clock = {
-        "logged_updates_per_s": _round(
-            scale.recovery_updates / update_wall if update_wall > 0 else 0.0
-        ),
-        "recovery_s": _round(recovery_wall, 4),
-    }
     return ScenarioResult(
         scenario="recovery",
         config={
@@ -1126,16 +956,12 @@ def scenario_recovery(scale: PerfScale, seed: int) -> ScenarioResult:
             "recovery_updates": scale.recovery_updates,
         },
         deterministic=deterministic,
-        wall_clock=wall_clock,
     )
 
 
 def scenario_cache(scale: PerfScale, seed: int) -> ScenarioResult:
     """Cached vs uncached search: the posting-cache ablation's trajectory."""
-    dataset = make_sift_like(scale.base_vectors, 0, dim=scale.dim, seed=seed)
-    config = _base_config(scale, seed)
-    index = SPFreshIndex.build(dataset.base, config=config)
-    queries = _queries(dataset, scale, seed)
+    _, config, index, queries = _standard(scale, seed)
 
     def _searcher(controller) -> SpannSearcher:
         return SpannSearcher(
@@ -1149,12 +975,8 @@ def scenario_cache(scale: PerfScale, seed: int) -> ScenarioResult:
         )
 
     def _sweep(searcher) -> tuple[list[float], list[float]]:
-        lat, io_lat = [], []
-        for query in queries:
-            result = searcher.search(query, scale.k, nprobe=scale.nprobe)
-            lat.append(result.latency_us)
-            io_lat.append(result.io_latency_us)
-        return lat, io_lat
+        results = [searcher.search(q, scale.k, nprobe=scale.nprobe) for q in queries]
+        return [r.latency_us for r in results], [r.io_latency_us for r in results]
 
     plain = _searcher(index.controller)
     before = index.ssd.stats.snapshot()
@@ -1170,16 +992,14 @@ def scenario_cache(scale: PerfScale, seed: int) -> ScenarioResult:
     cached_lat, cached_io = _sweep(cached)
     cached_window = index.ssd.stats.since(before)
 
-    uncached_mean = float(np.mean(uncached_lat))
-    cached_mean = float(np.mean(cached_lat))
     deterministic = {
         **percentile_metrics(uncached_lat, "uncached_latency_us"),
         **percentile_metrics(cached_lat, "cached_latency_us"),
         **percentile_metrics(uncached_io, "uncached_io_latency_us"),
         **percentile_metrics(cached_io, "cached_io_latency_us"),
         "cache_hit_rate": _round(cached_controller.hit_rate, 4),
-        "cache_speedup": _round(
-            uncached_mean / cached_mean if cached_mean > 0 else 0.0
+        "cache_speedup": _ratio(
+            float(np.mean(uncached_lat)), float(np.mean(cached_lat))
         ),
         "uncached_block_reads": float(uncached_window.block_reads),
         "cached_block_reads": float(cached_window.block_reads),
@@ -1192,98 +1012,6 @@ def scenario_cache(scale: PerfScale, seed: int) -> ScenarioResult:
             "cache_capacity": 256,
         },
         deterministic=deterministic,
-        wall_clock={},
-    )
-
-
-def scenario_throughput(scale: PerfScale, seed: int) -> ScenarioResult:
-    """Vectorized-engine throughput: batched-vs-single parity plus wall QPS.
-
-    Parity and scan counters run at the searcher layer (no maintenance side
-    effects), so ``batch_single_mismatches`` gates the bit-identity contract
-    of the vectorized batch path. QPS numbers are wall clock and therefore
-    informational; ``profiled_batch_qps`` re-runs the batched sweep with the
-    wall-clock profiler enabled so its overhead is visible in the report.
-    """
-    dataset = make_sift_like(scale.base_vectors, 0, dim=scale.dim, seed=seed)
-    config = _base_config(scale, seed)
-    index = SPFreshIndex.build(dataset.base, config=config)
-    searcher = index.searcher
-    queries = _queries(dataset, scale, seed)
-    truth = exact_knn(
-        dataset.base, np.arange(scale.base_vectors), queries, scale.k
-    )
-
-    single_results = []
-    wall_start = time.perf_counter()
-    for query in queries:
-        single_results.append(searcher.search(query, scale.k, nprobe=scale.nprobe))
-    single_wall = time.perf_counter() - wall_start
-
-    before = index.ssd.stats.snapshot()
-    batch_results = []
-    wall_start = time.perf_counter()
-    for start in range(0, len(queries), scale.batch_size):
-        chunk = queries[start : start + scale.batch_size]
-        batch_results.extend(searcher.search_many(chunk, scale.k, nprobe=scale.nprobe))
-    batch_wall = time.perf_counter() - wall_start
-    batch_window = index.ssd.stats.since(before)
-
-    mismatches = sum(
-        1
-        for s, b in zip(single_results, batch_results)
-        if not (
-            np.array_equal(s.ids, b.ids) and np.array_equal(s.distances, b.distances)
-        )
-    )
-
-    # Third sweep with the profiler switched on: stage attribution for the
-    # report, and a live check that instrumentation stays cheap.
-    index.profiler.enabled = True
-    index.profiler.reset()
-    wall_start = time.perf_counter()
-    for start in range(0, len(queries), scale.batch_size):
-        chunk = queries[start : start + scale.batch_size]
-        searcher.search_many(chunk, scale.k, nprobe=scale.nprobe)
-    profiled_wall = time.perf_counter() - wall_start
-    index.profiler.enabled = False
-
-    deterministic = {
-        **percentile_metrics([r.latency_us for r in batch_results], "batch_latency_us"),
-        "single_recall_at_k": _round(
-            recall_at_k([r.ids for r in single_results], truth, scale.k), 4
-        ),
-        "batch_recall_at_k": _round(
-            recall_at_k([r.ids for r in batch_results], truth, scale.k), 4
-        ),
-        "batch_single_mismatches": float(mismatches),
-        "batch_postings_probed_mean": _round(
-            np.mean([r.postings_probed for r in batch_results])
-        ),
-        "batch_entries_scanned_mean": _round(
-            np.mean([r.entries_scanned for r in batch_results])
-        ),
-        **batch_window.to_metrics("batch_io"),
-    }
-    wall_clock = {
-        "single_search_qps": _round(
-            len(queries) / single_wall if single_wall > 0 else 0.0
-        ),
-        "batch_search_qps": _round(
-            len(queries) / batch_wall if batch_wall > 0 else 0.0
-        ),
-        "batch_wall_speedup": _round(
-            single_wall / batch_wall if batch_wall > 0 else 0.0
-        ),
-        "profiled_batch_qps": _round(
-            len(queries) / profiled_wall if profiled_wall > 0 else 0.0
-        ),
-    }
-    return ScenarioResult(
-        scenario="throughput",
-        config={**_scenario_config(scale, seed, config), "queries": len(queries)},
-        deterministic=deterministic,
-        wall_clock=wall_clock,
     )
 
 
@@ -1296,15 +1024,13 @@ def scenario_serving(scale: PerfScale, seed: int) -> ScenarioResult:
     once unbatched (``max_batch=1``, ``max_wait_us=0`` — the baseline a
     serving layer must beat). Everything runs on the simulated clock, so
     goodput, tail latency, SLO-violation rate, and shed rate gate in CI;
-    ``goodput_speedup`` gates the batched-beats-unbatched claim itself.
+    ``goodput_speedup`` is the batched-beats-unbatched claim itself
+    (claimed > 1).
     """
     from repro.datasets import make_arrival_trace
     from repro.serving import ServingFrontend
 
-    dataset = make_sift_like(scale.base_vectors, 0, dim=scale.dim, seed=seed)
-    config = _base_config(scale, seed)
-    index = SPFreshIndex.build(dataset.base, config=config)
-    pool = _queries(dataset, scale, seed)
+    _, config, index, pool = _standard(scale, seed)
     trace = make_arrival_trace(
         pool,
         n_requests=scale.serve_requests,
@@ -1316,12 +1042,9 @@ def scenario_serving(scale: PerfScale, seed: int) -> ScenarioResult:
         name=f"serving-{scale.name}",
     )
 
-    wall_start = time.perf_counter()
     batched = ServingFrontend.from_config(
         index.searcher, config, k=scale.k, nprobe=scale.nprobe
     ).run(trace)
-    batched_wall = time.perf_counter() - wall_start
-    wall_start = time.perf_counter()
     unbatched = ServingFrontend.from_config(
         index.searcher,
         config,
@@ -1330,16 +1053,13 @@ def scenario_serving(scale: PerfScale, seed: int) -> ScenarioResult:
         max_batch=1,
         max_wait_us=0.0,
     ).run(trace)
-    unbatched_wall = time.perf_counter() - wall_start
 
     bm = batched.metrics()
     um = unbatched.metrics()
     deterministic = {
         "goodput_qps": _round(bm["goodput_qps"]),
         "unbatched_goodput_qps": _round(um["goodput_qps"]),
-        "goodput_speedup": _round(
-            bm["goodput_qps"] / um["goodput_qps"] if um["goodput_qps"] else 0.0
-        ),
+        "goodput_speedup": _ratio(bm["goodput_qps"], um["goodput_qps"]),
         "answered_qps": _round(bm["answered_qps"]),
         "shed_rate": _round(bm["shed_rate"], 4),
         "unbatched_shed_rate": _round(um["shed_rate"], 4),
@@ -1355,14 +1075,6 @@ def scenario_serving(scale: PerfScale, seed: int) -> ScenarioResult:
         "batch_size_mean": _round(bm["batch_size_mean"]),
         "batch_count": bm["batch_count"],
         "retry_after_us_mean": _round(bm["retry_after_us_mean"]),
-    }
-    wall_clock = {
-        "batched_requests_per_s": _round(
-            scale.serve_requests / batched_wall if batched_wall > 0 else 0.0
-        ),
-        "unbatched_requests_per_s": _round(
-            scale.serve_requests / unbatched_wall if unbatched_wall > 0 else 0.0
-        ),
     }
     return ScenarioResult(
         scenario="serving",
@@ -1380,7 +1092,6 @@ def scenario_serving(scale: PerfScale, seed: int) -> ScenarioResult:
             "admission_wait_budget_us": config.serve_admission_wait_budget_us,
         },
         deterministic=deterministic,
-        wall_clock=wall_clock,
     )
 
 
@@ -1392,22 +1103,21 @@ def scenario_serving_concurrent(scale: PerfScale, seed: int) -> ScenarioResult:
     * **goodput scales with workers** — a saturating Poisson trace (rate
       far above one worker's drain rate) runs through the frontend at
       ``num_workers=1`` and ``num_workers=serve_workers``; simulated
-      goodput must scale (``workers_goodput_speedup`` gates >= 2 at
+      goodput must scale (``workers_goodput_speedup`` claimed >= 2 at
       K=4). Deterministic: both runs are pure functions of the trace.
     * **DWRR bounds the victims' tail** — a hot-key-skewed trace with one
       dominant tenant (8x the others' weight) runs FIFO vs DWRR at the
       same K. The *victim* p99 (worst p99 among non-dominant tenants)
-      must not be worse under DWRR (``dwrr_fairness_speedup`` gates
-      >= 1); per-tenant p99 spreads for both policies ship alongside.
+      must not be worse under DWRR (``dwrr_fairness_speedup``, FIFO's
+      victim p99 over DWRR's, claimed >= 1); per-tenant p99 spreads for
+      both policies ship alongside.
     * **wall-clock pools are bit-exact** — the exact batch schedule the
       K-worker run produced replays serially, on a shared-engine thread
       pool, and (where ``fork`` exists) on a forked worker pool; every
       seat's (ids, distances) must match the serial replay
-      (``pool_parity_mismatches`` / ``process_parity_mismatches`` gate
-      at 0). The pools run at the searcher layer, which has no
-      maintenance side effects, so parity is exact by construction.
-      Pool wall speedups are informational (host-dependent), never
-      gated.
+      (``pool_parity_mismatches`` / ``process_parity_mismatches`` claimed
+      0). The pools run at the searcher layer, which has no maintenance
+      side effects, so parity is exact by construction.
     """
     from repro.datasets import make_arrival_trace
     from repro.serving import (
@@ -1419,10 +1129,7 @@ def scenario_serving_concurrent(scale: PerfScale, seed: int) -> ScenarioResult:
     )
     from repro.util.workers import fork_available
 
-    dataset = make_sift_like(scale.base_vectors, 0, dim=scale.dim, seed=seed)
-    config = _base_config(scale, seed)
-    index = SPFreshIndex.build(dataset.base, config=config)
-    pool_queries = _queries(dataset, scale, seed)
+    _, config, index, pool_queries = _standard(scale, seed)
 
     # --- goodput scaling on a saturating trace --------------------------
     saturating = make_arrival_trace(
@@ -1477,40 +1184,23 @@ def scenario_serving_concurrent(scale: PerfScale, seed: int) -> ScenarioResult:
     fifo_victim = victim_p99(fifo)
     dwrr_victim = victim_p99(dwrr)
 
-    # --- wall-clock pool replay of the K-worker batch schedule ----------
+    # --- pool replays of the K-worker batch schedule --------------------
     jobs = batch_jobs(saturating, pooled)
     def replayed(pool=None):
         return replay(index.searcher, jobs, scale.k, scale.nprobe, pool=pool)
 
     serial = replayed()
-    with replay_pool(
-        index.searcher, scale.serve_workers, fork=False, profiler=index.profiler
-    ) as threads:
-        threaded = replayed(threads)
-    thread_mismatches = count_mismatches(serial, threaded)
-
+    with replay_pool(index.searcher, scale.serve_workers, fork=False) as threads:
+        thread_mismatches = count_mismatches(serial, replayed(threads))
     process_mismatches = 0
-    process_wall = 0.0
-    process_workers = 0
     if fork_available():
-        with replay_pool(
-            index.searcher, scale.serve_workers, fork=True
-        ) as procs:
-            # Warm second pass: the first fork pays copy-on-write page
-            # faults; the steady state is what the comparison should show.
-            forked = replayed(procs)
-            process_mismatches = count_mismatches(serial, forked)
-            forked = replayed(procs)
-            process_mismatches += count_mismatches(serial, forked)
-            process_wall = forked.wall_s
-            process_workers = scale.serve_workers
+        with replay_pool(index.searcher, scale.serve_workers, fork=True) as procs:
+            process_mismatches = count_mismatches(serial, replayed(procs))
 
     deterministic = {
         "single_worker_goodput_qps": _round(sm["goodput_qps"]),
         "pool_goodput_qps": _round(pm["goodput_qps"]),
-        "workers_goodput_speedup": _round(
-            pm["goodput_qps"] / sm["goodput_qps"] if sm["goodput_qps"] else 0.0
-        ),
+        "workers_goodput_speedup": _ratio(pm["goodput_qps"], sm["goodput_qps"]),
         "single_worker_shed_rate": _round(sm["shed_rate"], 4),
         "pool_shed_rate": _round(pm["shed_rate"], 4),
         "pool_slo_violation_rate": _round(pm["slo_violation_rate"], 4),
@@ -1521,9 +1211,7 @@ def scenario_serving_concurrent(scale: PerfScale, seed: int) -> ScenarioResult:
         "pool_batch_size_mean": _round(pm["batch_size_mean"]),
         "fifo_victim_p99_us": _round(fifo_victim),
         "dwrr_victim_p99_us": _round(dwrr_victim),
-        "dwrr_fairness_speedup": _round(
-            fifo_victim / dwrr_victim if dwrr_victim > 0 else 0.0
-        ),
+        "dwrr_fairness_speedup": _ratio(fifo_victim, dwrr_victim),
         "fifo_tenant_p99_spread": _round(fifo.tenant_p99_spread(), 4),
         "dwrr_tenant_p99_spread": _round(dwrr.tenant_p99_spread(), 4),
         "fifo_shed_rate": _round(fifo.metrics()["shed_rate"], 4),
@@ -1531,18 +1219,6 @@ def scenario_serving_concurrent(scale: PerfScale, seed: int) -> ScenarioResult:
         "replayed_batches": float(len(jobs)),
         "pool_parity_mismatches": float(thread_mismatches),
         "process_parity_mismatches": float(process_mismatches),
-    }
-    wall_clock = {
-        "serial_replay_wall_ms": _round(serial.wall_s * 1e3),
-        "thread_pool_wall_ms": _round(threaded.wall_s * 1e3),
-        "thread_pool_wall_speedup": _round(
-            serial.wall_s / threaded.wall_s if threaded.wall_s > 0 else 0.0
-        ),
-        "process_pool_wall_ms": _round(process_wall * 1e3),
-        "process_pool_wall_speedup": _round(
-            serial.wall_s / process_wall if process_wall > 0 else 0.0
-        ),
-        "process_workers": float(process_workers),
     }
     return ScenarioResult(
         scenario="serving_concurrent",
@@ -1561,7 +1237,6 @@ def scenario_serving_concurrent(scale: PerfScale, seed: int) -> ScenarioResult:
             "admission_wait_budget_us": config.serve_admission_wait_budget_us,
         },
         deterministic=deterministic,
-        wall_clock=wall_clock,
     )
 
 
@@ -1574,10 +1249,92 @@ SCENARIOS = {
     "cluster": scenario_cluster,
     "recovery": scenario_recovery,
     "cache": scenario_cache,
-    "throughput": scenario_throughput,
     "serving": scenario_serving,
     "serving_concurrent": scenario_serving_concurrent,
 }
+
+
+# ----------------------------------------------------------------------
+# claims
+# ----------------------------------------------------------------------
+# What a scenario must show whatever the baseline reads, as rows of
+# (metric, op, bound). ``--compare`` is relative: a base that already
+# broke a claim passes a change that breaks it the same way. These are
+# checked on every run.
+CLAIMS: dict[str, tuple[tuple[str, str, float], ...]] = {
+    "fresh_tier": (
+        ("search_parity_mismatches", "==", 0),
+        ("batch_single_mismatches", "==", 0),
+        ("fresh_write_amp_speedup", ">", 1.0),
+    ),
+    "quantized": (
+        ("quant_recall_ratio", ">=", 0.95),
+        ("rerank_all_mismatches", "==", 0),
+        ("batch_parity_mismatches", "==", 0),
+        ("quant_code_mismatch_postings", "==", 0),
+        ("quant_lost_vectors", "==", 0),
+        ("quant_read_bytes_speedup", ">", 1.0),
+        ("quant_latency_speedup", ">", 1.0),
+    ),
+    "cluster": (
+        ("routing_recall_ratio", ">=", 0.95),
+        ("shards_probed_fraction", "<", 1.0),
+        ("conservation_violations", "==", 0),
+        ("process_parity_mismatches", "==", 0),
+        ("shard_splits", ">=", 1),
+        ("post_split_recall_ratio", ">=", 0.95),
+    ),
+    "recovery": (
+        ("live_vector_drift", "==", 0),
+        ("recovery_apply_errors", "==", 0),
+        ("wal_records_quarantined", "==", 0),
+    ),
+    "serving": (("goodput_speedup", ">", 1.0),),
+    "serving_concurrent": (
+        ("workers_goodput_speedup", ">=", 2.0),
+        # DWRR's victim p99 no worse than FIFO's; 0 (fails) when no
+        # victim was answered under DWRR.
+        ("dwrr_fairness_speedup", ">=", 1.0),
+        ("pool_parity_mismatches", "==", 0),
+        ("process_parity_mismatches", "==", 0),
+    ),
+}
+
+_CLAIM_OPS = {"==": operator.eq, "<": operator.lt, ">": operator.gt, ">=": operator.ge}
+
+
+@dataclass(frozen=True)
+class ClaimCheck:
+    """One ``CLAIMS`` row evaluated against one scenario's document."""
+
+    scenario: str
+    metric: str
+    op: str
+    bound: float
+    value: float | None  # None: the scenario no longer emits the metric
+
+    @property
+    def ok(self) -> bool:
+        return self.value is not None and _CLAIM_OPS[self.op](self.value, self.bound)
+
+    def __str__(self) -> str:
+        shown = "missing" if self.value is None else f"{self.value:g}"
+        return (
+            f"[claim] {'ok' if self.ok else 'FAILED'} {self.scenario}."
+            f"{self.metric} = {shown} (claim: {self.op} {self.bound:g})"
+        )
+
+
+def check_claims(docs: dict[str, dict]) -> list[ClaimCheck]:
+    """Evaluate every ``CLAIMS`` row whose scenario is among ``docs``."""
+    return [
+        ClaimCheck(
+            scenario, metric, op, bound, docs[scenario]["deterministic"].get(metric)
+        )
+        for scenario, rows in CLAIMS.items()
+        if scenario in docs
+        for metric, op, bound in rows
+    ]
 
 
 def run_scenarios(
@@ -1635,44 +1392,19 @@ def load_documents(directory: str | Path) -> dict[str, dict]:
 
 
 def run_markdown_summary(results: list[ScenarioResult]) -> str:
-    """Compact per-scenario headline table for PR logs."""
-    headline_order = (
-        "single_latency_us_p50",
-        "single_latency_us_p99.9",
-        "insert_latency_us_p99.9",
-        "cached_latency_us_p50",
-        "single_recall_at_k",
-        "quant_recall_ratio",
-        "quant_read_bytes_speedup",
-        "routing_recall_ratio",
-        "shards_probed_fraction",
-        "conservation_violations",
-        "rerank_all_mismatches",
-        "fresh_write_amp_speedup",
-        "search_parity_mismatches",
-        "cache_hit_rate",
-        "goodput_qps",
-        "slo_violation_rate",
-        "shed_rate",
-        "batch_size_mean",
-        "splits",
-        "merges",
-        "reassign_executed",
-        "wal_records_replayed",
-        "io_block_reads",
-        "io_block_writes",
-    )
+    """Per-scenario table for PR logs: metric count and claims verdict."""
+    checks = check_claims({r.scenario: r.to_document() for r in results})
     rows = []
     for result in results:
-        picks = [k for k in headline_order if k in result.deterministic]
-        headline = ", ".join(
-            f"{k}={result.deterministic[k]:g}" for k in picks[:4]
-        )
-        rows.append(
-            (result.scenario, len(result.deterministic), headline or "—")
-        )
+        mine = [c for c in checks if c.scenario == result.scenario]
+        failed = [c.metric for c in mine if not c.ok]
+        if failed:
+            verdict = "FAILED: " + ", ".join(failed)
+        else:
+            verdict = f"{len(mine)}/{len(mine)} hold" if mine else "—"
+        rows.append((result.scenario, len(result.deterministic), verdict))
     return format_markdown_table(
-        ["scenario", "gated metrics", "headline"],
+        ["scenario", "gated metrics", "claims"],
         rows,
         title="perf harness results (deterministic section)",
     )
@@ -1692,6 +1424,10 @@ class MetricDelta:
     direction: str  # "lower" | "higher"
     rel_change: float  # positive = worse, negative = better
     verdict: str  # "ok" | "regression" | "improvement" | "new" | "missing"
+
+    @property
+    def change(self) -> str:
+        return f"{self.rel_change:+.1%}" if math.isfinite(self.rel_change) else "inf"
 
 
 @dataclass
@@ -1726,9 +1462,7 @@ class CompareReport:
                     delta.metric,
                     "—" if delta.baseline is None else f"{delta.baseline:g}",
                     "—" if delta.current is None else f"{delta.current:g}",
-                    f"{delta.rel_change:+.1%}"
-                    if math.isfinite(delta.rel_change)
-                    else "inf",
+                    delta.change,
                     delta.verdict,
                 )
             )
@@ -1748,14 +1482,9 @@ class CompareReport:
             f"{len(self.deltas)} metrics (tolerance {self.tolerance:.1%})"
         ]
         for delta in self.regressions[:10]:
-            change = (
-                f"{delta.rel_change:+.1%}"
-                if math.isfinite(delta.rel_change)
-                else "inf"
-            )
             lines.append(
                 f"  REGRESSION {delta.scenario}.{delta.metric}: "
-                f"{delta.baseline} -> {delta.current} ({change})"
+                f"{delta.baseline} -> {delta.current} ({delta.change})"
             )
         for name in self.missing_scenarios:
             lines.append(f"  MISSING scenario {name}: no current BENCH file")
@@ -1782,7 +1511,7 @@ def compare_documents(
     current_docs: dict[str, dict],
     tolerance: float,
 ) -> CompareReport:
-    """Compare deterministic sections; wall-clock is never gated."""
+    """Compare the deterministic sections (any schema version)."""
     report = CompareReport(tolerance=tolerance)
     for scenario, base_doc in sorted(baseline_docs.items()):
         cur_doc = current_docs.get(scenario)
@@ -1842,22 +1571,12 @@ def compare_dirs(
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
-def add_perf_arguments(
-    parser: argparse.ArgumentParser, *, include_shared: bool = True
-) -> None:
-    """Register the harness's flags on ``parser``.
+def add_perf_arguments(parser: argparse.ArgumentParser) -> None:
+    """Register the harness's own flags on the ``repro perf`` subparser.
 
-    The unified ``python -m repro`` CLI supplies ``--scale``/``--seed``
-    from its shared parent parser and calls this with
-    ``include_shared=False``; the standalone ``python -m repro.bench.perf``
-    entry point registers everything itself.
+    ``--scale``, ``--seed`` and ``--report`` come from the parent parsers
+    every benchmark-shaped ``repro`` subcommand shares.
     """
-    if include_shared:
-        parser.add_argument(
-            "--scale", choices=sorted(PERF_SCALES), default="quick",
-            help="workload scale preset (see repro.bench.scales.PERF_SCALES)",
-        )
-        parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--quick", action="store_true",
         help="alias for --scale quick (the CI tier)",
@@ -1881,35 +1600,40 @@ def add_perf_arguments(
     )
     parser.add_argument(
         "--compare-only", action="store_true",
-        help="skip running scenarios; just compare --out against --compare",
-    )
-    parser.add_argument(
-        "--summary", metavar="PATH", default=None,
-        help="also write the markdown summary/comparison to this file",
+        help="skip running scenarios (and their claims); just compare "
+        "--out against --compare",
     )
 
 
 def run_cli(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    """Execute one parsed harness invocation (shared with ``repro.cli``)."""
+    """Execute one parsed ``repro perf`` invocation.
+
+    A run checks ``CLAIMS`` on its own output and exits 1 on any failed
+    or missing claim; ``--compare`` exits 1 on a regression against the
+    baseline.
+    """
     if args.quick:
         args.scale = "quick"
     scale = PERF_SCALES[args.scale]
 
     summary_parts: list[str] = []
+    exit_code = 0
     if not args.compare_only:
         results = run_scenarios(
             scale, seed=args.seed, scenarios=args.scenarios, progress=True
         )
         paths = write_results(results, args.out)
         print(f"[perf] wrote {len(paths)} files to {Path(args.out).resolve()}")
+        for check in check_claims({r.scenario: r.to_document() for r in results}):
+            print(check)
+            exit_code |= not check.ok
         summary_parts.append(run_markdown_summary(results))
 
-    exit_code = 0
     if args.compare is not None:
         report = compare_dirs(args.compare, args.out, args.tolerance)
         summary_parts.append(report.markdown())
         print(report.summary())
-        exit_code = 0 if report.ok else 1
+        exit_code |= not report.ok
     elif args.compare_only:
         parser.error("--compare-only requires --compare")
 
@@ -1917,16 +1641,17 @@ def run_cli(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if summary:
         print()
         print(summary)
-    if args.summary:
-        with open(args.summary, "w") as fh:
+    if args.report:
+        with open(args.report, "w") as fh:
             fh.write(summary + "\n")
     return exit_code
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    add_perf_arguments(parser)
-    return run_cli(parser.parse_args(argv), parser)
+    """``python -m repro.bench.perf ARGS`` is ``python -m repro perf ARGS``."""
+    from repro.cli import main as cli_main
+
+    return cli_main(["perf", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

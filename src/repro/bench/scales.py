@@ -3,7 +3,9 @@
 One place defines how big a benchmark run is, so the pytest figure benches
 (`benchmarks/conftest.py`) and the perf-regression harness
 (`repro.bench.perf`) agree on what "small"/"quick"/"large" mean and CI
-lanes can pick a scale by name.
+lanes can pick a scale by name: the per-push perf lane runs `quick`, the
+nightly lane `full`, the unit tests `tiny`. The harness's `CLAIMS` must
+hold at all three.
 """
 
 from __future__ import annotations
@@ -40,14 +42,14 @@ class PerfScale:
     """Knobs of one perf-harness run (`repro.bench.perf`).
 
     Everything here feeds seeded generators, so a (scale, seed) pair fully
-    determines the simulated-metric sections of every ``BENCH_*.json``.
+    determines every ``BENCH_*.json``.
     """
 
     name: str
     base_vectors: int
     dim: int
-    queries: int  # single-query search probes
-    batch_size: int  # queries per batched query() submission
+    queries: int  # query-set size (the quantized scenario caps it at 200)
+    batch_size: int  # queries per batched query() in the search scenario
     updates: int  # insert/delete ops in the update scenario
     storm_inserts: int  # hot-cluster burst size in the rebalance scenario
     recovery_updates: int  # WAL'd updates replayed in the recovery scenario
@@ -94,7 +96,7 @@ PERF_SCALES = {
         serve_rate_qps=12000.0,
         serve_saturate_qps=250_000.0,
     ),
-    # Local deep-dive tier (not wired into CI).
+    # Nightly CI tier and local deep dives.
     "full": PerfScale(
         name="full",
         base_vectors=6000,

@@ -207,8 +207,6 @@ def cmd_perf(args) -> int:
     """Run the deterministic perf-regression harness (BENCH_*.json)."""
     from repro.bench.perf import run_cli as perf_run
 
-    if args.report and not args.summary:
-        args.summary = args.report
     return perf_run(args, args._parser)
 
 
@@ -696,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[seeded, scaled],
         help="perf-regression harness (BENCH_*.json)",
     )
-    add_perf_arguments(perf, include_shared=False)
+    add_perf_arguments(perf)
     perf.set_defaults(func=cmd_perf, _parser=perf)
     return parser
 

@@ -1,11 +1,11 @@
-"""Perf-regression harness tests: schema, determinism, compare verdicts.
+"""Perf-regression harness tests: schema, determinism, compare, claims.
 
 The CI perf lane gates on the deterministic sections of ``BENCH_*.json``;
-these tests pin down the three properties that gate relies on: every
-emitted file round-trips through the stable schema, two runs under the
-same seed produce byte-identical deterministic sections, and ``--compare``
-renders the right verdict for within-tolerance, beyond-tolerance, and
-new/missing metrics.
+these tests pin down the properties that gate relies on: every emitted
+file round-trips through the stable schema, two runs under the same seed
+produce byte-identical deterministic sections, ``--compare`` renders the
+right verdict for within-tolerance, beyond-tolerance, and new/missing
+metrics, and every run checks ``CLAIMS`` in absolute terms.
 """
 
 from __future__ import annotations
@@ -16,9 +16,12 @@ import json
 import pytest
 
 from repro.bench.perf import (
+    CLAIMS,
     FILE_PREFIX,
     SCENARIOS,
     SCHEMA_VERSION,
+    ScenarioResult,
+    check_claims,
     compare_dirs,
     compare_documents,
     load_documents,
@@ -57,12 +60,16 @@ class TestSchema:
 
     def test_schema_keys_and_gating_policy(self, tiny_docs):
         for scenario, doc in tiny_docs.items():
-            assert doc["schema_version"] == SCHEMA_VERSION
-            assert doc["scenario"] == scenario
-            assert doc["gating"] == {
-                "deterministic": "gate",
-                "wall_clock": "informational",
+            assert set(doc) == {
+                "schema_version",
+                "generated_by",
+                "scenario",
+                "config",
+                "deterministic",
+                "directions",
             }
+            assert doc["schema_version"] == SCHEMA_VERSION == 2
+            assert doc["scenario"] == scenario
             assert doc["deterministic"], scenario
             assert set(doc["directions"]) == set(doc["deterministic"])
             assert set(doc["directions"].values()) <= {"lower", "higher"}
@@ -187,6 +194,29 @@ class TestCompare:
         assert report.ok
         assert report.new_scenarios == ["recovery"]
 
+    def test_version1_baseline_still_compares(self, tiny_docs):
+        # A version-1 base carried host-timed and gating-policy sections and
+        # a `throughput` scenario; the comparator reads only the
+        # deterministic sections, so the loss of that scenario is the one
+        # finding.
+        v1 = copy.deepcopy(tiny_docs)
+        for doc in v1.values():
+            doc["schema_version"] = 1
+            doc["wall_clock"] = {"single_search_qps": 1234.5}
+            doc["gating"] = {"deterministic": "gate", "wall_clock": "informational"}
+        v1["throughput"] = {
+            **copy.deepcopy(v1["cache"]),
+            "scenario": "throughput",
+            "deterministic": {"batch_single_mismatches": 0.0},
+            "directions": {"batch_single_mismatches": "lower"},
+        }
+        report = compare_documents(v1, tiny_docs, tolerance=0.0)
+        assert report.missing_scenarios == ["throughput"]
+        assert len(report.deltas) == sum(
+            len(doc["deterministic"]) for doc in tiny_docs.values()
+        )
+        assert {d.verdict for d in report.deltas} == {"ok"}
+
     def test_compare_dirs_matches_documents(self, tiny_results, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -205,6 +235,64 @@ class TestCompare:
         assert "single_latency_us_p50" in table
 
 
+def _failed(checks):
+    return [(c.scenario, c.metric) for c in checks if not c.ok]
+
+
+class TestClaims:
+    def test_every_claim_holds_at_tiny(self, tiny_results):
+        checks = check_claims({r.scenario: r.to_document() for r in tiny_results})
+        assert len(checks) == sum(len(rows) for rows in CLAIMS.values())
+        assert [str(c) for c in checks if not c.ok] == []
+
+    def test_claims_name_registered_scenarios(self):
+        assert set(CLAIMS) <= set(SCENARIOS)
+
+    def test_broken_claim_is_the_one_reported(self, tiny_docs):
+        broken = copy.deepcopy(tiny_docs)
+        broken["serving_concurrent"]["deterministic"]["pool_parity_mismatches"] = 1.0
+        assert _failed(check_claims(broken)) == [
+            ("serving_concurrent", "pool_parity_mismatches")
+        ]
+
+    def test_claim_on_a_vanished_metric_fails(self, tiny_docs, monkeypatch):
+        # A renamed metric must not take its claim down with it silently.
+        monkeypatch.setitem(CLAIMS, "cache", (("renamed_hit_rate", ">", 0.5),))
+        checks = [c for c in check_claims(tiny_docs) if c.scenario == "cache"]
+        assert _failed(checks) == [("cache", "renamed_hit_rate")]
+        assert checks[0].value is None
+        assert "missing" in str(checks[0])
+
+    def test_recovery_drift_is_absolute_not_relative(self, tiny_docs):
+        # A base that already drifted compares clean against a change that
+        # drifts the same amount; the claim still rejects it.
+        drifted = copy.deepcopy(tiny_docs)
+        drifted["recovery"]["deterministic"]["live_vector_drift"] = 1.0
+        assert compare_documents(drifted, drifted, tolerance=0.0).ok
+        assert _failed(check_claims(drifted)) == [("recovery", "live_vector_drift")]
+
+    def test_main_exits_on_failed_claim(self, tiny_docs, tmp_path, capsys, monkeypatch):
+        doc = tiny_docs["serving_concurrent"]
+        broken = {**doc["deterministic"], "pool_parity_mismatches": 1.0}
+        monkeypatch.setitem(
+            SCENARIOS,
+            "serving_concurrent",
+            lambda scale, seed: ScenarioResult(
+                "serving_concurrent", doc["config"], broken
+            ),
+        )
+        out = tmp_path / "out"
+        args = ["--scale", "tiny", "--scenarios", "serving_concurrent"]
+        assert main([*args, "--out", str(out)]) == 1
+        printed = capsys.readouterr().out
+        assert "FAILED serving_concurrent.pool_parity_mismatches" in printed
+        assert printed.count("[claim] FAILED") == 1
+        # Claims are checked on run output; --compare-only does not run.
+        compare = ["--compare", str(out), "--out", str(out), "--tolerance", "0"]
+        assert main(["--compare-only", *compare]) == 0
+        capsys.readouterr()
+
+
 class TestCli:
     def test_main_run_and_self_compare(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -217,7 +305,7 @@ class TestCli:
                     str(out),
                     "--scenarios",
                     "cache",
-                    "--summary",
+                    "--report",
                     str(tmp_path / "summary.md"),
                 ]
             )
