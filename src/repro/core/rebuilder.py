@@ -12,17 +12,16 @@ internal LIRE operators with posting-level locking and version-map CAS:
   each distinct vector is routed once, each row is re-validated on its
   own, in row order (discard false positives — the NPA check against the
   row's own source posting — then CAS-bump the version, so all stale
-  replicas die), and the moved rows land with one grouped append per
-  destination posting; a bumped row that lands nowhere gets its bump back;
-* **flush** — route the fresh tier's rows, one grouped append per target
-  posting (docs/fresh-tier.md).
+  replicas die), and the moved rows land; a bumped row that lands nowhere
+  gets its bump back;
+* **flush** — route the fresh tier's live rows in one batch and land them
+  as direct inserts taken in nearest-posting order would
+  (docs/fresh-tier.md).
 
-A split installs whole new postings itself; every other copy that reaches
-a posting — merge, reassign, flush — goes through the Updater's
-:class:`~repro.core.updater.PostingWriter` (route, locked append, split
-trigger, re-route after a vanished posting). Jobs can run inline
-(synchronous mode, deterministic — the default for tests) or on background
-worker threads (the paper's two-stage pipeline).
+A split installs whole new postings itself; every other copy is routed by
+its caller and landed by :meth:`~repro.core.updater.PostingWriter.land`.
+Jobs can run inline (synchronous mode, deterministic — the default for
+tests) or on background worker threads (the paper's two-stage pipeline).
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from repro.clustering.balanced import split_in_two
 from repro.core.conditions import condition_one_mask, condition_two_mask
 from repro.core.fresh_tier import FreshTier
 from repro.core.jobs import FlushJob, MergeJob, ReassignJob, SplitJob
-from repro.core.updater import PostingWriter
+from repro.core.updater import Landing, PostingWriter
 from repro.core.version_map import VersionMap
 from repro.metrics.profiling import NULL_PROFILER, Profiler
 from repro.spann.postings import live_view
@@ -176,7 +175,6 @@ class LocalRebuilder:
     def _run_split(self, job: SplitJob) -> None:
         pid = job.posting_id
         self.stats.incr("split_jobs")
-        reassign_context = None
         with self.locks.hold(pid):
             if not self.controller.exists(pid) or pid not in self.centroid_index:
                 return  # raced with another split/merge; nothing to do
@@ -203,25 +201,17 @@ class LocalRebuilder:
                 self.centroid_index.add(new_pid, centroid)
             self.centroid_index.remove(pid)
             self.controller.delete(pid)
-            reassign_context = (old_centroid, new_centroids, new_pids, parts)
         self.locks.forget(pid)
         self.stats.incr("splits")
         self.stats.observe_cascade_depth(job.cascade_depth + 1)
-        if reassign_context is not None:
-            # A GC'd posting can still be far over the limit (bulk appends
-            # before the job ran, or a replica-heavy build); halves that
-            # remain oversized cascade into further splits.
-            _, _, new_pids, parts = reassign_context
-            for new_pid, part in zip(new_pids, parts):
-                if len(part) > self.config.max_posting_size:
-                    self.job_queue.put(
-                        SplitJob(
-                            posting_id=new_pid,
-                            cascade_depth=job.cascade_depth + 1,
-                        )
-                    )
-        if self.config.enable_reassign and reassign_context is not None:
-            self._collect_split_reassigns(*reassign_context)
+        # A GC'd posting can still be far over the limit (bulk appends
+        # before the job ran, or a replica-heavy build); halves that
+        # remain oversized cascade into further splits.
+        for new_pid, part in zip(new_pids, parts):
+            if len(part) > self.config.max_posting_size:
+                self.job_queue.put(SplitJob(new_pid, job.cascade_depth + 1))
+        if self.config.enable_reassign:
+            self._collect_split_reassigns(old_centroid, new_centroids, new_pids, parts)
 
     def _collect_split_reassigns(
         self,
@@ -308,7 +298,9 @@ class LocalRebuilder:
                 return  # grew back; merge no longer needed
             if len(live) > 0:
                 # The target exists and its lock is held, so this lands.
-                self.background_io_us += self.writer.append(target, live)
+                landing = Landing([False] * len(live))
+                self.writer.land(live, [[target]] * len(live), 1, 0, landing)
+                self.background_io_us += landing.io_us
             self.controller.delete(pid)
             self.centroid_index.remove(pid)
         self.locks.forget(pid)
@@ -359,8 +351,7 @@ class LocalRebuilder:
         # The job's rows at the versions they are bumped to.
         moved = PostingData(ids, np.array(versions, dtype=np.uint8), job.vectors)
         bumped: list[int] = []
-        # target posting -> the (row, rank in that row's routing) it takes
-        pending: dict[int, list[tuple[int, int]]] = {}
+        targets_of: list[list[int]] = []
         for row, route in zip(rows.tolist(), route_of.tolist()):
             vid, expected = int(ids[row]), int(versions[row])
             # Re-checked per row: an earlier row of the same batch may have
@@ -381,131 +372,73 @@ class LocalRebuilder:
                 continue
             moved.versions[row] = new_version
             bumped.append(row)
-            for rank, pid in enumerate(targets):
-                pending.setdefault(pid, []).append((row, rank))
-        landed = np.zeros(len(ids), dtype=bool)  # rows with a copy on disk
+            targets_of.append(targets)
+        landing = Landing([False] * len(bumped))
+        landed = landing.landed  # bumped rows with a copy on disk
         try:
-            self._land_reassigned(moved, pending, landed)
-            for row in bumped:
-                if landed[row]:
-                    continue
-                # Every target vanished under it: routed again, alone.
-                placed, io_us = self.writer.place(
-                    int(ids[row]), int(moved.versions[row]), moved.vectors[row], replicas, 1
-                )
-                self.background_io_us += io_us
-                if not placed:
-                    raise IndexError_(
-                        f"reassign of vector {ids[row]} could not place a copy anywhere"
-                    )
-                landed[row] = True
+            # A split these appends cause cascades from the split (or
+            # merge) that queued the rows: depth 1.
+            self.writer.land(moved.select(bumped), targets_of, replicas, 1, landing)
+            if not all(landed):
+                vid = ids[bumped[landed.index(False)]]
+                raise IndexError_(f"reassign of vector {vid} could not place a copy anywhere")
         finally:
+            self.background_io_us += landing.io_us
             # A bumped row that landed nowhere (the device refused the
             # append, every attempt lost its posting) takes its bump back:
             # the old replicas are live again instead of the vector lost.
-            for row in bumped:
-                if not landed[row]:
+            for row, ok in zip(bumped, landed):
+                if not ok:
                     self.version_map.compare_and_set(
                         int(ids[row]), int(moved.versions[row]), int(versions[row])
                     )
-            self.stats.incr("reassign_executed", int(landed.sum()))
-
-    def _land_reassigned(
-        self, moved: PostingData, pending: dict, landed: np.ndarray
-    ) -> None:
-        """One append per destination, its rows in row order — what the
-        posting would hold had the rows been appended one at a time — and
-        the split triggers in the order those single appends fire them.
-        A split these appends cause cascades from the split (or merge)
-        that queued the rows: depth 1."""
-        limit = self.config.max_posting_size
-        crossed = []
-        for pid, slots in pending.items():
-            group = [row for row, _ in slots]
-            appended = self.writer.append_rows(pid, moved.select(group))
-            if appended is None:
-                continue  # vanished; rows with no other copy are placed alone
-            io_us, length = appended
-            self.background_io_us += io_us
-            landed[group] = True
-            if length > limit:
-                # The slot whose one-row append would have crossed the limit.
-                first = max(limit - (length - len(group)), 0)
-                crossed.append((slots[first], pid, length))
-        for _, pid, length in sorted(crossed):
-            self.writer.split_if_oversized(pid, length, 1)
+            self.stats.incr("reassign_executed", sum(landed))
 
     # ------------------------------------------------------------------
     # flush (fresh tier → postings, docs/fresh-tier.md)
     # ------------------------------------------------------------------
     def _run_flush(self, job: FlushJob) -> None:
-        """Batch-append buffered fresh-tier vectors to their postings.
-
-        The batch is grouped by target posting so each posting pays ONE
-        tail-block read-modify-write per flush regardless of how many
-        vectors land in it — the write-amplification win over per-insert
-        appends. Oversized postings schedule splits (and through them
-        reassigns) once per flush, which is LIRE's once-per-batch cadence.
-        A tier row is discarded only after its copy durably landed; a crash
-        mid-flush therefore loses nothing (the WAL replays the tier).
-        """
+        """Land buffered fresh-tier vectors as direct inserts of the same
+        rows, taken in posting order, would (no drain between them), but
+        with ONE tail-block read-modify-write per destination posting per
+        flush — the write-amplification win over per-insert appends. A
+        tier row is discarded only after its copy durably landed; a crash
+        mid-flush therefore loses nothing (the WAL replays the tier)."""
         tier = self.fresh_tier
         if tier is None:
             return
         self.stats.incr("fresh_flush_jobs")
         ids, versions, matrix = tier.take(job.max_vectors)
+        live = self.version_map.live_mask(ids, versions)
+        for vid in ids[~live].tolist():
+            tier.discard(vid)  # deleted rows never reach disk
+        if not live.any():
+            return
         replicas = self.config.insert_replicas
-        landed = np.zeros(len(ids), dtype=bool)  # rows with a copy on disk
-        pending: dict[int, list[int]] = {}  # target posting -> its rows
-
-        def place_alone(row: int) -> None:
-            vid = int(ids[row])
-            placed, io_us = self.writer.place(
-                vid, int(versions[row]), matrix[row], replicas
-            )
-            self.background_io_us += io_us
-            if not placed:
-                raise IndexError_(
-                    f"flush of vector {vid} kept racing with posting splits"
-                )
-            self.stats.incr("appends", placed)
-            self.stats.incr("fresh_flush_appends", placed)
-            landed[row] = True
-            tier.discard(vid)
-
-        for row, (vid, version) in enumerate(zip(ids.tolist(), versions.tolist())):
-            if not self.version_map.is_live(vid, version):
-                tier.discard(vid)  # deleted rows never reach disk
-                continue
-            targets = self.writer.route(matrix[row], replicas)
-            if not targets:
-                # Empty index: this row creates the first posting now, so
-                # the rest of the batch routes to it.
-                place_alone(row)
-            for pid in targets:
-                pending.setdefault(pid, []).append(row)
-        for pid in sorted(pending):
-            rows = pending[pid]
-            io_us = self.writer.append(
-                pid, PostingData(ids[rows], versions[rows], matrix[rows])
-            )
-            if io_us is None:
-                continue  # vanished; rows with no other copy are placed below
-            self.background_io_us += io_us
-            self.stats.incr("appends", len(rows))
-            self.stats.incr("fresh_flush_appends")
-            landed[rows] = True
-            for vid in ids[rows].tolist():
+        routes = self.writer.route_batch(matrix[live], replicas)
+        # Rows stably by nearest posting: the nearest postings are appended
+        # to, and their splits queued, in posting-id order.
+        order = sorted(range(len(routes)), key=lambda row: routes[row][:1])
+        rows = PostingData(ids, versions, matrix).select(np.flatnonzero(live)[order])
+        landing = Landing([False] * len(rows))
+        landed = landing.landed  # rows with a copy on disk
+        try:
+            self.writer.land(rows, [routes[row] for row in order], replicas, 0, landing)
+        finally:
+            for vid in rows.ids[landed].tolist():
                 tier.discard(vid)
-        for row in np.flatnonzero(~landed).tolist():
-            # Not on disk yet: dropped above as dead, or every target
-            # vanished mid-flush. What is still live is routed again.
-            if self.version_map.is_live(int(ids[row]), int(versions[row])):
-                place_alone(row)
-        flushed = int(landed.sum())
-        if flushed:
-            self.stats.incr("fresh_flushes")
-            self.stats.incr("fresh_flushed_vectors", flushed)
+            # Counted as it reached disk, also when an append raised.
+            self.background_io_us += landing.io_us
+            self.stats.incr("appends", landing.copies)
+            self.stats.incr("fresh_flush_appends", landing.appends)
+            flushed = sum(landed)
+            if flushed:
+                self.stats.incr("fresh_flushes")
+                self.stats.incr("fresh_flushed_vectors", flushed)
+        if flushed < len(rows):
+            # Still buffered, so still acked (and still in the WAL).
+            vid = rows.ids[landed.index(False)]
+            raise IndexError_(f"flush of vector {vid} kept racing with posting splits")
 
     # ------------------------------------------------------------------
     # garbage collection

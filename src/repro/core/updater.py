@@ -1,13 +1,14 @@
 """The write path: PostingWriter and the foreground Updater (paper §4.1).
 
-Every vector copy reaches a posting through one :class:`PostingWriter`:
-route by the closure rule, append under the posting lock, turn an
-oversized posting into a split job, and re-route a copy whose posting a
-concurrent split deleted (§4.2.2). Insert, fresh-tier flush, reassign and
-merge are its callers (docs/lire-protocol.md, "Write path").
+Every vector copy reaches a posting through one :meth:`PostingWriter.land`:
+its callers (insert, fresh-tier flush, reassign, merge) route, and ``land``
+appends once per destination under the posting lock, queues splits in
+one-row-append order and re-routes rows whose postings a concurrent split
+deleted (§4.2.2) — so a flush lands what direct inserts of its rows, taken
+in posting order, would.
 
 The :class:`Updater` is the front-end of the feed-forward pipeline: log,
-register, then buffer in the fresh tier or place on disk; deletes are
+register, then buffer in the fresh tier or land on disk; deletes are
 tombstones in the version map. It never splits, merges, or reassigns
 itself — that work is off the critical path by design.
 """
@@ -34,9 +35,20 @@ from repro.util.distance import as_vector
 from repro.util.errors import IndexError_
 
 
+@dataclass(slots=True)
+class Landing:
+    """What one :meth:`PostingWriter.land` has put on disk, kept current as
+    it goes so the caller can still read it after an append raised."""
+
+    landed: list[bool]  # per row: has a copy on disk
+    io_us: float = 0.0  # device time
+    copies: int = 0
+    appends: int = 0
+
+
 @dataclass
 class PostingWriter:
-    """The one route / lock / append / split-trigger / re-route path."""
+    """The one route / land (lock, append, split trigger, re-route) path."""
 
     centroid_index: CentroidIndex
     controller: BlockController
@@ -68,25 +80,12 @@ class PostingWriter:
             hits.posting_ids, hits.distances, replicas, self.config.closure_epsilon
         )
 
-    def append(
-        self, posting_id: int, rows: PostingData, cascade_depth: int = 0
-    ) -> float | None:
-        """Append under the posting lock and maybe schedule its split;
-        returns the device time (us), or None for a vanished posting."""
-        landed = self.append_rows(posting_id, rows)
-        if landed is None:
-            return None
-        io_us, length = landed
-        self.split_if_oversized(posting_id, length, cascade_depth)
-        return io_us
-
     def append_rows(
         self, posting_id: int, rows: PostingData
     ) -> tuple[float, int] | None:
-        """The locked append alone: (device us, posting length after it).
-        The caller owes the posting :meth:`split_if_oversized`. A posting
-        that no longer exists is counted once (``reassign_posting_missing``)
-        and reported as None."""
+        """The locked append: (device us, posting length after it). A
+        posting that no longer exists is counted once
+        (``reassign_posting_missing``) and reported as None."""
         with self.locks.hold(posting_id):
             if not self.controller.exists(posting_id):
                 self.stats.incr("reassign_posting_missing")
@@ -94,46 +93,66 @@ class PostingWriter:
             io_us = self.controller.append(posting_id, rows)
             return io_us, self.controller.length(posting_id)
 
-    def split_if_oversized(self, posting_id: int, length: int, cascade_depth: int) -> None:
-        if self.config.enable_split and length > self.config.max_posting_size:
-            self.job_queue.put(SplitJob(posting_id, cascade_depth))
-
-    def bootstrap(self, vector: np.ndarray, rows: PostingData) -> float:
-        """The first write into an empty index creates the first posting."""
-        pid = self.posting_ids.next()
-        io_us = self.controller.create(pid, rows)
-        self.centroid_index.add(pid, vector)
-        return io_us
-
-    def place(
+    def land(
         self,
-        vector_id: int,
-        version: int,
-        vector: np.ndarray,
+        rows: PostingData,
+        routes: list[list[int]],
         replicas: int,
-        cascade_depth: int = 0,
-    ) -> tuple[int, float]:
-        """Route one vector and append it to each target, in routing order.
+        cascade_depth: int,
+        landing: Landing,
+    ) -> None:
+        """Put ``rows[i]`` on each posting of ``routes[i]``, then queue the
+        splits of what overflowed; ``landing`` records what reached disk.
 
-        When every target vanished the vector is routed again by the same
-        replica rule, ``1 + max_reassign_retries`` attempts in all. Returns
-        (copies placed, device us); zero copies is the caller's error to
-        raise.
+        Each destination gets one locked append of its rows in row order —
+        what it would hold had the rows been appended one at a time — and
+        the ``SplitJob``s are queued in the order those one-row appends
+        would fire them. Rows whose every target vanished are routed again
+        by ``replicas``, ``1 + max_reassign_retries`` attempts in all; a
+        row left with no copy is the caller's error to raise.
         """
-        entry = PostingData.from_rows([vector_id], [version], vector)
-        placed, io_us = 0, 0.0
-        for _ in range(1 + self.config.max_reassign_retries):
-            targets = self.route(vector, replicas)
-            if not targets:
-                return 1, self.bootstrap(vector, entry)
-            for pid in targets:
-                appended = self.append(pid, entry, cascade_depth)
-                if appended is not None:
-                    placed += 1
-                    io_us += appended
-            if placed:
-                break
-        return placed, io_us
+        n = len(rows.ids)
+        landed, attempt = landing.landed, 0
+        batch = range(n)
+        if n and not routes[0]:
+            # An empty index: the first row creates the first posting, the
+            # one place the other rows can go.
+            pid = self.posting_ids.next()
+            landing.io_us += self.controller.create(pid, rows.select([0]))
+            self.centroid_index.add(pid, rows.vectors[0])
+            landed[0] = True
+            landing.copies, landing.appends = 1, 1
+            batch, routes = range(1, n), [[pid]] * n
+        limit = self.config.max_posting_size
+        while True:
+            groups: dict[int, list[int]] = {}  # destination -> its rows, in order
+            for row in batch:
+                for pid in routes[row]:
+                    groups.setdefault(pid, []).append(row)
+            crossed, vanished = [], False
+            for pid, group in groups.items():
+                # A group that is the whole batch goes down uncopied.
+                appended = self.append_rows(pid, rows if len(group) == n else rows.select(group))
+                if appended is None:
+                    vanished = True
+                    continue
+                step_us, length = appended
+                landing.io_us += step_us
+                landing.copies += len(group)
+                landing.appends += 1
+                for row in group:
+                    landed[row] = True
+                if self.config.enable_split and length > limit:
+                    # The (row, rank) whose one-row append crossed the limit.
+                    row = group[max(limit - (length - len(group)), 0)]
+                    crossed.append((row, routes[row].index(pid), pid))
+            for _, _, pid in sorted(crossed):
+                self.job_queue.put(SplitJob(pid, cascade_depth))
+            batch = [row for row in batch if not landed[row]] if vanished else ()
+            if not batch or attempt == self.config.max_reassign_retries:
+                return
+            attempt += 1
+            routes = dict(zip(batch, self.route_batch(rows.vectors[batch], replicas)))
 
 
 class Updater:
@@ -167,8 +186,8 @@ class Updater:
         rejected before anything is logged. The vector is then logged
         (the WAL record *is* the ack), registered, and either buffered in
         the fresh tier — reaching disk via the next batch flush
-        (docs/fresh-tier.md) — or placed on its nearest posting (plus
-        boundary replicas when ``insert_replicas > 1``).
+        (docs/fresh-tier.md) — or landed on its nearest posting (plus
+        boundary replicas when ``insert_replicas > 1``): a flush of one.
         """
         with self.profiler.section("update"):
             vector = as_vector(vector, self.config.dim)
@@ -179,10 +198,13 @@ class Updater:
             if self.fresh_tier is not None:
                 self._buffer(vector_id, vector, version)
                 return self.config.fresh_insert_cpu_us
-            placed, io_us = self.writer.place(
-                vector_id, version, vector, self.config.insert_replicas
-            )
-            if not placed:
+            # PostingData.from_rows minus the checks as_vector already made.
+            ids, versions = np.array([vector_id], np.int64), np.array([version], np.uint8)
+            row = PostingData(ids, versions, vector[None])
+            replicas = self.config.insert_replicas
+            landing = Landing([False])
+            self.writer.land(row, [self.writer.route(vector, replicas)], replicas, 0, landing)
+            if not landing.copies:
                 # Registered but never landed on disk: tombstone it so the
                 # version map does not advertise a live id with zero
                 # replicas (a conservation violation every audit and
@@ -192,9 +214,9 @@ class Updater:
                     f"insert of vector {vector_id} kept racing with posting splits"
                 )
             self.stats.incr("inserts")
-            self.stats.incr("appends", placed)
+            self.stats.incr("appends", landing.copies)
             # One centroid navigation plus the appends' device time.
-            return self.config.cpu_cost_per_query_us + io_us
+            return self.config.cpu_cost_per_query_us + landing.io_us
 
     def _buffer(self, vector_id: int, vector: np.ndarray, version: int) -> None:
         """Buffer a logged insert in the fresh tier; maybe request a flush."""

@@ -25,6 +25,7 @@ from repro.spann.postings import _exact_dedup_top_k, dedup_top_k
 from repro.storage.snapshot import SnapshotManager
 from repro.storage.ssd import SimulatedSSD, SSDProfile
 from repro.storage.wal import WriteAheadLog
+from repro.util.errors import StorageError
 from tests.conftest import DIM
 
 from .helpers import live_assignment
@@ -190,6 +191,31 @@ class TestInsertPath:
         flushed = index.flush_fresh_tier()
         assert flushed == 32
         assert 0 < index.stats.fresh_flush_appends < 32
+
+    def test_failed_flush_counts_what_landed(self, vectors):
+        # The device refuses the flush's second append: the first one's rows
+        # left the tier and are counted, the others stay buffered.
+        index = SPFreshIndex.build(vectors, config=_fresh_config())
+        for i in range(32):
+            index.insert(9200 + i, vectors[i] + 0.01)
+        append, landed = index.controller.append, []
+
+        def refuse_second(pid, rows):
+            if landed:
+                raise StorageError("injected: device refused the append")
+            landed.append(len(rows))
+            return append(pid, rows)
+
+        before, io_before = index.stats.snapshot(), index.rebuilder.background_io_us
+        index.controller.append = refuse_second
+        with pytest.raises(StorageError):
+            index.flush_fresh_tier()
+        index.controller.append = append
+        delta = index.stats.snapshot().delta(before)
+        assert delta.fresh_flushed_vectors == delta.appends == landed[0]
+        assert delta.fresh_flush_appends == delta.fresh_flushes == 1
+        assert len(index.fresh_tier) == 32 - landed[0]
+        assert index.rebuilder.background_io_us > io_before
 
     def test_delete_before_flush_never_reaches_disk(self, fresh_index, rng):
         vec = rng.normal(size=DIM).astype(np.float32)

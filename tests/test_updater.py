@@ -148,7 +148,9 @@ class VanishingRoute:
     searches (single, or one row of a batch) return normally and then their
     nearest posting vanishes the way a concurrent merge would take it (rows
     folded into the nearest other posting, posting and centroid deleted) —
-    so the writer's append finds its routed target gone."""
+    so the writer's append finds its routed target gone. A posting vanishes
+    at most once: rows of one batch that share a nearest posting all find
+    it gone, the first one's search having taken it."""
 
     def __init__(self, index, times: int) -> None:
         self.index, self.times = index, times
@@ -166,8 +168,10 @@ class VanishingRoute:
 
     def vanish(self, hits):
         if self.times > 0 and len(hits) > 1:
-            self.times -= 1
             victim, heir = (int(pid) for pid in hits.posting_ids[:2])
+            if victim in self.vanished:
+                return hits  # an earlier row of this batch already took it
+            self.times -= 1
             index = self.index
             data, _ = index.controller.get(victim)
             index.controller.append(heir, data)
@@ -190,12 +194,18 @@ def _write_path_index(vectors, small_config, **overrides):
     return SPFreshIndex.build(vectors, config=config)
 
 
-def _run_queued_jobs(index) -> list:
-    """Run what the write queued (not the cascade behind it); return it."""
+def _take_queued_jobs(index) -> list:
+    """Empty the queue without running what was in it; return it."""
     jobs = []
     while not index.job_queue.empty():
         jobs.append(index.job_queue.get())
         index.job_queue.task_done()
+    return jobs
+
+
+def _run_queued_jobs(index) -> list:
+    """Run what the write queued (not the cascade behind it); return it."""
+    jobs = _take_queued_jobs(index)
     for job in jobs:
         index.rebuilder.process(job)
     return jobs
@@ -293,7 +303,8 @@ class TestWritePathReroute:
         else:
             # Bumped, never landed: the bump is taken back, so the copies
             # the vector already had are live again.
-            assert len(route.vanished) == 2  # the grouped append, then `place`
+            # 1 + max_reassign_retries attempts, as for every caller
+            assert len(route.vanished) == 1 + index.config.max_reassign_retries
             after = index.version_map.current_version(0), index.stats.reassign_executed
             assert after == before
             assert index.check_invariants().lost_vectors == []
@@ -369,3 +380,50 @@ class TestWritePathReroute:
         delta = index.stats.snapshot().delta(before)
         assert (delta.inserts, delta.appends, index.num_postings) == (1, 1, 1)
         assert index.query(QueryRequest.single(vec, k=1)).result.ids[0] == 1
+
+
+class TestFlushIsItsInserts:
+    def test_a_flush_lands_its_rows_as_inserts_in_posting_order(
+        self, vectors, small_config, rng
+    ):
+        """N rows through the fresh tier and one flush leave the postings and
+        the queued split jobs that the same N rows leave as direct inserts
+        taken in nearest-posting order, stably (no drain between them):
+        same rows, same order, same split triggers in the same order."""
+        direct = _write_path_index(vectors, small_config)
+        flushed = _write_path_index(
+            vectors, small_config, enable_fresh_tier=True, fresh_flush_threshold=10**6
+        )
+        # The higher posting id fills first in arrival order; the flush
+        # still appends to, and splits, the lower one first.
+        low, high = sorted(direct.controller.posting_ids())[:2]
+        limit = small_config.max_posting_size
+        near = [
+            direct.centroid_index.get(pid) + rng.normal(scale=0.05, size=(limit, DIM))
+            for pid in (high, low)
+        ]
+        stream = np.concatenate(
+            [near[0], vectors[rng.choice(len(vectors), 40)] + 0.1, near[1]]
+        ).astype(np.float32)
+        for vid, vec in enumerate(stream, start=10_000):
+            flushed.insert(vid, vec)
+        assert len(flushed.fresh_tier) == len(stream) and flushed.job_queue.empty()
+        flushed.rebuilder.process(FlushJob())
+        assert len(flushed.fresh_tier) == 0
+        nearest = [direct.writer.route(vec, 1)[0] for vec in stream]
+        for row in sorted(range(len(stream)), key=nearest.__getitem__):
+            direct.insert(10_000 + row, stream[row])
+
+        splits = _take_queued_jobs(direct)
+        assert _take_queued_jobs(flushed) == splits
+        assert len(splits) >= 2
+        assert splits.index(SplitJob(low, 0)) < splits.index(SplitJob(high, 0))
+        pids = direct.controller.posting_ids()
+        assert flushed.controller.posting_ids() == pids
+        for pid in pids:
+            want, _ = direct.controller.get(pid)
+            got, _ = flushed.controller.get(pid)
+            np.testing.assert_array_equal(got.ids, want.ids)
+            np.testing.assert_array_equal(got.versions, want.versions)
+            np.testing.assert_array_equal(got.vectors, want.vectors)
+        assert flushed.stats.appends == direct.stats.appends
