@@ -535,8 +535,8 @@ def scenario_quantized(scale: PerfScale, seed: int) -> ScenarioResult:
     invisible. Probe width, k, and the query set are identical for both
     paths.
 
-    Two same-seed builds over the same base set — one with the plain v1
-    codec, one with the sectioned quantized codec (PQ, 16 subspaces) —
+    Two same-seed builds over the same base set — one with the exact
+    layout, one with the two-section quantized layout (PQ, 16 subspaces) —
     run the identical query sweep with no latency budget. The simulated
     IO sweep is single-query: per-query read accounting is what a
     serving system pays per request, whereas a batched sweep fetches

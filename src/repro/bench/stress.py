@@ -146,8 +146,9 @@ class StressReport:
     chaos_yields: int = 0
     lock_recycles: int = 0
     reassign_posting_missing: int = 0  # appends that found their posting gone
-    # Rows of each reassign job queued while the threads ran: a row's CAS
-    # and its first landed copy are at most one job's grouped appends apart.
+    # Rows of each reassign job queued while the threads ran. Background
+    # workers move them one row at a time, so a row's CAS and its first
+    # landed copy are one append apart, whatever the job's size.
     reassign_job_rows: list[int] = field(default_factory=list)
     live_vectors: int = 0
     duration_s: float = 0.0

@@ -40,7 +40,7 @@ from repro.spann.build import build_plan
 from repro.spann.searcher import SearchResult, SpannSearcher
 from repro.storage.controller import BlockController
 from repro.quantize import make_quantizer
-from repro.storage.layout import PostingData, make_codec
+from repro.storage.layout import PostingCodec, PostingData
 from repro.storage.snapshot import SnapshotManager
 from repro.storage.ssd import SimulatedSSD, SSDProfile
 from repro.storage.wal import WriteAheadLog
@@ -113,7 +113,7 @@ class SPFreshIndex:
         )
         # The fitted quantizer lives on the codec when the index stores
         # compressed codes (docs/quantization.md); None on the exact layout.
-        self.quantizer = getattr(controller.codec, "quantizer", None)
+        self.quantizer = controller.codec.quantizer
         self.searcher = SpannSearcher(
             centroid_index,
             controller,
@@ -195,7 +195,7 @@ class SPFreshIndex:
                 )
             else:
                 quantizer.fit(vectors, rng)
-        controller = BlockController(ssd, make_codec(config, quantizer))
+        controller = BlockController(ssd, PostingCodec(config.dim, config.block_size, quantizer))
         version_map = VersionMap(initial_capacity=max(int(ids.max()) + 1, 1024))
         for vid in ids:
             version_map.register(int(vid))

@@ -51,7 +51,8 @@ class ReassignJob:
     ``vector_ids[i]`` with payload ``vectors[i]``, observed at
     ``expected_versions[i]`` in posting ``source_postings[i]`` when the
     candidate was collected (one id can arrive from several sources — its
-    replicas). At execution time each distinct id is routed once, then the
+    replicas). At execution time each distinct id is routed once (inline;
+    background workers take the rows one at a time), then the
     rows are re-validated one by one, in row order; the CAS against the
     version map aborts a row whose vector was concurrently reassigned or
     deleted, or already moved by an earlier row of the same job.

@@ -13,7 +13,8 @@ internal LIRE operators with posting-level locking and version-map CAS:
   own, in row order (discard false positives — the NPA check against the
   row's own source posting — then CAS-bump the version, so all stale
   replicas die), and the moved rows land; a bumped row that lands nowhere
-  gets its bump back;
+  gets its bump back. Background workers take the job one row at a time,
+  so each row is routed after the splits the rows before it queued;
 * **flush** — route the fresh tier's live rows in one batch and land them
   as direct inserts taken in nearest-posting order would
   (docs/fresh-tier.md).
@@ -330,15 +331,40 @@ class LocalRebuilder:
     # reassign
     # ------------------------------------------------------------------
     def _run_reassign(self, job: ReassignJob) -> None:
-        """Run one batch: drop the rows that went stale while queued, route
-        each distinct survivor once, re-validate the rows one by one in row
-        order, then land what moved with one append per destination."""
+        """Run one batch: drop the rows that went stale while queued, then
+        move the survivors — all at once inline, one still-live row at a
+        time on background workers."""
         ids, versions = job.vector_ids, job.expected_versions
         live = self.version_map.live_mask(ids, versions)
         self.stats.incr("reassign_aborted_version", len(live) - int(live.sum()))
         rows = np.flatnonzero(live)
         if len(rows) == 0:
             return
+        # The job's rows at the versions they are bumped to.
+        moved = PostingData(ids, np.array(versions, dtype=np.uint8), job.vectors)
+        # Inline, nothing runs between two rows of a job, so one pass lands
+        # what row-at-a-time moves would, with one append per destination.
+        if not self._workers:
+            self._move_rows(job, rows, moved)
+            return
+        # On background workers the other workers split while the job
+        # runs. One pass would route every row before those splits and
+        # hold back the splits its own appends trigger until the job ends;
+        # row at a time, each row is routed after the splits its
+        # predecessors queued (§4.2). docs/lire-protocol.md "Background
+        # workers" has the measurements. A row an earlier row moved (its
+        # id's other replica) is dropped before it is routed.
+        for row in rows.tolist():
+            if self.version_map.is_live(int(ids[row]), int(versions[row])):
+                self._move_rows(job, np.array([row]), moved)
+            else:
+                self.stats.incr("reassign_aborted_version")
+
+    def _move_rows(self, job: ReassignJob, rows: np.ndarray, moved: PostingData) -> None:
+        """Route each distinct id of ``rows`` once, re-validate the rows one
+        by one in row order, then land what moved with one append per
+        destination; ``moved.versions`` takes the bumped versions."""
+        ids, versions = job.vector_ids, job.expected_versions
         # Re-apply the build's closure rule so a reassigned vector keeps
         # the same boundary-replica structure it had before the move. One
         # vector's replicas arrive as several rows; it is routed once, and
@@ -348,8 +374,6 @@ class LocalRebuilder:
             ids[rows], return_index=True, return_inverse=True
         )
         routes = self.writer.route_batch(job.vectors[rows[first]], replicas)
-        # The job's rows at the versions they are bumped to.
-        moved = PostingData(ids, np.array(versions, dtype=np.uint8), job.vectors)
         bumped: list[int] = []
         targets_of: list[list[int]] = []
         for row, route in zip(rows.tolist(), route_of.tolist()):

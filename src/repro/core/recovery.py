@@ -98,7 +98,7 @@ def restore_index(
     """Rebuild an index object from snapshot + WAL on a surviving device."""
     from repro.quantize import quantizer_from_state
     from repro.storage.controller import BlockController
-    from repro.storage.layout import make_codec
+    from repro.storage.layout import PostingCodec
 
     state = snapshots.load()  # raises RecoveryError on integrity failure
     if state is None:
@@ -132,7 +132,7 @@ def restore_index(
             "snapshot was taken from a quantized index but the config "
             "disables quantization"
         )
-    controller = BlockController(ssd, make_codec(config, quantizer))
+    controller = BlockController(ssd, PostingCodec(config.dim, config.block_size, quantizer))
     try:
         controller.load_state_dict(state["controller"])
     except (StorageError, KeyError, TypeError, ValueError) as exc:

@@ -19,12 +19,13 @@ with ``repeat``/``cumsum`` arithmetic and scores it with one chunked pair
 kernel. Every query ends with one ``dedup_top_k`` over its contiguous
 slice of the pair arrays.
 
-Exact and quantized scans differ in two stages only: which section of a
-posting is fetched and scored (vectors with ``pairwise_sq_l2_exact`` /
-``sq_l2_pairs``, or codes with the fused ADC kernels), and whether the
+Exact and quantized scans differ in two stages only: which sections of a
+posting are fetched and scored (every section, scoring vectors with
+``pairwise_sq_l2_exact`` / ``sq_l2_pairs``, or the code section 0 alone,
+scoring codes with the fused ADC kernels), and whether the
 scan distances are final (exact) or select ``k * rerank_k`` candidates
-per query for an exact rerank against row-targeted vector
-reads (quantized). The simulated latency of a query is
+per query for an exact rerank against row-targeted reads of the
+last (vector) section (quantized). The simulated latency of a query is
 
     io (ParallelGET waves on the device, shared by the batch)  +
     modelled CPU (fixed navigation cost + per-entry scan/rerank cost)
@@ -104,13 +105,13 @@ class SpannSearcher:
         self.cpu_cost_per_entry_us = cpu_cost_per_entry_us
         self.cpu_cost_per_query_us = cpu_cost_per_query_us
         self.min_posting_size = min_posting_size
-        # Quantized scan support (docs/quantization.md): when the codec is
-        # sectioned, searches default to scanning compact codes with the
-        # fused ADC kernel and reranking the best k * rerank_k candidates
+        # Quantized scan support (docs/quantization.md): when the codec
+        # stores codes, searches default to scanning them with the fused
+        # ADC kernel and reranking the best k * rerank_k candidates
         # against exact vectors. ``quantized=False`` per query falls back
         # to the exact full-posting scan over the same layout.
         self.rerank_k = rerank_k
-        self._sectioned = bool(getattr(controller.codec, "sectioned", False))
+        self._quantized = controller.codec.quantizer is not None
         # SPANN's query-aware dynamic pruning: skip candidate postings
         # whose centroid distance exceeds (1 + eps) x the nearest centroid
         # distance — easy queries touch fewer postings. None disables.
@@ -324,11 +325,9 @@ class SpannSearcher:
 
     # ------------------------------------------------------------------
     def _resolve_quantized(self, quantized: bool | None) -> bool:
-        use_quant = self._sectioned if quantized is None else bool(quantized)
-        if use_quant and not self._sectioned:
-            raise ValueError(
-                "quantized search requires a quantized (sectioned) codec"
-            )
+        use_quant = self._quantized if quantized is None else bool(quantized)
+        if use_quant and not self._quantized:
+            raise ValueError("quantized search requires a quantized codec")
         return use_quant
 
     def _entry_cost(self, use_quant: bool) -> float:
@@ -342,7 +341,7 @@ class SpannSearcher:
         if not use_quant:
             return self.cpu_cost_per_entry_us
         codec = self.controller.codec
-        return self.cpu_cost_per_entry_us * min(1.0, codec.code_bytes / codec.dim)
+        return self.cpu_cost_per_entry_us * min(1.0, codec.quantizer.code_bytes / codec.dim)
 
     def _prune(self, hits: CentroidSearchResult) -> list[int]:
         """Candidate posting ids after SPANN's query-aware dynamic pruning."""
@@ -372,8 +371,8 @@ class SpannSearcher:
         the CPU term with work outside the probe list (the fresh-tier
         scan), keeping that agreement when the tier is enabled.
 
-        Under a quantized scan the projection counts only the code-block
-        prefix of each posting and the cheaper ADC per-entry cost; the
+        Under a quantized scan the projection counts only the blocks of
+        each posting's code section and the cheaper ADC per-entry cost; the
         rerank fetch is bounded by ``k * rerank_k`` rows and is not part
         of the truncation decision (it is still charged to the reported
         latency of non-truncated queries).
@@ -382,6 +381,7 @@ class SpannSearcher:
             return posting_ids, False
         profile = self.controller.ssd.profile
         codec = self.controller.codec
+        sections = 1 if use_quant else None
         entry_cost = self._entry_cost(use_quant)
         cum_blocks = 0
         cum_cpu = self.cpu_cost_per_query_us + self.cpu_cost_per_entry_us * (
@@ -391,11 +391,7 @@ class SpannSearcher:
         for pid, length in zip(posting_ids, self.controller.lengths(posting_ids)):
             if length is None:  # stale: deleted since navigation
                 continue
-            blocks = (
-                codec.scan_blocks_needed(length)
-                if use_quant
-                else codec.blocks_needed(length)
-            )
+            blocks = codec.blocks_needed(length, sections)
             projected = (
                 profile.read_batch_latency_us(cum_blocks + blocks)
                 + cum_cpu

@@ -153,9 +153,12 @@ class CachedBlockController:
         return getattr(self.inner, name)
 
     def memory_bytes(self) -> int:
-        """Modelled DRAM cost of cached postings (ids+versions+vectors)."""
+        """Modelled DRAM cost of cached postings: every column they carry
+        (a quantized index's postings carry codes too)."""
         with self._lock:
-            total = 0
-            for data in self._cache.values():
-                total += data.ids.nbytes + data.versions.nbytes + data.vectors.nbytes
-            return total
+            return sum(
+                column.nbytes
+                for data in self._cache.values()
+                for column in (data.ids, data.versions, data.vectors, data.codes)
+                if column is not None
+            )

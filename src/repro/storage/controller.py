@@ -11,11 +11,12 @@ Responsibilities, mirroring the paper:
   attribute I/O time to foreground/background work.
 
 A ParallelGET (``parallel_get`` for whole postings, ``parallel_get_codes``
-for code sections) is one device submission and one decode: the flat
-block list goes to the codec, which returns a single
-:class:`~repro.storage.layout.PostingArena` over the postings that still
-exist, in request order. ``parallel_get_vector_rows`` (the rerank read)
-likewise returns its rows as one matrix.
+for the code section, section 0 of a quantized layout) is one device
+submission and one decode: the flat block list goes to the codec, which
+returns a single :class:`~repro.storage.layout.PostingArena` over the
+postings that still exist, in request order. ``parallel_get_vector_rows``
+(the rerank read) gathers its rows out of the codec's view of the last
+section's blocks as one matrix.
 """
 
 from __future__ import annotations
@@ -180,12 +181,13 @@ class BlockController:
         is what the searcher needs — a posting that vanished mid-query has
         been split and its vectors are reachable via the new postings.
         """
-        return self._parallel_read(posting_ids, whole=True)
+        return self._parallel_read(posting_ids)
 
     def _parallel_read(
-        self, posting_ids: list[int], whole: bool
+        self, posting_ids: list[int], sections: int | None = None
     ) -> tuple[PostingArena, float]:
-        """ParallelGET of whole postings, or of their code sections only."""
+        """ParallelGET of the leading ``sections`` of each posting (None:
+        whole postings)."""
         codec = self.codec
         with self._lock:
             present: list[int] = []
@@ -197,15 +199,14 @@ class BlockController:
                     continue
                 present.append(pid)
                 lengths.append(meta.length)
-                if whole:
+                if sections is None:
                     all_blocks.extend(meta.blocks)
                 else:
-                    all_blocks.extend(meta.blocks[: codec.code_blocks_needed(meta.length)])
+                    all_blocks.extend(meta.blocks[: codec.blocks_needed(meta.length, sections)])
             with self.profiler.section("io"):
                 payloads, latency = self.ssd.read_blocks(all_blocks)
             with self.profiler.section("decode"):
-                decode = codec.decode_batch if whole else codec.decode_codes_batch
-                return decode(payloads, lengths, present), latency
+                return codec.decode_batch(payloads, lengths, present, sections), latency
 
     def append(self, posting_id: int, data: PostingData) -> float:
         """Append entries to a posting's tail (paper's APPEND).
@@ -214,8 +215,8 @@ class BlockController:
         records, so an append *continues* that stream: the valid bytes of
         the partial tail block, then the new rows' packed records, cut
         again at the block size — nothing is decoded. Only partial tail
-        blocks are read (one batched submission: one block under the
-        exact layout, at most one per section under the sectioned one);
+        blocks are read (one batched submission, at most one block per
+        section);
         full blocks stay mapped, section by section, and the replaced
         tails are released once the mapping entry is swapped.
         """
@@ -246,12 +247,12 @@ class BlockController:
                 with self.profiler.section("io"):
                     tail_payloads, latency = self.ssd.read_blocks(tails)
                 for i, payload in zip(partial, tail_payloads):
-                    per_block, entry_size = codec.sections[i]
+                    per_block, record_size = codec.sections[i]
                     head = join_valid(
-                        [payload], [old_n % per_block], per_block, entry_size
+                        [payload], [old_n % per_block], per_block, record_size
                     )
                     new[i] = cut_blocks(
-                        head + b"".join(new[i]), per_block * entry_size
+                        head + b"".join(new[i]), per_block * record_size
                     )
             payloads = [payload for section in new for payload in section]
             new_blocks = self._alloc(len(payloads))
@@ -269,14 +270,14 @@ class BlockController:
     def parallel_get_codes(self, posting_ids: list[int]) -> tuple[PostingArena, float]:
         """Read only the code sections of many postings in one submission.
 
-        The compressed-scan read path: touches ``code_blocks_needed(n)``
-        blocks per posting instead of the full posting, and the arena
-        carries codes but no vectors. Missing postings are skipped, same
-        as :meth:`parallel_get`. Requires a sectioned codec.
+        The compressed-scan read path: touches only section 0 of each
+        posting, and the arena carries codes but no vectors. Missing
+        postings are skipped, same as :meth:`parallel_get`. Requires a
+        quantized codec.
         """
-        if not getattr(self.codec, "sectioned", False):
-            raise StorageError("parallel_get_codes requires a sectioned codec")
-        return self._parallel_read(posting_ids, whole=False)
+        if self.codec.quantizer is None:
+            raise StorageError("parallel_get_codes requires a quantized codec")
+        return self._parallel_read(posting_ids, sections=1)
 
     def parallel_get_vector_rows(
         self, requests: list[tuple[int, "np.ndarray"]]
@@ -285,19 +286,17 @@ class BlockController:
 
         ``requests`` is ``[(posting_id, row_indices), ...]`` with row
         indices into the on-disk posting (stale entries included, sorted
-        ascending). Only the vector-section blocks covering the requested
-        rows are read — one batched submission for the whole request set.
-        Returns the posting ids served (missing postings and empty
-        requests are skipped), their requested rows stacked in request
-        order as one ``(rows, dim)`` float32 matrix, and the latency.
-        Requires a sectioned codec.
+        ascending). Only the blocks of the last (vector) section covering
+        the requested rows are read — one batched submission for the
+        whole request set. Returns the posting ids served (missing
+        postings and empty requests are skipped), their requested rows
+        stacked in request order as one ``(rows, dim)`` float32 matrix,
+        and the latency. Requires a quantized codec.
         """
         codec = self.codec
-        if not getattr(codec, "sectioned", False):
-            raise StorageError(
-                "parallel_get_vector_rows requires a sectioned codec"
-            )
-        vpb = codec.vectors_per_block
+        if codec.quantizer is None:
+            raise StorageError("parallel_get_vector_rows requires a quantized codec")
+        vpb = codec.sections[-1][0]
         with self._lock:
             served: list[int] = []
             fetched_rows: list[int] = []  # rows held by each posting's fetched blocks
@@ -314,14 +313,16 @@ class BlockController:
                         f"row {int(rows[-1])} out of range for posting {pid} "
                         f"of length {meta.length}"
                     )
-                vec_blocks = meta.blocks[codec.code_blocks_needed(meta.length) :]
+                # The last section starts after the blocks of all the others.
+                vec_blocks = meta.blocks[codec.blocks_needed(meta.length, -1) :]
                 block_of = rows // vpb
                 need = np.unique(block_of)
                 all_blocks.extend(vec_blocks[b] for b in need.tolist())
-                # Every fetched block is full except the section's tail.
+                # Every fetched block is full except the section's tail,
+                # which is -length % vpb rows short.
                 held = len(need) * vpb
                 if need[-1] == len(vec_blocks) - 1:
-                    held += codec.vector_tail_fill(meta.length) - vpb
+                    held -= -meta.length % vpb
                 gather.append(base + np.searchsorted(need, block_of) * vpb + rows % vpb)
                 served.append(pid)
                 fetched_rows.append(held)
@@ -332,7 +333,7 @@ class BlockController:
                 # Arena decode: view every fetched block's valid rows as one
                 # float32 matrix, then ONE fancy gather pulls all requested
                 # rows across every posting.
-                arena = codec.decode_vector_rows(payloads, fetched_rows)
+                arena = codec.section_view(payloads, fetched_rows)["vectors"]
                 picks = np.concatenate(gather) if gather else np.empty(0, dtype=np.intp)
                 return served, arena[picks], latency
 

@@ -5,17 +5,14 @@ packed into fixed-size SSD blocks. Entries never span a block boundary so
 APPEND can rewrite only the tail block, which is the property the paper's
 append-optimized layout depends on.
 
-Two codecs share this contract:
-
-* :class:`PostingCodec` (layout v1) — the classic exact layout, one
-  ``<id, version, vector>`` record per entry.
-* :class:`QuantizedPostingCodec` (layout v2, ``sectioned = True``) — a
-  two-section layout for compressed scans (docs/quantization.md): a
-  *code section* of ``<id, version, quantized code>`` records followed by
-  a *vector section* of raw float32 rows. Scans read only the code-block
-  prefix; the rerank step reads just the vector blocks covering the
-  surviving rows. Both sections keep the never-span-a-block property, so
-  APPEND still rewrites at most one partial tail block per section.
+One codec, :class:`PostingCodec`, whose layout is its tuple of
+*sections*, each a run of fixed-size records that starts on a block
+boundary. The exact layout is one ``<id, version, vector>`` section; a
+quantized index (docs/quantization.md) stores a *code section* of
+``<id, version, quantized code>`` records followed by a *vector section*
+of raw float32 rows. Scans read only section 0; the rerank step reads just
+the last section's blocks covering the surviving rows. APPEND rewrites at
+most one partial tail block per section.
 
 Every decode goes through :func:`join_valid`: the *valid byte prefix* of
 each block is joined into one record stream (so device blocks padded to
@@ -44,8 +41,8 @@ class PostingData:
 
     ``ids`` are int64 vector ids, ``versions`` the uint8 version bytes
     captured at append time, ``vectors`` the raw float32 rows. ``codes``
-    is the optional uint8 quantized-code matrix carried by the sectioned
-    layout (None under the exact v1 codec). All present columns share the
+    is the optional uint8 quantized-code matrix carried by the quantized
+    layout (None under the exact one). All present columns share the
     same length.
     """
 
@@ -234,12 +231,12 @@ class PostingArena(Mapping):
 
 
 def join_valid(
-    payloads: list[bytes], lengths: list[int], per_block: int, entry_size: int
+    payloads: list[bytes], lengths: list[int], per_block: int, record_size: int
 ) -> bytes:
     """One contiguous record stream out of a flat list of block payloads.
 
     ``payloads`` holds the blocks of consecutive record runs back to
-    back: run ``i`` has ``lengths[i]`` records of ``entry_size`` bytes,
+    back: run ``i`` has ``lengths[i]`` records of ``record_size`` bytes,
     ``per_block`` to a block, so each of its blocks is full except the
     last. Only the valid byte prefix of every block is joined — padding
     never enters the stream — which makes device blocks (padded to the
@@ -247,7 +244,7 @@ def join_valid(
     same input. Too few blocks, or a payload shorter than its valid
     prefix, raise :class:`StorageError`.
     """
-    full = per_block * entry_size
+    full = per_block * record_size
     pieces: list[bytes] = []
     cursor = entries = 0
     for n in lengths:
@@ -257,7 +254,7 @@ def join_valid(
         for payload in payloads[cursor:last]:
             pieces.append(payload[:full])
         if last < len(payloads):
-            pieces.append(payloads[last][: (n - (last - cursor) * per_block) * entry_size])
+            pieces.append(payloads[last][: (n - (last - cursor) * per_block) * record_size])
         cursor = last + 1
         entries += n
     if cursor > len(payloads):
@@ -265,10 +262,10 @@ def join_valid(
             f"need {cursor} blocks for {entries} entries, got {len(payloads)}"
         )
     raw = b"".join(pieces)
-    if len(raw) != entries * entry_size:
+    if len(raw) != entries * record_size:
         raise StorageError(
             f"block payloads hold {len(raw)} valid bytes, {entries} entries "
-            f"need {entries * entry_size}"
+            f"need {entries * record_size}"
         )
     return raw
 
@@ -282,282 +279,137 @@ def cut_blocks(raw: bytes, block_bytes: int) -> list[bytes]:
 class PostingCodec:
     """Packs posting entries into block payloads and back.
 
-    The codec is parameterized by vector dimensionality and block size; one
-    codec instance is shared by the whole index.
+    A posting's blocks hold its *sections* in order. A section is a run
+    of fixed-size records, ``per_block`` to a block: it starts on a block
+    boundary and no record spans a block, so APPEND rewrites at most one
+    partial tail block per section. ``sections`` lists them as
+    ``((per_block, record_bytes), ...)``:
+
+    * no ``quantizer`` — one section of ``<id, version, vector>``
+      records, the paper's layout;
+    * a fitted ``quantizer`` — ``<id, version, code>`` records, then the
+      raw float32 rows (docs/quantization.md). Scans read section 0; the
+      rerank reads rows of the last section.
+
+    The codec owns the quantizer and computes the code column whenever
+    ``data.codes`` is None. Encoding is a pure function of the fitted
+    state, so every rewrite path (split, merge, reassign, flush, GC)
+    stays code/vector coherent without knowing the layout exists. A
+    ``sections`` argument counts leading sections (None: all of them).
+    One codec instance is shared by the whole index.
     """
 
-    ID_BYTES = 8
-    VERSION_BYTES = 1
-
-    def __init__(self, dim: int, block_size: int) -> None:
+    def __init__(self, dim: int, block_size: int, quantizer=None) -> None:
         if dim <= 0:
             raise ValueError("dim must be positive")
-        self.dim = dim
-        self.block_size = block_size
-        self.entry_size = self.ID_BYTES + self.VERSION_BYTES + 4 * dim
-        self.entries_per_block = block_size // self.entry_size
-        if self.entries_per_block < 1:
-            raise StorageError(
-                f"block size {block_size} cannot hold one {self.entry_size}-byte "
-                f"entry (dim={dim})"
-            )
-        self._dtype = np.dtype(
-            [("id", "<i8"), ("version", "u1"), ("vec", "<f4", (dim,))]
-        )
-        # (records per block, record bytes) of each section of a posting's
-        # block list, in block order — what APPEND needs to continue them.
-        self.sections = ((self.entries_per_block, self.entry_size),)
-
-    def blocks_needed(self, num_entries: int) -> int:
-        """Blocks required to store ``num_entries`` entries."""
-        if num_entries <= 0:
-            return 0
-        return -(-num_entries // self.entries_per_block)
-
-    def scan_blocks_needed(self, num_entries: int) -> int:
-        """Blocks a scan must read. The exact layout scans everything."""
-        return self.blocks_needed(num_entries)
-
-    def encode(self, data: PostingData) -> list[bytes]:
-        """Encode a posting into a list of block payloads."""
-        n = len(data)
-        if n == 0:
-            return []
-        packed = np.zeros(n, dtype=self._dtype)
-        packed["id"] = data.ids
-        packed["version"] = data.versions
-        packed["vec"] = data.vectors
-        return cut_blocks(packed.tobytes(), self.entries_per_block * self.entry_size)
-
-    def _decode_columns(self, payloads: list[bytes], lengths: list[int]):
-        """``(ids, versions, vectors)`` of every entry in the block list:
-        one join of the valid block prefixes, one structured view, and one
-        copy per column — which detaches it from the read-only buffer and
-        makes it contiguous for the distance kernels downstream."""
-        raw = join_valid(payloads, lengths, self.entries_per_block, self.entry_size)
-        packed = np.frombuffer(raw, dtype=self._dtype)
-        return packed["id"].copy(), packed["version"].copy(), packed["vec"].copy()
-
-    def decode(self, payloads: list[bytes], num_entries: int) -> PostingData:
-        """Decode block payloads back into a posting of ``num_entries``."""
-        return PostingData(*self._decode_columns(payloads, [num_entries]))
-
-    def decode_batch(
-        self, payloads: list[bytes], num_entries_list: list[int], posting_ids=None
-    ) -> PostingArena:
-        """Decode many postings from one flat block list into one arena.
-
-        ``payloads`` holds the blocks of every posting back to back, in
-        the order of ``num_entries_list``; ``posting_ids`` (default
-        ``0..n-1``) name them. ``arena[pid]`` is bit-identical to a
-        per-posting :meth:`decode`.
-        """
-        columns = self._decode_columns(payloads, num_entries_list)
-        return PostingArena(posting_ids, num_entries_list, *columns)
-
-    def tail_fill(self, num_entries: int) -> int:
-        """How many entries sit in the (possibly partial) tail block."""
-        if num_entries == 0:
-            return 0
-        rem = num_entries % self.entries_per_block
-        return rem if rem != 0 else self.entries_per_block
-
-
-class QuantizedPostingCodec:
-    """Two-section posting layout (v2): code blocks, then vector blocks.
-
-    Section 1 packs ``<id, version, code>`` records (``code_bytes`` uint8
-    per entry); section 2 packs the raw float32 rows, several per block.
-    Each section starts on a block boundary and entries never span a
-    block, so:
-
-    * a compressed scan reads only ``code_blocks_needed(n)`` blocks —
-      the IO win over the exact layout grows with ``dim / code_bytes``;
-    * the rerank step reads just the vector blocks covering surviving
-      rows (``row // vectors_per_block``);
-    * APPEND rewrites at most one partial tail block *per section*.
-
-    The codec owns the fitted quantizer: ``encode`` computes the code
-    column itself whenever ``data.codes`` is None. Encoding is a pure
-    function of the fitted state, so every rewrite path (split, merge,
-    reassign, flush, GC) stays code/vector coherent without knowing the
-    layout exists — the invariant auditor checks exactly that.
-    """
-
-    ID_BYTES = 8
-    VERSION_BYTES = 1
-    sectioned = True
-
-    def __init__(self, dim: int, block_size: int, quantizer) -> None:
-        if dim <= 0:
-            raise ValueError("dim must be positive")
-        if quantizer.dim != dim:
+        if quantizer is not None and quantizer.dim != dim:
             raise StorageError(
                 f"quantizer dim {quantizer.dim} does not match codec dim {dim}"
             )
         self.dim = dim
         self.block_size = block_size
         self.quantizer = quantizer
-        self.code_bytes = int(quantizer.code_bytes)
-        self.code_entry_size = self.ID_BYTES + self.VERSION_BYTES + self.code_bytes
-        self.code_entries_per_block = block_size // self.code_entry_size
-        self.vector_entry_size = 4 * dim
-        self.vectors_per_block = block_size // self.vector_entry_size
-        if self.code_entries_per_block < 1 or self.vectors_per_block < 1:
+        # One record dtype per section, its fields named after the
+        # PostingData columns they carry.
+        head = [("ids", "<i8"), ("versions", "u1")]
+        vectors = [("vectors", "<f4", (dim,))]
+        if quantizer is None:
+            fields = [head + vectors]
+        else:
+            fields = [head + [("codes", "u1", (int(quantizer.code_bytes),))], vectors]
+        self._records = [np.dtype(section) for section in fields]
+        self.sections = tuple(
+            (block_size // record.itemsize, record.itemsize) for record in self._records
+        )
+        if any(per_block < 1 for per_block, _ in self.sections):
             raise StorageError(
-                f"block size {block_size} cannot hold one entry of the "
-                f"sectioned layout (dim={dim}, code_bytes={self.code_bytes})"
+                f"block size {block_size} cannot hold one record of each section "
+                f"(record bytes {[size for _, size in self.sections]}, dim={dim})"
             )
-        self._code_dtype = np.dtype(
-            [("id", "<i8"), ("version", "u1"), ("code", "u1", (self.code_bytes,))]
-        )
-        self.sections = (
-            (self.code_entries_per_block, self.code_entry_size),
-            (self.vectors_per_block, self.vector_entry_size),
-        )
 
-    # ------------------------------------------------------------------
-    # geometry
-    # ------------------------------------------------------------------
-    def code_blocks_needed(self, num_entries: int) -> int:
-        if num_entries <= 0:
-            return 0
-        return -(-num_entries // self.code_entries_per_block)
+    def blocks_needed(self, num_entries: int, sections: int | None = None) -> int:
+        """Blocks holding ``num_entries`` entries in the leading ``sections``."""
+        blocks = 0
+        for per_block, _ in self.sections[:sections]:
+            blocks -= -num_entries // per_block
+        return blocks
 
-    def vector_blocks_needed(self, num_entries: int) -> int:
-        if num_entries <= 0:
-            return 0
-        return -(-num_entries // self.vectors_per_block)
-
-    def blocks_needed(self, num_entries: int) -> int:
-        """Total blocks for a posting: code section + vector section."""
-        return self.code_blocks_needed(num_entries) + self.vector_blocks_needed(
-            num_entries
-        )
-
-    def scan_blocks_needed(self, num_entries: int) -> int:
-        """A compressed scan touches only the code-block prefix."""
-        return self.code_blocks_needed(num_entries)
-
-    def vector_tail_fill(self, num_entries: int) -> int:
-        if num_entries == 0:
-            return 0
-        rem = num_entries % self.vectors_per_block
-        return rem if rem != 0 else self.vectors_per_block
-
-    # ------------------------------------------------------------------
-    # encode
-    # ------------------------------------------------------------------
     def codes_for(self, data: PostingData) -> np.ndarray:
         """The posting's code column, computing it if absent."""
         if data.codes is not None:
             codes = np.asarray(data.codes, dtype=np.uint8)
         else:
             codes = self.quantizer.encode(data.vectors)
-        if codes.shape != (len(data), self.code_bytes):
+        if codes.shape != (len(data), self.quantizer.code_bytes):
             raise StorageError(
                 f"code column shape {codes.shape} != "
-                f"({len(data)}, {self.code_bytes})"
+                f"({len(data)}, {self.quantizer.code_bytes})"
             )
         return codes
 
-    def encode_codes_section(
-        self, ids: np.ndarray, versions: np.ndarray, codes: np.ndarray
-    ) -> list[bytes]:
-        """Pack code records into block payloads (section starts a block)."""
-        n = len(ids)
-        if n == 0:
-            return []
-        packed = np.zeros(n, dtype=self._code_dtype)
-        packed["id"] = ids
-        packed["version"] = versions
-        packed["code"] = codes
-        return cut_blocks(
-            packed.tobytes(), self.code_entries_per_block * self.code_entry_size
-        )
-
-    def encode_vectors_section(self, vectors: np.ndarray) -> list[bytes]:
-        """Pack raw float32 rows into block payloads."""
-        n = len(vectors)
-        if n == 0:
-            return []
-        raw = np.ascontiguousarray(vectors, dtype=np.float32).tobytes()
-        return cut_blocks(raw, self.vectors_per_block * self.vector_entry_size)
-
     def encode(self, data: PostingData) -> list[bytes]:
-        """Encode a posting: code-section payloads, then vector payloads."""
-        if len(data) == 0:
+        """Encode a posting: each section's records, cut into blocks."""
+        n = len(data)
+        if n == 0:
             return []
-        codes = self.codes_for(data)
-        return self.encode_codes_section(
-            data.ids, data.versions, codes
-        ) + self.encode_vectors_section(data.vectors)
+        columns = {"ids": data.ids, "versions": data.versions, "vectors": data.vectors}
+        if self.quantizer is not None:
+            columns["codes"] = self.codes_for(data)
+        payloads: list[bytes] = []
+        for record, (per_block, size) in zip(self._records, self.sections):
+            packed = np.zeros(n, dtype=record)
+            for name in record.names:
+                packed[name] = columns[name]
+            payloads += cut_blocks(packed.tobytes(), per_block * size)
+        return payloads
 
-    # ------------------------------------------------------------------
-    # decode
-    # ------------------------------------------------------------------
-    def _decode_code_columns(self, payloads: list[bytes], lengths: list[int]):
-        """``(ids, versions, codes)`` of every code record in the block list."""
-        raw = join_valid(
-            payloads, lengths, self.code_entries_per_block, self.code_entry_size
-        )
-        packed = np.frombuffer(raw, dtype=self._code_dtype)
-        return packed["id"].copy(), packed["version"].copy(), packed["code"].copy()
-
-    def decode_codes(self, payloads: list[bytes], num_entries: int) -> PostingCodes:
-        """Decode code-section payloads into a :class:`PostingCodes`."""
-        return PostingCodes(*self._decode_code_columns(payloads, [num_entries]))
-
-    def decode_codes_batch(
-        self, payloads: list[bytes], num_entries_list: list[int], posting_ids=None
-    ) -> PostingArena:
-        """Decode many code sections from one flat block list into one
-        arena without vectors (see :meth:`PostingCodec.decode_batch`)."""
-        ids, versions, codes = self._decode_code_columns(payloads, num_entries_list)
-        return PostingArena(posting_ids, num_entries_list, ids, versions, codes=codes)
-
-    def decode_vector_block(self, payload: bytes, count: int) -> np.ndarray:
-        """Decode one vector-section block into ``(count, dim)`` float32."""
-        return np.frombuffer(
-            payload, dtype="<f4", count=count * self.dim
-        ).reshape(count, self.dim)
-
-    def decode_vector_rows(self, payloads: list[bytes], lengths: list[int]) -> np.ndarray:
-        """Read-only ``(sum(lengths), dim)`` view over the joined vector rows."""
-        raw = join_valid(payloads, lengths, self.vectors_per_block, self.vector_entry_size)
-        return np.frombuffer(raw, dtype="<f4").reshape(-1, self.dim)
+    def _columns(self, payloads: list[bytes], lengths: list[int], sections=None) -> dict:
+        """Every column of the leading ``sections``: per section one join
+        of the valid block prefixes, one structured view, and one copy per
+        column — which detaches it from the read-only buffer and makes it
+        contiguous for the distance kernels downstream."""
+        geometry = self.sections[:sections]
+        runs = [payloads]
+        if len(geometry) > 1:
+            # Each posting's sections lie back to back: regroup the blocks
+            # into one run per section.
+            runs = [[] for _ in geometry]
+            cursor = 0
+            for n in lengths:
+                for run, (per_block, _) in zip(runs, geometry):
+                    stop = cursor - (-n // per_block)
+                    run += payloads[cursor:stop]
+                    cursor = stop
+        columns = {}
+        for run, record, (per_block, size) in zip(runs, self._records, geometry):
+            packed = np.frombuffer(join_valid(run, lengths, per_block, size), dtype=record)
+            for name in record.names:
+                columns[name] = packed[name].copy()
+        return columns
 
     def decode(self, payloads: list[bytes], num_entries: int) -> PostingData:
-        """Decode full-posting payloads (both sections) into PostingData."""
-        split = self.code_blocks_needed(num_entries)
-        ids, versions, codes = self._decode_code_columns(payloads[:split], [num_entries])
-        vectors = self.decode_vector_rows(payloads[split:], [num_entries])
-        return PostingData(ids, versions, vectors.copy(), codes)
+        """Decode one whole posting's payloads into owned columns."""
+        return PostingData(**self._columns(payloads, [num_entries]))
 
     def decode_batch(
-        self, payloads: list[bytes], num_entries_list: list[int], posting_ids=None
+        self, payloads: list[bytes], lengths: list[int], posting_ids=None, sections=None
     ) -> PostingArena:
-        """Decode many full postings (both sections each) into one arena."""
-        code_blocks: list[bytes] = []
-        vector_blocks: list[bytes] = []
-        cursor = 0
-        for n in num_entries_list:
-            split = cursor + self.code_blocks_needed(n)
-            stop = split + self.vector_blocks_needed(n)
-            code_blocks += payloads[cursor:split]
-            vector_blocks += payloads[split:stop]
-            cursor = stop
-        ids, versions, codes = self._decode_code_columns(code_blocks, num_entries_list)
-        vectors = self.decode_vector_rows(vector_blocks, num_entries_list)
-        return PostingArena(
-            posting_ids, num_entries_list, ids, versions, vectors.copy(), codes
-        )
+        """Decode many postings from one flat block list into one arena.
 
+        ``payloads`` holds the blocks of the leading ``sections`` of every
+        posting, posting after posting in the order of ``lengths``;
+        ``posting_ids`` (default ``0..n-1``) name them. ``arena[pid]`` is
+        bit-identical to a per-posting :meth:`decode` — without vectors
+        when only the code section was read.
+        """
+        return PostingArena(posting_ids, lengths, **self._columns(payloads, lengths, sections))
 
-def make_codec(config, quantizer=None):
-    """The posting codec an ``SPFreshConfig`` asks for: the sectioned v2
-    layout around the fitted ``quantizer`` when quantization is enabled,
-    the exact v1 layout otherwise."""
-    if config.quantize.enabled:
-        return QuantizedPostingCodec(config.dim, config.block_size, quantizer)
-    return PostingCodec(config.dim, config.block_size)
+    def section_view(
+        self, payloads: list[bytes], lengths: list[int], section: int = -1
+    ) -> np.ndarray:
+        """Read-only record view over one section's joined blocks: runs of
+        ``lengths[i]`` records, each run's blocks full but its last. The
+        rerank gathers its rows straight out of the last section."""
+        per_block, size = self.sections[section]
+        raw = join_valid(payloads, lengths, per_block, size)
+        return np.frombuffer(raw, dtype=self._records[section])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import QueryRequest
+from repro.core.index import SPFreshIndex
 from repro.storage.cache import CachedBlockController
 from tests.conftest import make_posting
 
@@ -140,6 +140,20 @@ class TestDelegation:
         cached.get(0)
         assert cached.memory_bytes() > 0
 
+    def test_memory_model_counts_codes(self, vectors, small_config):
+        """A quantized index's cached postings carry a code column; the
+        model counts it with the other three."""
+        config = small_config.with_overrides(
+            quant_enabled=True, quant_kind="pq", quant_subspaces=4, quant_codebook_size=16
+        )
+        index = SPFreshIndex.build(vectors, config=config)
+        cached = CachedBlockController(index.controller, capacity=4)
+        data, _ = cached.get(index.controller.posting_ids()[0])
+        assert data.codes is not None and len(data) > 0
+        assert cached.memory_bytes() == sum(
+            column.nbytes for column in (data.ids, data.versions, data.vectors, data.codes)
+        )
+
     def test_invalid_capacity(self, controller):
         with pytest.raises(ValueError):
             CachedBlockController(controller, capacity=0)
@@ -147,14 +161,19 @@ class TestDelegation:
 
 class TestWithSearcher:
     def test_cached_searches_reduce_device_reads(self, built_index, vectors):
+        # The searcher is driven directly: a query through the index may
+        # drain merge jobs in between, and their writes invalidate entries.
+        searcher = built_index.searcher
         cached = CachedBlockController(built_index.controller, capacity=512)
-        built_index.searcher.controller = cached
-        io_before = built_index.ssd.stats.snapshot()
-        for _ in range(5):
-            built_index.query(QueryRequest.single(vectors[0], k=5, nprobe=8))
-        window = built_index.ssd.stats.snapshot().delta(io_before)
+        searcher.controller = cached
+        stats = built_index.ssd.stats
+        before = stats.snapshot()
+        searcher.search(vectors[0], k=5, nprobe=8)
+        assert stats.snapshot().delta(before).block_reads > 0
         # Only the first query's postings hit the device.
+        before = stats.snapshot()
+        for _ in range(4):
+            result = searcher.search(vectors[0], k=5, nprobe=8)
+        assert stats.snapshot().delta(before).block_reads == 0
         assert cached.hit_rate > 0.5
-        assert window.block_reads <= window.block_reads  # sanity
-        result = built_index.query(QueryRequest.single(vectors[0], k=5, nprobe=8)).result
         assert result.io_latency_us == cached.hit_latency_us

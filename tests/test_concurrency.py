@@ -9,7 +9,7 @@ from repro.api import QueryRequest
 from repro.core.index import SPFreshIndex
 from repro.core.jobs import PostingLockManager
 from tests.conftest import DIM
-from tests.helpers import assert_no_vector_lost, npa_violations
+from tests.helpers import assert_no_vector_lost, npa_violations, reassign_batch
 
 
 class TestLockManager:
@@ -281,6 +281,57 @@ class TestBackgroundPipeline:
         async_index.rebuilder.wait_idle()
         violations = npa_violations(async_index)
         assert len(violations) <= max(3, async_index.live_vector_count // 50)
+
+    def test_background_reassign_moves_one_row_at_a_time(
+        self, async_index, vectors, small_config
+    ):
+        """Inline a job lands its rows in one pass; a background worker
+        routes and lands each row before the next. Either way each vector
+        is routed once: the row of an id an earlier row moved is dropped
+        before routing."""
+
+        def reassign_lands(index):
+            rows = []
+            for i, pid in enumerate(index.controller.posting_ids()[:6]):
+                # At a posting's centroid: the move lands there, no split.
+                vid = 98_000 + i
+                vector = index.centroid_index.get(pid).astype(np.float32)
+                index.insert(vid, vector)
+                rows.append((vid, vector))
+            index.drain()
+            # A source no row sits in: none is an NPA false positive. The
+            # first id's second replica row goes stale when row 0 moves.
+            job = reassign_batch(
+                [
+                    (vid, v, index.version_map.current_version(vid))
+                    for vid, v in rows + rows[:1]
+                ],
+                source_posting=-1,
+            )
+            sizes, routed = [], []
+            land, route_batch = index.writer.land, index.writer.route_batch
+
+            def counting_land(rows, routes, replicas, cascade_depth, landing):
+                if cascade_depth == 1:  # a reassign's landing
+                    sizes.append(len(rows))
+                return land(rows, routes, replicas, cascade_depth, landing)
+
+            def counting_route_batch(vectors, replicas):
+                routed.append(len(vectors))
+                return route_batch(vectors, replicas)
+
+            index.writer.land = counting_land
+            index.writer.route_batch = counting_route_batch
+            executed = index.stats.reassign_executed
+            index.job_queue.put(job)
+            index.drain()
+            assert index.stats.reassign_executed - executed == 6
+            assert sum(routed) == 6
+            return sizes
+
+        inline = SPFreshIndex.build(vectors, config=small_config)
+        assert reassign_lands(inline) == [6]
+        assert reassign_lands(async_index) == [1] * 6
 
     def test_stop_is_idempotent(self, async_index):
         async_index.stop()

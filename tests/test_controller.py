@@ -125,7 +125,7 @@ class TestAppend:
 
     def test_append_only_rewrites_tail_block(self, controller, rng, ssd, codec):
         """APPEND writes O(1) blocks regardless of posting length."""
-        controller.put(0, make_posting(rng, codec.entries_per_block * 6))
+        controller.put(0, make_posting(rng, codec.sections[0][0] * 6))
         before = ssd.stats.snapshot()
         controller.append(0, make_posting(rng, 1, id_start=10_000))
         window = ssd.stats.snapshot().delta(before)
@@ -164,7 +164,7 @@ class TestDeleteAndFreePool:
         tiny = SimulatedSSD(num_blocks=2, profile=SSDProfile(block_size=512))
         controller = BlockController(tiny, codec)
         with pytest.raises(OutOfSpaceError):
-            controller.put(0, make_posting(rng, codec.entries_per_block * 3))
+            controller.put(0, make_posting(rng, codec.sections[0][0] * 3))
 
     def test_free_pool_and_mapping_partition_device(self, controller, rng, ssd):
         """Every block is either free or owned by exactly one posting."""

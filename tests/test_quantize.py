@@ -24,7 +24,7 @@ from repro.quantize import (
     make_quantizer,
     quantizer_from_state,
 )
-from repro.storage.layout import PostingData, QuantizedPostingCodec
+from repro.storage.layout import PostingCodec, PostingData
 from repro.util.distance import pairwise_sq_l2
 
 
@@ -174,7 +174,7 @@ class TestQuantizedCodecRoundTrip:
         vectors, dim, rng = case
         quantizer = make_quantizer("pq", dim, subspaces=4, codebook_size=16)
         quantizer.fit(vectors, rng)
-        codec = QuantizedPostingCodec(dim, block_size=4096, quantizer=quantizer)
+        codec = PostingCodec(dim, block_size=4096, quantizer=quantizer)
         n = min(len(vectors), 37)
         data = PostingData.from_rows(
             ids=np.arange(n, dtype=np.int64),

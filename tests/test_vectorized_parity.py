@@ -7,6 +7,8 @@ layouts, so any future "optimization" that changes rounding or tie-break
 order fails loudly instead of silently moving the perf gate's metrics.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from repro.centroids.graph import GraphCentroidIndex
 from repro.spann.postings import dedup_top_k
 from repro.quantize.sq import ScalarQuantizer
 from repro.storage.controller import BlockController
-from repro.storage.layout import PostingCodec, PostingData, QuantizedPostingCodec
+from repro.storage.layout import PostingCodec, PostingData
 from repro.storage.ssd import SimulatedSSD, SSDProfile
 from repro.util.distance import pairwise_sq_l2_exact, sq_l2, sq_l2_batch
 
@@ -228,7 +230,7 @@ class TestCodecAdversarialShapes:
     def test_exact_block_and_partial_tail(self):
         rng = np.random.default_rng(2)
         codec = self._codec()
-        epb = codec.entries_per_block
+        epb = codec.sections[0][0]
         for n in (epb, epb + 1, 2 * epb, 2 * epb - 1, 3 * epb + epb // 2):
             data = self._posting(rng, codec, n)
             out = codec.decode(self._device_pad(codec, codec.encode(data)), n)
@@ -241,11 +243,11 @@ class TestCodecAdversarialShapes:
         if kind == "exact":
             return PostingCodec(dim=dim, block_size=block_size)
         quantizer = ScalarQuantizer(dim).fit(_matrix(np.random.default_rng(0), 32, dim))
-        return QuantizedPostingCodec(dim, block_size, quantizer)
+        return PostingCodec(dim, block_size, quantizer)
 
     def _assert_arena_matches(self, codec, postings, sizes, padded):
         """Arena decode == per-posting decode == what was encoded, for whole
-        postings and (sectioned codec) for the code sections alone."""
+        postings and (quantized codec) for the code sections alone."""
         pad = (lambda blocks: self._device_pad(codec, blocks)) if padded else list
         per_posting = [pad(codec.encode(data)) for data in postings]
         pids = [100 + i for i in range(len(sizes))]
@@ -261,15 +263,15 @@ class TestCodecAdversarialShapes:
                 assert got.vectors.shape == (n, codec.dim)
                 if got.codes is not None:
                     np.testing.assert_array_equal(got.codes, codec.codes_for(data))
-        if not getattr(codec, "sectioned", False):
+        if codec.quantizer is None:
             assert arena.rows is arena.vectors
             return
-        sections = [blocks[: codec.code_blocks_needed(n)]
+        sections = [blocks[: codec.blocks_needed(n, 1)]
                     for blocks, n in zip(per_posting, sizes)]
-        codes = codec.decode_codes_batch(sum(sections, []), sizes)  # default ids 0..n-1
+        codes = codec.decode_batch(sum(sections, []), sizes, sections=1)  # default ids 0..n-1
         assert codes.vectors is None and codes.rows is codes.codes
         for slot, (data, blocks, n) in enumerate(zip(postings, sections, sizes)):
-            for got in (codes[slot], codec.decode_codes(blocks, n)):
+            for got in (codes[slot], codec.decode_batch(blocks, [n], sections=1)[0]):
                 np.testing.assert_array_equal(got.ids, data.ids)
                 np.testing.assert_array_equal(got.versions, data.versions)
                 np.testing.assert_array_equal(got.codes, codec.codes_for(data))
@@ -290,7 +292,7 @@ class TestCodecAdversarialShapes:
     def test_decode_batch_empty_and_block_multiples(self, kind, padded):
         rng = np.random.default_rng(9)
         codec = self._any_codec(kind, dim=4, block_size=96)
-        per_block = getattr(codec, "code_entries_per_block", None) or codec.entries_per_block
+        per_block = codec.sections[0][0]
         for sizes in (
             [0],
             [0, 0],
@@ -312,16 +314,11 @@ class TestCodecAdversarialShapes:
         exact = self._any_codec("exact", dim=5, block_size=128)
         sq8 = self._any_codec("sq8", dim=5, block_size=128)
         cases = []  # (decode, blocks of one two-block run, its entry count)
-        for codec, decode, per_block in (
-            (exact, exact.decode_batch, exact.entries_per_block),
-            (sq8, sq8.decode_codes_batch, sq8.code_entries_per_block),
-            (sq8, sq8.decode_batch, sq8.code_entries_per_block),
-        ):
-            data = self._posting(rng, codec, per_block + 2)
+        for codec, sections in ((exact, None), (sq8, 1), (sq8, None)):
+            data = self._posting(rng, codec, codec.sections[0][0] + 2)
             blocks = self._device_pad(codec, codec.encode(data))
-            if decode == sq8.decode_codes_batch:
-                blocks = blocks[:2]
-            cases.append((decode, blocks, len(data)))
+            blocks = blocks[: codec.blocks_needed(len(data), sections)]
+            cases.append((partial(codec.decode_batch, sections=sections), blocks, len(data)))
         for decode, blocks, n in cases:
             decode(blocks, [n])  # the intact input decodes
             with pytest.raises(StorageError):
