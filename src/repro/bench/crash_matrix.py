@@ -7,7 +7,8 @@ replay restore every acknowledged update. This harness tests that claim at
 1. Build a small index, checkpoint it, and capture the durable state
    (device blocks, snapshot blob) as the trial starting line.
 2. Run a seeded insert/delete/checkpoint workload once fault-free through
-   a :class:`~repro.storage.faults.FaultInjectingSSD` to enumerate the
+   a device that numbers its ops
+   (:attr:`~repro.storage.ssd.SimulatedSSD.op_index`) to enumerate the
    crashable operations: every device op (reads, writes, trims), every
    WAL append (torn at two byte offsets), and every snapshot boundary
    (torn temp file, crash before / after the atomic rename).
@@ -42,7 +43,7 @@ from repro.api import QueryRequest
 from repro.core.config import SPFreshConfig
 from repro.core.index import SPFreshIndex
 from repro.spann.postings import live_view
-from repro.storage.faults import FaultInjectingSSD, FaultPlan
+from repro.storage.faults import FaultPlan
 from repro.storage.snapshot import SnapshotManager
 from repro.storage.ssd import SimulatedSSD, SSDProfile
 from repro.storage.wal import WriteAheadLog
@@ -285,9 +286,8 @@ def _run_trial(
     collect: _CleanRunInfo | None = None,
 ) -> None:
     icfg = config.index_config()
-    inner = SimulatedSSD(icfg.ssd_blocks, _profile(icfg))
-    inner.import_blocks(base.blocks)
-    device = FaultInjectingSSD(inner, plan)
+    device = SimulatedSSD(icfg.ssd_blocks, _profile(icfg), faults=plan)
+    device.import_blocks(base.blocks)
     wal = WriteAheadLog(faults=plan)
     snapshots = SnapshotManager(faults=plan)
     snapshots.import_blob(base.snapshot_blob)

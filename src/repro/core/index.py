@@ -149,8 +149,9 @@ class SPFreshIndex:
         """Build a fresh index from a static vector set (SPANN build).
 
         ``device`` lets callers supply a pre-constructed block device — in
-        particular a :class:`repro.storage.filedev.FileBackedSSD` for a
-        durable index that a later process can :meth:`recover`.
+        particular a :class:`~repro.storage.ssd.SimulatedSSD` opened with
+        ``path=`` for a durable index that a later process can
+        :meth:`recover`, or one with ``faults=`` for crash tests.
         """
         vectors = as_matrix(vectors)
         config = (config or SPFreshConfig(dim=vectors.shape[1])).validate()
@@ -391,6 +392,8 @@ class SPFreshIndex:
         self.drain()
         from repro.core.recovery import collect_state
 
+        # The snapshot references device blocks: make them durable first.
+        self.ssd.sync()
         generation = self.snapshots.save(collect_state(self))
         # Blocks freed before this snapshot are now unreachable from any
         # restorable state: release them and open a new deferral window.

@@ -201,8 +201,8 @@ class ClusterSPFresh:
         ``HashPlacement(8)``) is used as given and brings its own shard
         count. ``device_factory(shard_id, replica_id, config)`` optionally
         supplies each replica's block device — the hook the fault tests
-        use to wrap a replica in a
-        :class:`~repro.storage.faults.FaultInjectingSSD`.
+        use to give one replica a
+        :class:`~repro.storage.ssd.SimulatedSSD` built with ``faults=``.
         """
         vectors = as_matrix(vectors)
         if ids is None:

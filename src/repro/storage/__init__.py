@@ -1,16 +1,17 @@
 """SSD-backed storage substrate (paper §4.3).
 
 The paper's Block Controller runs on SPDK against a raw NVMe device. This
-package substitutes a deterministic simulated block device
+package substitutes one deterministic simulated block device
 (:class:`SimulatedSSD`) whose latency model is driven by block counts and a
 bounded internal queue, plus the Block Controller proper: posting→block
 mapping, free-block pool, GET/ParallelGET/APPEND/PUT, and the snapshot/WAL
-machinery for crash recovery (§4.4).
+machinery for crash recovery (§4.4). The device, the WAL and the snapshot
+manager each take their medium the same way (``path=`` / ``directory=``,
+in memory when None) and a :class:`FaultPlan` as ``faults=``.
 """
 
 from repro.storage.ssd import SimulatedSSD, SSDProfile
-from repro.storage.filedev import FileBackedSSD
-from repro.storage.faults import FaultEvent, FaultInjectingSSD, FaultPlan
+from repro.storage.faults import FaultEvent, FaultPlan
 from repro.storage.iostats import IOStats, IOWindow
 from repro.storage.layout import PostingCodec, PostingData
 from repro.storage.controller import BlockController
@@ -20,9 +21,7 @@ from repro.storage.cache import CachedBlockController
 
 __all__ = [
     "SimulatedSSD",
-    "FileBackedSSD",
     "FaultEvent",
-    "FaultInjectingSSD",
     "FaultPlan",
     "SSDProfile",
     "IOStats",

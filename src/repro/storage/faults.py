@@ -2,17 +2,16 @@
 
 The durability story (paper §4.4: snapshot + WAL replay) is only credible
 if recovery survives a *misbehaving* device, not just a clean shutdown.
-This module provides the adversary:
+This module provides the adversary, :class:`FaultPlan`: a seeded, fully
+deterministic fault schedule. Every decision is a pure function of
+``(seed, op_index)``, so two devices running the same operation sequence
+under equal plans inject byte-identical faults (and therefore produce
+identical :class:`~repro.storage.iostats.IOStats`).
 
-* :class:`FaultPlan` — a seeded, fully deterministic fault schedule.
-  Every decision is a pure function of ``(seed, op_index)``, so two
-  devices running the same operation sequence under equal plans inject
-  byte-identical faults (and therefore produce identical
-  :class:`~repro.storage.iostats.IOStats`).
-* :class:`FaultInjectingSSD` — a wrapper composing over any block device
-  with the :class:`~repro.storage.ssd.SimulatedSSD` API (including
-  :class:`~repro.storage.filedev.FileBackedSSD`). It counts device
-  operations and consults the plan before each one.
+Each durability channel takes the plan as ``faults=`` and consults it
+itself. :class:`~repro.storage.ssd.SimulatedSSD` numbers its device ops
+(reads, writes, trims), asks the plan before each one on either medium,
+and records every injected fault as a :class:`FaultEvent`.
 
 Fault taxonomy (see ``docs/fault-model.md`` for the full contract):
 
@@ -29,7 +28,7 @@ read error  :class:`~repro.util.errors.InjectedFaultError` is raised before
 corruption  one byte of one payload is flipped before it hits the media;
             the host sees a successful write.
 crash point ``crash_at_op=N`` raises :class:`CrashPoint` at the Nth device
-            op — before a read, tearing a write. The crash-matrix harness
+            op — before a read or trim, tearing a write. The crash-matrix harness
             sweeps N over every op of a workload.
 ========== =================================================================
 
@@ -47,9 +46,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.storage.iostats import IOStats
-from repro.storage.ssd import SSDProfile
-from repro.util.errors import CrashPoint, InjectedFaultError, StorageError
 
 SNAPSHOT_FAULTS = (
     "torn-tmp",  # torn temp file, crash before commit (old snapshot survives)
@@ -211,195 +207,3 @@ class FaultPlan:
         ):
             return None
         return self.snapshot_fault
-
-
-class FaultInjectingSSD:
-    """Block device wrapper that injects faults from a :class:`FaultPlan`.
-
-    Mirrors the :class:`~repro.storage.ssd.SimulatedSSD` API, so the Block
-    Controller (and everything above it) runs unmodified. Every
-    ``read_blocks`` / ``write_blocks`` / ``trim`` call consumes one *device
-    op index*; the plan decides per index. Accounting contract:
-
-    * acknowledged ops (clean, dropped, corrupt) record normal IOStats;
-    * failed ops (read errors) and crashed ops (torn writes, crash points)
-      record **nothing** — an op the host never saw complete must not skew
-      latency or amplification counters.
-
-    Injected faults are appended to :attr:`events` for audits; under a
-    fixed seed, two identical op sequences produce identical event lists.
-    """
-
-    def __init__(self, inner, plan: FaultPlan | None = None) -> None:
-        self.inner = inner
-        self.plan = plan
-        self.op_index = 0
-        self.events: list[FaultEvent] = []
-
-    # ------------------------------------------------------------------
-    # delegated geometry / accounting
-    # ------------------------------------------------------------------
-    @property
-    def profile(self) -> SSDProfile:
-        return self.inner.profile
-
-    @property
-    def block_size(self) -> int:
-        return self.inner.block_size
-
-    @property
-    def num_blocks(self) -> int:
-        return self.inner.num_blocks
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.inner.capacity_bytes
-
-    @property
-    def stats(self) -> IOStats:
-        return self.inner.stats
-
-    # ------------------------------------------------------------------
-    def _next_op(self) -> int:
-        index = self.op_index
-        self.op_index += 1
-        return index
-
-    def _log(self, op_index: int, channel: str, kind: str, detail: str = "") -> None:
-        self.events.append(FaultEvent(op_index, channel, kind, detail))
-
-    # ------------------------------------------------------------------
-    # block primitives (SimulatedSSD API)
-    # ------------------------------------------------------------------
-    def read_blocks(self, block_ids: list[int]) -> tuple[list[bytes], float]:
-        index = self._next_op()
-        plan = self.plan
-        if plan is not None and plan.armed:
-            if plan.crashes_at(index):
-                self._log(index, "read", "crash")
-                raise CrashPoint(f"injected crash at device op {index} (read)")
-            if plan.read_error(index):
-                self._log(index, "read", "read-error")
-                raise InjectedFaultError(
-                    f"injected read I/O error at device op {index}"
-                )
-        return self.inner.read_blocks(block_ids)
-
-    def write_blocks(self, block_ids: list[int], payloads: list[bytes]) -> float:
-        if len(block_ids) != len(payloads):
-            raise StorageError("block_ids and payloads length mismatch")
-        index = self._next_op()
-        plan = self.plan
-        if plan is not None and plan.armed and block_ids:
-            if plan.crashes_at(index) or plan.write_fault(index) == "torn":
-                keep, partial = plan.torn_shape(
-                    index, len(block_ids), self.block_size
-                )
-                self._tear(block_ids, payloads, keep, partial)
-                self._log(
-                    index,
-                    "write",
-                    "torn" if not plan.crashes_at(index) else "crash",
-                    f"kept {keep} blocks + {partial} bytes of block {keep}",
-                )
-                raise CrashPoint(
-                    f"injected crash tearing write op {index} after "
-                    f"{keep} blocks + {partial} bytes"
-                )
-            fault = plan.write_fault(index)
-            if fault == "dropped":
-                dropped = plan.dropped_blocks(index, len(block_ids))
-                for position, (bid, data) in enumerate(zip(block_ids, payloads)):
-                    if position not in dropped:
-                        self.inner.poke_block(bid, data)
-                # The host saw the whole batch acknowledged: full latency,
-                # full stats — the loss is silent by definition.
-                latency = self.profile.write_batch_latency_us(len(block_ids))
-                self.stats.record_write(
-                    len(block_ids), len(block_ids) * self.block_size, latency
-                )
-                self._log(
-                    index,
-                    "write",
-                    "dropped",
-                    f"lost {len(dropped)}/{len(block_ids)} blocks",
-                )
-                return latency
-            if fault == "corrupt":
-                position, offset, mask = plan.corrupt_site(
-                    index, len(block_ids), self.block_size
-                )
-                padded = payloads[position] + b"\x00" * (
-                    self.block_size - len(payloads[position])
-                )
-                payloads = list(payloads)
-                payloads[position] = (
-                    padded[:offset]
-                    + bytes([padded[offset] ^ mask])
-                    + padded[offset + 1 :]
-                )
-                self._log(
-                    index,
-                    "write",
-                    "corrupt",
-                    f"flipped bit {mask:#04x} at block {block_ids[position]}"
-                    f"+{offset}",
-                )
-        return self.inner.write_blocks(block_ids, payloads)
-
-    def _tear(
-        self,
-        block_ids: list[int],
-        payloads: list[bytes],
-        keep: int,
-        partial: int,
-    ) -> None:
-        """Commit a torn prefix of the batch via the stats-free backdoor."""
-        for bid, data in zip(block_ids[:keep], payloads[:keep]):
-            self.inner.poke_block(bid, data)
-        if keep < len(block_ids) and partial > 0:
-            bid = block_ids[keep]
-            new = payloads[keep] + b"\x00" * (self.block_size - len(payloads[keep]))
-            old = self.inner.peek_block(bid)
-            self.inner.poke_block(bid, new[:partial] + old[partial:])
-
-    def read_block(self, block_id: int) -> tuple[bytes, float]:
-        data, latency = self.read_blocks([block_id])
-        return data[0], latency
-
-    def write_block(self, block_id: int, payload: bytes) -> float:
-        return self.write_blocks([block_id], [payload])
-
-    def trim(self, block_ids: list[int]) -> None:
-        index = self._next_op()
-        plan = self.plan
-        if plan is not None and plan.crashes_at(index):
-            self._log(index, "trim", "crash")
-            raise CrashPoint(f"injected crash at device op {index} (trim)")
-        self.inner.trim(block_ids)
-
-    # ------------------------------------------------------------------
-    # pass-through maintenance / introspection
-    # ------------------------------------------------------------------
-    def used_blocks(self) -> int:
-        return self.inner.used_blocks()
-
-    def peek_block(self, block_id: int) -> bytes:
-        return self.inner.peek_block(block_id)
-
-    def poke_block(self, block_id: int, payload: bytes) -> None:
-        self.inner.poke_block(block_id, payload)
-
-    def export_blocks(self) -> dict[int, bytes]:
-        return self.inner.export_blocks()
-
-    def import_blocks(self, blocks: dict[int, bytes]) -> None:
-        self.inner.import_blocks(blocks)
-
-    def sync(self) -> None:
-        if hasattr(self.inner, "sync"):
-            self.inner.sync()
-
-    def close(self) -> None:
-        if hasattr(self.inner, "close"):
-            self.inner.close()

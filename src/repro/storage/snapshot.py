@@ -72,7 +72,10 @@ class SnapshotManager:
 
     ``directory=None`` keeps snapshots in memory, which is enough for the
     crash-injection tests that tear down the index object but not the
-    process.
+    process; a ``directory`` keeps them in a file there that a restarted
+    process reopens. One save / load flow serves both media: the only
+    medium-specific steps are :meth:`_publish` (a memory slot, or a temp
+    file plus ``os.replace``) and :meth:`export_blob` (reading it back).
     """
 
     def __init__(self, directory: str | None = None, faults=None) -> None:
@@ -82,63 +85,31 @@ class SnapshotManager:
         self._memory_snapshot: bytes | None = None
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
-            existing = self._snapshot_path()
-            if os.path.exists(existing):
-                self.generation = self._read_generation(existing)
+            self.load()
 
-    def _snapshot_path(self) -> str:
-        assert self.directory is not None
+    def _origin(self) -> str:
+        if self.directory is None:
+            return "<memory>"
         return os.path.join(self.directory, _SNAPSHOT_NAME)
-
-    @staticmethod
-    def _read_generation(path: str) -> int:
-        with open(path, "rb") as fh:
-            blob = _unseal(fh.read(), path)
-        return int(blob.get("generation", 0))
 
     def save(self, state: dict) -> int:
         """Persist ``state`` atomically; returns the new generation number."""
         self.generation += 1
         blob = {"generation": self.generation, "state": state}
-        sealed = _seal(pickle.dumps(blob, protocol=pickle.HIGHEST_PROTOCOL))
+        data = _seal(pickle.dumps(blob, protocol=pickle.HIGHEST_PROTOCOL))
         fault = None
         if self.faults is not None:
             fault = self.faults.snapshot_action(self.generation)
-        data = sealed
         if fault in ("torn-tmp", "corrupt-published"):
             # A torn write: only a prefix of the blob reaches the media.
-            data = sealed[: max(1, len(sealed) // 2)]
-        if self.directory is None:
-            if fault in ("torn-tmp", "crash-before-commit"):
-                raise CrashPoint(
-                    f"injected crash before committing snapshot "
-                    f"generation {self.generation}"
-                )
-            self._memory_snapshot = data
-            if fault == "crash-after-commit":
-                raise CrashPoint(
-                    f"injected crash after committing snapshot "
-                    f"generation {self.generation}"
-                )
-        else:
-            fd, tmp_path = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(data)
-                if fault in ("torn-tmp", "crash-before-commit"):
-                    raise CrashPoint(
-                        f"injected crash before committing snapshot "
-                        f"generation {self.generation}"
-                    )
-                os.replace(tmp_path, self._snapshot_path())
-                if fault == "crash-after-commit":
-                    raise CrashPoint(
-                        f"injected crash after committing snapshot "
-                        f"generation {self.generation}"
-                    )
-            finally:
-                if os.path.exists(tmp_path):
-                    os.unlink(tmp_path)
+            data = data[: max(1, len(data) // 2)]
+        commit = fault not in ("torn-tmp", "crash-before-commit")
+        self._publish(data, commit)
+        if not commit or fault == "crash-after-commit":
+            raise CrashPoint(
+                f"injected crash {'after' if commit else 'before'} committing "
+                f"snapshot generation {self.generation}"
+            )
         return self.generation
 
     def load(self) -> dict | None:
@@ -148,24 +119,16 @@ class SnapshotManager:
         integrity check — a detected-corrupt snapshot must never be
         silently restored.
         """
-        if self.directory is None:
-            if self._memory_snapshot is None:
-                return None
-            blob = _unseal(self._memory_snapshot, "<memory>")
-        else:
-            path = self._snapshot_path()
-            if not os.path.exists(path):
-                return None
-            with open(path, "rb") as fh:
-                blob = _unseal(fh.read(), path)
+        raw = self.export_blob()
+        if raw is None:
+            return None
+        blob = _unseal(raw, self._origin())
         self.generation = int(blob["generation"])
         return blob["state"]
 
     @property
     def has_snapshot(self) -> bool:
-        if self.directory is None:
-            return self._memory_snapshot is not None
-        return os.path.exists(self._snapshot_path())
+        return self.export_blob() is not None
 
     # ------------------------------------------------------------------
     # raw blob access (crash-matrix state priming, restart simulation)
@@ -174,27 +137,41 @@ class SnapshotManager:
         """Raw sealed snapshot bytes, or None if no snapshot exists."""
         if self.directory is None:
             return self._memory_snapshot
-        path = self._snapshot_path()
-        if not os.path.exists(path):
+        try:
+            with open(self._origin(), "rb") as fh:
+                return fh.read()
+        except FileNotFoundError:
             return None
-        with open(path, "rb") as fh:
-            return fh.read()
 
     def import_blob(self, payload: bytes | None) -> None:
-        """Install raw snapshot bytes as the current snapshot.
+        """Install raw snapshot bytes as the current snapshot (None: none).
 
         The blob is *not* validated here — corrupt imports are how the
         fault tests exercise :meth:`load`'s integrity checking.
         """
+        self._publish(payload)
+
+    def _publish(self, data: bytes | None, commit: bool = True) -> None:
+        """Make ``data`` the published snapshot, atomically.
+
+        On disk the bytes go to a temp file that ``os.replace`` renames
+        over the snapshot; ``commit=False`` stops short of the rename (a
+        crash before commit), leaving the previous snapshot in place.
+        """
         if self.directory is None:
-            self._memory_snapshot = payload
-        else:
-            path = self._snapshot_path()
-            if payload is None:
-                if os.path.exists(path):
-                    os.unlink(path)
-            else:
-                fd, tmp_path = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(payload)
-                os.replace(tmp_path, path)
+            if commit:
+                self._memory_snapshot = data
+            return
+        if data is None:
+            if os.path.exists(self._origin()):
+                os.unlink(self._origin())
+            return
+        fd, tmp_path = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            if commit:
+                os.replace(tmp_path, self._origin())
+        finally:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)

@@ -17,7 +17,7 @@ from repro.distributed import (
     HashPlacement,
 )
 from repro.serving import ServingFrontend
-from repro.storage.faults import FaultInjectingSSD, FaultPlan
+from repro.storage.faults import FaultPlan
 from repro.storage.ssd import SimulatedSSD, SSDProfile
 from repro.util.errors import IndexError_
 from repro.util.workers import fork_available
@@ -334,13 +334,11 @@ class TestFaultInjection:
         plan = FaultPlan(seed=3, read_error_rate=1.0).disarm()
 
         def device_factory(shard_id, replica_id, shard_config):
-            device = SimulatedSSD(
+            return SimulatedSSD(
                 shard_config.ssd_blocks,
                 SSDProfile(block_size=shard_config.block_size),
+                faults=plan if (shard_id, replica_id) == (0, 0) else None,
             )
-            if shard_id == 0 and replica_id == 0:
-                return FaultInjectingSSD(device, plan)
-            return device
 
         with ClusterSPFresh.build(
             vectors, num_shards=3, config=config, device_factory=device_factory
@@ -493,14 +491,15 @@ class TestPooledQuery:
         plans = []
 
         def device_factory(shard_id, replica_id, shard_config):
-            device = SimulatedSSD(
+            plan = None
+            if shard_id == 0 and replica_id == 0:
+                plan = FaultPlan(seed=3, read_error_rate=1.0).disarm()
+                plans.append(plan)
+            return SimulatedSSD(
                 shard_config.ssd_blocks,
                 SSDProfile(block_size=shard_config.block_size),
+                faults=plan,
             )
-            if shard_id == 0 and replica_id == 0:
-                plans.append(FaultPlan(seed=3, read_error_rate=1.0).disarm())
-                return FaultInjectingSSD(device, plans[-1])
-            return device
 
         serial, pooled = twins(
             cluster_config.with_overrides(cluster_replication_factor=2),

@@ -18,7 +18,6 @@ from repro.bench.crash_matrix import (
 )
 from repro.core.index import SPFreshIndex
 from repro.storage import (
-    FaultInjectingSSD,
     FaultPlan,
     SimulatedSSD,
     SnapshotManager,
@@ -49,8 +48,9 @@ def small_crashy_index(plan=None, n=64, seed=3):
     )
     rng = np.random.default_rng(seed)
     vectors = rng.normal(scale=2.0, size=(n, DIM)).astype(np.float32)
-    inner = SimulatedSSD(cfg.ssd_blocks, SSDProfile(block_size=cfg.block_size))
-    device = FaultInjectingSSD(inner, plan)
+    device = SimulatedSSD(
+        cfg.ssd_blocks, SSDProfile(block_size=cfg.block_size), faults=plan
+    )
     wal = WriteAheadLog(faults=plan)
     snapshots = SnapshotManager(faults=plan)
     index = SPFreshIndex.build(
@@ -241,7 +241,7 @@ class TestDifferentialCrashResumeOracle:
             crash_plan = FaultPlan(
                 seed=cycle, crash_at_op=device.op_index + int(rng.integers(2, 30))
             )
-            device.plan = crash_plan
+            device.faults = crash_plan
             wal.faults = crash_plan
             snapshots.faults = crash_plan
             inflight = None

@@ -1,28 +1,23 @@
-"""FaultPlan / FaultInjectingSSD semantics: determinism, taxonomy, accounting.
+"""FaultPlan semantics on the block device: determinism, taxonomy, accounting.
 
 The fault layer is only useful if it is *boringly* deterministic — a crash
 found in CI must replay identically from its seed — and if its accounting
 contract holds: acknowledged ops record stats, failed/crashed ops record
-nothing. These tests pin both down, plus the SimulatedSSD trim/used_blocks
-accounting the free pool depends on.
+nothing. These tests pin both down, on the memory and the file medium,
+plus the SimulatedSSD trim/used_blocks accounting the free pool depends on.
 """
 
 import pytest
 
-from repro.storage import (
-    FaultInjectingSSD,
-    FaultPlan,
-    SimulatedSSD,
-    SSDProfile,
-)
+from repro.storage import FaultPlan, SimulatedSSD, SSDProfile
 from repro.util.errors import CrashPoint, InjectedFaultError, StorageError
 
 BS = 64  # small blocks keep payload literals readable
 
 
-def make_device(plan=None, num_blocks=64):
-    inner = SimulatedSSD(num_blocks, SSDProfile(block_size=BS, queue_depth=4))
-    return FaultInjectingSSD(inner, plan)
+def make_device(plan=None, num_blocks=64, path=None):
+    profile = SSDProfile(block_size=BS, queue_depth=4)
+    return SimulatedSSD(num_blocks, profile, path=path, faults=plan)
 
 
 def payload(tag: int) -> bytes:
@@ -87,6 +82,31 @@ class TestDeterminism:
         assert results[0][0] == results[1][0]  # same outcomes, same bytes read
         assert results[0][1] == results[1][1]  # same FaultEvents
         assert results[0][2] == results[1][2]  # same IOStats to the microsecond
+
+    @pytest.mark.parametrize(
+        "rates, kinds",
+        [
+            (
+                dict(read_error_rate=0.3, dropped_write_rate=0.2, corrupt_write_rate=0.2),
+                {"read-error", "dropped", "corrupt"},
+            ),
+            (dict(torn_write_rate=0.3), {"torn"}),
+        ],
+        ids=["read-dropped-corrupt", "torn"],
+    )
+    def test_file_medium_matches_memory(self, tmp_path, rates, kinds):
+        results = []
+        for path in (None, str(tmp_path / "dev.img")):
+            device = make_device(FaultPlan(11, **rates), path=path)
+            outcomes = run_sequence(device)
+            results.append(
+                (outcomes, device.events, device.stats.snapshot(), device.export_blocks())
+            )
+            device.close()
+        memory, file = results
+        assert {event.kind for event in memory[1]} == kinds  # every fault fired
+        # Same outcomes and bytes read, FaultEvents, IOStats and contents.
+        assert file == memory
 
     def test_different_seeds_differ(self):
         events = []

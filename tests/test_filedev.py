@@ -1,13 +1,14 @@
-"""Tests for the file-backed block device and cross-"process" recovery."""
+"""Tests for the file medium of the block device and cross-"process" recovery."""
+
+import os
 
 import numpy as np
 import pytest
 
 from repro.api import QueryRequest
 from repro.core.index import SPFreshIndex
-from repro.storage.filedev import FileBackedSSD
 from repro.storage.snapshot import SnapshotManager
-from repro.storage.ssd import SSDProfile
+from repro.storage.ssd import SimulatedSSD, SSDProfile
 from repro.storage.wal import WriteAheadLog
 from repro.util.errors import StorageError
 from tests.conftest import DIM
@@ -15,8 +16,8 @@ from tests.conftest import DIM
 
 @pytest.fixture
 def device(tmp_path):
-    dev = FileBackedSSD(
-        str(tmp_path / "dev.img"), num_blocks=128, profile=SSDProfile(block_size=512)
+    dev = SimulatedSSD(
+        num_blocks=128, profile=SSDProfile(block_size=512), path=str(tmp_path / "dev.img")
     )
     yield dev
     dev.close()
@@ -61,52 +62,52 @@ class TestDevice:
 
     def test_persistence_across_reopen(self, tmp_path):
         path = str(tmp_path / "p.img")
-        dev = FileBackedSSD(path, 16, SSDProfile(block_size=512))
+        dev = SimulatedSSD(16, SSDProfile(block_size=512), path=path)
         dev.write_block(5, b"durable")
         dev.sync()
         dev.close()
-        dev2 = FileBackedSSD.reopen(path, 16, SSDProfile(block_size=512))
+        dev2 = SimulatedSSD.reopen(path, 16, SSDProfile(block_size=512))
         data, _ = dev2.read_block(5)
         assert data.startswith(b"durable")
         dev2.close()
 
     def test_reopen_missing_file(self, tmp_path):
         with pytest.raises(StorageError):
-            FileBackedSSD.reopen(str(tmp_path / "nope.img"), 16)
+            SimulatedSSD.reopen(str(tmp_path / "nope.img"), 16)
 
     def test_refuses_to_shrink(self, tmp_path):
         path = str(tmp_path / "s.img")
-        FileBackedSSD(path, 32, SSDProfile(block_size=512)).close()
+        SimulatedSSD(32, SSDProfile(block_size=512), path=path).close()
         with pytest.raises(StorageError):
-            FileBackedSSD(path, 8, SSDProfile(block_size=512))
+            SimulatedSSD(8, SSDProfile(block_size=512), path=path)
 
     def test_reopen_rejects_truncated_file(self, tmp_path):
         path = str(tmp_path / "t.img")
         profile = SSDProfile(block_size=512)
-        dev = FileBackedSSD(path, 16, profile)
+        dev = SimulatedSSD(16, profile, path=path)
         dev.write_block(9, b"precious")
         dev.close()
         # Chop the tail off, as a crashed filesystem or bad copy would.
         with open(path, "r+b") as fh:
             fh.truncate(16 * 512 - 100)
         with pytest.raises(StorageError, match="truncated or resized"):
-            FileBackedSSD.reopen(path, 16, profile)
+            SimulatedSSD.reopen(path, 16, profile)
 
     def test_reopen_rejects_wrong_geometry(self, tmp_path):
         path = str(tmp_path / "g.img")
         profile = SSDProfile(block_size=512)
-        FileBackedSSD(path, 16, profile).close()
+        SimulatedSSD(16, profile, path=path).close()
         # File is intact, but the caller asks for a different block count:
         # the size check must catch the mismatch in both directions.
         with pytest.raises(StorageError):
-            FileBackedSSD.reopen(path, 32, profile)
+            SimulatedSSD.reopen(path, 32, profile)
         with pytest.raises(StorageError):
-            FileBackedSSD.reopen(path, 8, profile)
-        FileBackedSSD.reopen(path, 16, profile).close()  # exact match is fine
+            SimulatedSSD.reopen(path, 8, profile)
+        SimulatedSSD.reopen(path, 16, profile).close()  # exact match is fine
 
     def test_peek_poke_and_export_roundtrip(self, tmp_path):
         path = str(tmp_path / "pp.img")
-        dev = FileBackedSSD(path, 16, SSDProfile(block_size=512))
+        dev = SimulatedSSD(16, SSDProfile(block_size=512), path=path)
         before = dev.stats.snapshot()
         dev.poke_block(4, b"backdoor")
         assert dev.peek_block(4).startswith(b"backdoor")
@@ -114,7 +115,7 @@ class TestDevice:
         assert exported[4].startswith(b"backdoor")
         delta = dev.stats.snapshot().delta(before)
         assert delta.read_ops == 0 and delta.write_ops == 0  # stats-free
-        dev2 = FileBackedSSD(str(tmp_path / "pp2.img"), 16, SSDProfile(block_size=512))
+        dev2 = SimulatedSSD(16, SSDProfile(block_size=512), path=str(tmp_path / "pp2.img"))
         dev2.import_blocks(exported)
         data, _ = dev2.read_block(4)
         assert data.startswith(b"backdoor")
@@ -128,7 +129,7 @@ class TestColdRecovery:
     def test_recover_from_files_only(self, tmp_path, vectors, small_config, rng):
         dev_path = str(tmp_path / "index.img")
         profile = SSDProfile(block_size=small_config.block_size)
-        device = FileBackedSSD(dev_path, small_config.ssd_blocks, profile)
+        device = SimulatedSSD(small_config.ssd_blocks, profile, path=dev_path)
         wal = WriteAheadLog(str(tmp_path / "u.wal"))
         snaps = SnapshotManager(str(tmp_path))
 
@@ -148,7 +149,7 @@ class TestColdRecovery:
         del index  # "process exit"
 
         # Restart: everything comes back from files.
-        device2 = FileBackedSSD.reopen(dev_path, small_config.ssd_blocks, profile)
+        device2 = SimulatedSSD.reopen(dev_path, small_config.ssd_blocks, profile)
         wal2 = WriteAheadLog(str(tmp_path / "u.wal"))
         snaps2 = SnapshotManager(str(tmp_path))
         recovered = SPFreshIndex.recover(device2, small_config, snaps2, wal=wal2)
@@ -159,3 +160,32 @@ class TestColdRecovery:
             ).result
             assert result.ids[0] == vid
         device2.close()
+
+    def test_checkpoint_syncs_device_before_snapshot(
+        self, tmp_path, vectors, small_config, monkeypatch
+    ):
+        # The snapshot references device blocks and the WAL is truncated
+        # right after it, so the blocks must be fsync'd before it lands.
+        dev_path = str(tmp_path / "index.img")
+        profile = SSDProfile(block_size=small_config.block_size)
+        device = SimulatedSSD(small_config.ssd_blocks, profile, path=dev_path)
+        snaps = SnapshotManager(str(tmp_path))
+        index = SPFreshIndex.build(
+            vectors, config=small_config, snapshots=snaps, device=device
+        )
+        order = []
+        real_fsync, real_save = os.fsync, snaps.save
+
+        def fsync(fd):
+            order.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def save(state):
+            order.append(("save", None))
+            return real_save(state)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(snaps, "save", save)
+        index.checkpoint()
+        assert order == [("fsync", os.stat(dev_path).st_ino), ("save", None)]
+        device.close()

@@ -160,7 +160,7 @@ class TestOnDiskFormat:
 
     The other codec tests check that what is encoded decodes again; a
     layout that changed but stayed self-consistent would pass them all and
-    still misread every ``FileBackedSSD`` device and snapshot written
+    still misread every file-backed device and snapshot written
     before it. These literals are the oracle for that: a change to the
     codec must reproduce them byte for byte. Re-recording them
     (``PYTHONPATH=src python tests/test_layout.py`` prints the table) is

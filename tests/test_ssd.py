@@ -67,6 +67,40 @@ class TestReadWrite:
         with pytest.raises(StorageError):
             ssd.write_blocks([1, 2], [b"only-one"])
 
+    def test_rejected_write_batch_stores_nothing(self):
+        ssd = SimulatedSSD(8, SSDProfile(block_size=64))
+        with pytest.raises(StorageError):
+            ssd.write_blocks([0, 8], [b"a", b"b"])
+        with pytest.raises(StorageError):
+            ssd.write_blocks([1, 2], [b"a", b"b" * 65])
+        assert ssd.used_blocks() == 0
+        assert ssd.stats.write_ops == 0
+        assert ssd.op_index == 0  # a rejected batch is not a device op
+
+    def test_rejected_trim_drops_nothing(self):
+        ssd = SimulatedSSD(8, SSDProfile(block_size=64))
+        ssd.write_blocks([1, 2], [b"a", b"b"])
+        with pytest.raises(StorageError):
+            ssd.trim([1, 99])
+        assert ssd.read_block(1)[0].startswith(b"a")
+        assert ssd.used_blocks() == 2
+
+    def test_rejected_poke_and_import_store_nothing(self):
+        ssd = SimulatedSSD(8, SSDProfile(block_size=64))
+        ssd.write_block(3, b"kept")
+        with pytest.raises(StorageError):
+            ssd.poke_block(8, b"x")
+        with pytest.raises(StorageError):
+            ssd.import_blocks({2: b"x" * 100})
+        with pytest.raises(StorageError):
+            ssd.import_blocks({2: b"x", 8: b"y"})
+        assert ssd.export_blocks() == {3: b"kept".ljust(64, b"\x00")}
+
+    def test_import_pads_short_blocks(self):
+        ssd = SimulatedSSD(8, SSDProfile(block_size=64))
+        ssd.import_blocks({2: b"x"})
+        assert ssd.read_block(2)[0] == b"x".ljust(64, b"\x00")
+
     def test_trim_zeroes_content(self, ssd):
         ssd.write_block(5, b"data")
         ssd.trim([5])
