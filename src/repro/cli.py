@@ -26,6 +26,7 @@ the reproducible record.
 from __future__ import annotations
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from repro.api import QueryRequest
 from repro.bench.scales import PERF_SCALES
 from repro.core.config import SPFreshConfig
 from repro.core.index import SPFreshIndex
+from repro.util.errors import ConfigError
 
 
 def _add_common(parser: argparse.ArgumentParser, *, scale_defaults: bool = False) -> None:
@@ -490,7 +492,7 @@ def cmd_cluster(args) -> int:
                 rows,
                 title=(
                     f"cluster: {args.shards} shards x {args.replicas} "
-                    f"replicas, cluster_nprobe={config.cluster.nprobe}"
+                    f"replicas, cluster_nprobe={config.cluster_nprobe}"
                 ),
             )
         )
@@ -700,9 +702,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code. A bad setting is
+    reported the way argparse reports a bad flag: one line on stderr,
+    exit status 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -126,7 +126,7 @@ class SPFreshIndex:
             prune_epsilon=config.search_prune_epsilon,
             profiler=self.profiler,
             fresh_tier=self.fresh_tier,
-            rerank_k=config.quantize.rerank_k,
+            rerank_k=config.quant_rerank_k,
         )
         self._background_running = False
         # Populated by restore_index() after a crash recovery; None for a
@@ -176,26 +176,18 @@ class SPFreshIndex:
             ),
         )
         quantizer = None
-        if config.quantize.enabled:
+        if config.quant_enabled:
             # Codebooks are trained once at build time on (a sample of)
             # the base vectors, then persisted in snapshots; the codec
             # owns the fitted quantizer so every posting rewrite re-encodes
             # codes deterministically (docs/quantization.md).
             quantizer = make_quantizer(
-                config.quantize.kind,
+                config.quant_kind,
                 config.dim,
-                subspaces=config.quantize.pq_subspaces,
-                codebook_size=config.quantize.pq_codebook_size,
+                subspaces=config.quant_subspaces,
+                codebook_size=config.quant_codebook_size,
             )
-            if config.quantize.kind == "pq":
-                quantizer.fit(
-                    vectors,
-                    rng,
-                    max_iters=config.quantize.train_iters,
-                    sample_size=config.quantize.train_sample,
-                )
-            else:
-                quantizer.fit(vectors, rng)
+            quantizer.fit(vectors, rng)
         controller = BlockController(ssd, PostingCodec(config.dim, config.block_size, quantizer))
         version_map = VersionMap(initial_capacity=max(int(ids.max()) + 1, 1024))
         for vid in ids:

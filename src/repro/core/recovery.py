@@ -110,7 +110,7 @@ def restore_index(
 
     quantizer_state = state.get("quantizer")
     quantizer = None
-    if config.quantize.enabled:
+    if config.quant_enabled:
         if quantizer_state is None:
             raise RecoveryError(
                 "config enables quantization but the snapshot carries no "

@@ -34,6 +34,8 @@ from repro.storage.wal import WriteAheadLog
 from repro.util.distance import as_vector
 from repro.util.errors import IndexError_
 
+FRESH_INSERT_CPU_US = 2.0  # modelled foreground cost of a fresh-tier insert
+
 
 @dataclass(slots=True)
 class Landing:
@@ -60,7 +62,7 @@ class PostingWriter:
 
     def route(self, vector: np.ndarray, replicas: int) -> list[int]:
         """Target posting(s) by the closure rule (pure distance ratio, see
-        SPFreshConfig.build_rng_rule), nearest first; [] in an empty index."""
+        SPFreshConfig.closure_epsilon), nearest first; [] in an empty index."""
         hits = self.centroid_index.search(vector, max(replicas * 2, 4))
         return self._targets(hits, replicas)
 
@@ -197,7 +199,7 @@ class Updater:
             version = self.version_map.register(vector_id)
             if self.fresh_tier is not None:
                 self._buffer(vector_id, vector, version)
-                return self.config.fresh_insert_cpu_us
+                return FRESH_INSERT_CPU_US
             # PostingData.from_rows minus the checks as_vector already made.
             ids, versions = np.array([vector_id], np.int64), np.array([version], np.uint8)
             row = PostingData(ids, versions, vector[None])

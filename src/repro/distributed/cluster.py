@@ -73,9 +73,6 @@ class ClusterStats:
     replica_resyncs: int = 0
     rerouted_updates: int = 0  # re-inserts that moved an id across shards
 
-    def as_dict(self) -> dict[str, int]:
-        return {k: int(v) for k, v in self.__dict__.items()}
-
 
 @dataclass
 class ShardGroup:
@@ -157,6 +154,7 @@ class ClusterSPFresh:
     """Placed cluster of replicated single-node SPFresh shards."""
 
     MERGE_COST_US = 10.0  # modelled cost of merging shard result lists
+    ROUTE_COST_US = 5.0  # modelled cost of ranking shard summaries per query
 
     def __init__(
         self,
@@ -215,7 +213,7 @@ class ClusterSPFresh:
             placement = CentroidPlacement.fit(
                 vectors,
                 num_shards,
-                centroids_per_shard=config.cluster.centroids_per_shard,
+                centroids_per_shard=config.cluster_centroids_per_shard,
                 seed=config.seed,
             )
         homes = placement.homes(ids, vectors)
@@ -257,7 +255,7 @@ class ClusterSPFresh:
     ) -> ShardGroup:
         shard_config = cls._shard_config(config, shard_id)
         replicas = []
-        for replica_id in range(config.cluster.replication_factor):
+        for replica_id in range(config.cluster_replication_factor):
             device = (
                 device_factory(shard_id, replica_id, shard_config)
                 if device_factory is not None
@@ -305,7 +303,7 @@ class ClusterSPFresh:
         if n == 0:
             # An empty batch is well-defined: nothing probed, no results.
             return SearchResponse(results=(), request=request)
-        nprobe = None if broadcast else self.config.cluster.nprobe
+        nprobe = None if broadcast else self.config.cluster_nprobe
         plan = self.placement.shards_for_queries(request.vectors, nprobe)
         self.stats.queries += n
         self.stats.shards_probed += sum(len(p) for p in plan)
@@ -395,7 +393,6 @@ class ClusterSPFresh:
             shard_id: {qi: pos for pos, qi in enumerate(rows)}
             for shard_id, rows in shard_batches.items()
         }
-        route_cost = self.config.cluster.route_cost_us
         merged: list[SearchResult] = []
         for qi, shards in enumerate(plan):
             results = [
@@ -409,7 +406,7 @@ class ClusterSPFresh:
                     ids=top_ids,
                     distances=top_dists,
                     latency_us=max(r.latency_us for r in results)
-                    + route_cost
+                    + self.ROUTE_COST_US
                     + self.MERGE_COST_US,
                     postings_probed=sum(r.postings_probed for r in results),
                     entries_scanned=sum(r.entries_scanned for r in results),
@@ -508,7 +505,7 @@ class ClusterSPFresh:
         single region cannot be carved: under a hash placement, where
         every shard is one, this always returns 0.
         """
-        threshold = self.config.cluster.split_threshold
+        threshold = self.config.cluster_split_threshold
         if threshold is None:
             return 0
         splits = 0

@@ -28,7 +28,7 @@ query ranks shards by distance to their *nearest* group member and
 probes the top ``cluster_nprobe`` — the accuracy-preserving analogue of
 SPANN's nprobe, one level up. The summary is tiny (``G x dim`` floats),
 so routing costs one small matrix product; the modelled cost rides in
-``ClusterConfig.route_cost_us``.
+``ClusterSPFresh.ROUTE_COST_US``.
 
 The centroid placement is mutable under growth: :meth:`split_group`
 carves one shard's centroid group in two (LIRE's split discipline at

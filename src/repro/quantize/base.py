@@ -172,7 +172,7 @@ def make_quantizer(
     subspaces: int = 8,
     codebook_size: int = 256,
 ) -> VectorQuantizer:
-    """Factory keyed by ``SPFreshConfig.quantize.kind``."""
+    """Factory keyed by ``SPFreshConfig.quant_kind``."""
     from repro.quantize.pq import ProductQuantizer
     from repro.quantize.sq import ScalarQuantizer
 

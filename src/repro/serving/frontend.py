@@ -326,17 +326,16 @@ class ServingFrontend:
         cls, engine, config, *, k: int, nprobe: int | None = None, **overrides
     ) -> "ServingFrontend":
         """Build a frontend from ``SPFreshConfig``'s serving knobs."""
-        serving = config.serving
         kwargs = dict(
-            queue_capacity=serving.queue_capacity,
-            max_batch=serving.max_batch,
-            max_wait_us=serving.max_wait_us,
-            slo_us=serving.slo_us,
-            admission_wait_budget_us=serving.admission_wait_budget_us,
-            num_workers=serving.num_workers,
-            fairness=serving.fairness,
-            tenant_weights=serving.tenant_weights,
-            tenant_quota_fraction=serving.tenant_quota_fraction,
+            queue_capacity=config.serve_queue_capacity,
+            max_batch=config.serve_max_batch,
+            max_wait_us=config.serve_max_wait_us,
+            slo_us=config.serve_slo_us,
+            admission_wait_budget_us=config.serve_admission_wait_budget_us,
+            num_workers=config.serve_num_workers,
+            fairness=config.serve_fairness,
+            tenant_weights=config.serve_tenant_weights,
+            tenant_quota_fraction=config.serve_tenant_quota_fraction,
         )
         kwargs.update(overrides)
         return cls(engine, k=k, nprobe=nprobe, **kwargs)

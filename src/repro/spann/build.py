@@ -58,8 +58,6 @@ def build_plan(
         vectors,
         target_leaf_size=config.build_target_posting_size,
         rng=rng,
-        branch_factor=config.build_branch_factor,
-        max_iters=config.kmeans_iters,
         balance_weight=config.balance_weight,
     )
     centroids = np.vstack([leaf.centroid for leaf in leaves]).astype(np.float32)
@@ -68,7 +66,6 @@ def build_plan(
         centroids,
         replica_count=config.replica_count,
         epsilon=config.closure_epsilon,
-        use_rng_rule=config.build_rng_rule,
     )
     members = [np.asarray(rows, dtype=np.int64) for rows in members_lists]
     return BuildPlan(centroids=centroids, members=members, primary=primary)

@@ -3,16 +3,17 @@
 SPANN replicates vectors near partition boundaries into several postings so
 that a query probing only a few postings still finds them. A vector joins a
 posting when the posting's centroid is within ``(1 + epsilon)`` of its
-nearest centroid's distance, capped at ``replica_count`` postings, with an
-RNG-style diversity rule that skips a candidate centroid dominated by an
-already-chosen one (closer to that choice than to the vector).
+nearest centroid's distance, capped at ``replica_count`` postings. SPANN
+adds an RNG-style diversity rule on top; on dense synthetic centroids it
+suppresses nearly all replication, so only the distance-ratio rule is
+implemented (see ``SPFreshConfig.closure_epsilon``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.util.distance import pairwise_sq_l2, sq_l2
+from repro.util.distance import pairwise_sq_l2
 
 
 def select_replicas(
@@ -20,14 +21,12 @@ def select_replicas(
     candidate_dists: np.ndarray,
     replica_count: int,
     epsilon: float,
-    centroid_getter=None,
 ) -> list[int]:
     """Pick replica postings for one vector from sorted centroid candidates.
 
     ``candidate_ids``/``candidate_dists`` come from a centroid-index search,
-    ascending by squared distance. ``centroid_getter(pid)`` enables the RNG
-    diversity rule; pass None to use the pure distance-ratio rule.
-    Always returns at least the nearest candidate.
+    ascending by squared distance. Always returns at least the nearest
+    candidate.
     """
     if len(candidate_ids) == 0:
         return []
@@ -38,20 +37,6 @@ def select_replicas(
             break
         if float(dist) > limit:
             break
-        if centroid_getter is not None:
-            candidate_vec = centroid_getter(int(pid))
-            if candidate_vec is None:
-                continue  # posting vanished concurrently; skip it
-            dominated = False
-            for prev in chosen:
-                prev_vec = centroid_getter(prev)
-                if prev_vec is None:
-                    continue
-                if sq_l2(prev_vec, candidate_vec) < float(dist):
-                    dominated = True
-                    break
-            if dominated:
-                continue
         chosen.append(int(pid))
     return chosen
 
@@ -62,7 +47,6 @@ def closure_assign(
     replica_count: int,
     epsilon: float,
     chunk_size: int = 2048,
-    use_rng_rule: bool = True,
 ) -> tuple[list[list[int]], np.ndarray]:
     """Batch closure assignment for the static build.
 
@@ -78,7 +62,6 @@ def closure_assign(
     members: list[list[int]] = [[] for _ in range(m)]
     primary = np.empty(n, dtype=np.int64)
     cap = min(replica_count, m)
-    centroid_self = pairwise_sq_l2(centroids, centroids) if use_rng_rule else None
     for start in range(0, n, chunk_size):
         stop = min(start + chunk_size, n)
         dists = pairwise_sq_l2(vectors[start:stop], centroids)
@@ -89,19 +72,7 @@ def closure_assign(
         for row in range(stop - start):
             cand = nearest[row]
             order = cand[np.argsort(dists[row, cand], kind="stable")]
-            d_sorted = dists[row, order]
-            limit = (1.0 + epsilon) ** 2 * float(d_sorted[0])
-            chosen = [int(order[0])]
-            for cid, dist in zip(order[1:], d_sorted[1:]):
-                if len(chosen) >= cap:
-                    break
-                if float(dist) > limit:
-                    break
-                if centroid_self is not None and any(
-                    centroid_self[cid, prev] < float(dist) for prev in chosen
-                ):
-                    continue
-                chosen.append(int(cid))
+            chosen = select_replicas(order, dists[row, order], cap, epsilon)
             primary[start + row] = chosen[0]
             for cid in chosen:
                 members[cid].append(start + row)

@@ -3,9 +3,12 @@
 Production disk-based ANNS deployments serve a large fraction of probes
 from the OS page cache or an application-level buffer pool; the paper's
 device-IOPS numbers are what remains after that layer. This wrapper makes
-the effect explicit and measurable: a bounded LRU over decoded postings,
-write-invalidated by APPEND/PUT/DELETE so readers never observe stale
-posting bytes (version-map filtering still applies on top, as always).
+the effect explicit and measurable: a bounded LRU over decoded postings.
+An entry is served only while the controller still maps its posting as it
+did when the entry was filled (:meth:`BlockController.mapping_entry`), so
+readers never observe stale posting bytes, whichever handle on the
+controller the writer used (version-map filtering still applies on top,
+as always).
 
 Cache hits cost a modelled DRAM latency instead of device waves; the
 hit/miss counters feed the cache ablation bench.
@@ -23,9 +26,10 @@ from repro.storage.layout import PostingArena, PostingData
 class CachedBlockController:
     """Read-through LRU cache over a :class:`BlockController`.
 
-    Exposes the same posting API; only read paths change. ``capacity`` is
-    the number of postings held; ``hit_latency_us`` the modelled cost of a
-    cached read (DRAM copy, not device waves).
+    Exposes the same posting API; only read paths change, and writes go
+    straight to ``inner``. ``capacity`` is the number of postings held;
+    ``hit_latency_us`` the modelled cost of a cached read (DRAM copy, not
+    device waves).
     """
 
     def __init__(
@@ -41,6 +45,8 @@ class CachedBlockController:
         self.hit_latency_us = hit_latency_us
         self._lock = threading.Lock()
         self._cache: "OrderedDict[int, PostingData]" = OrderedDict()
+        # The inner mapping entry each cached posting was read under.
+        self._filled_from: dict[int, object] = {}
         self.hits = 0
         self.misses = 0
 
@@ -48,16 +54,24 @@ class CachedBlockController:
     # cache mechanics
     # ------------------------------------------------------------------
     def _cache_get(self, posting_id: int) -> PostingData | None:
+        current = self.inner.mapping_entry(posting_id)
         with self._lock:
             data = self._cache.get(posting_id)
-            if data is not None:
-                self._cache.move_to_end(posting_id)
-                self.hits += 1
-            else:
+            if data is None:
                 self.misses += 1
+                return None
+            if current is None or self._filled_from[posting_id] is not current:
+                # Rewritten or deleted since the entry was filled.
+                del self._cache[posting_id], self._filled_from[posting_id]
+                self.misses += 1
+                return None
+            self._cache.move_to_end(posting_id)
+            self.hits += 1
             return data
 
-    def _cache_put(self, posting_id: int, data: PostingData) -> PostingData:
+    def _cache_put(
+        self, posting_id: int, data: PostingData, entry: object
+    ) -> PostingData:
         # Copy-on-insert: ``parallel_get`` hands out zero-copy slices of
         # the shared decode arena (PostingCodec.decode_batch), and callers
         # may mutate what they were handed. The cache outlives the call,
@@ -67,18 +81,17 @@ class CachedBlockController:
         data = data.owned()
         with self._lock:
             self._cache[posting_id] = data
+            self._filled_from[posting_id] = entry
             self._cache.move_to_end(posting_id)
             while len(self._cache) > self.capacity:
-                self._cache.popitem(last=False)
+                evicted, _ = self._cache.popitem(last=False)
+                del self._filled_from[evicted]
         return data
-
-    def invalidate(self, posting_id: int) -> None:
-        with self._lock:
-            self._cache.pop(posting_id, None)
 
     def clear(self) -> None:
         with self._lock:
             self._cache.clear()
+            self._filled_from.clear()
 
     @property
     def hit_rate(self) -> float:
@@ -97,8 +110,10 @@ class CachedBlockController:
         cached = self._cache_get(posting_id)
         if cached is not None:
             return cached, self.hit_latency_us
+        # Taken before the read: a write racing it leaves the entry stale.
+        entry = self.inner.mapping_entry(posting_id)
         data, latency = self.inner.get(posting_id)
-        self._cache_put(posting_id, data)
+        self._cache_put(posting_id, data, entry)
         return data, latency
 
     def parallel_get(self, posting_ids: list[int]) -> tuple[PostingArena, float]:
@@ -113,9 +128,10 @@ class CachedBlockController:
         hit_latency = self.hit_latency_us if found else 0.0
         device_latency = 0.0
         if missing:
+            entries = {pid: self.inner.mapping_entry(pid) for pid in missing}
             fetched, device_latency = self.inner.parallel_get(missing)
             for pid, data in fetched.items():
-                found[pid] = self._cache_put(pid, data)
+                found[pid] = self._cache_put(pid, data, entries[pid])
         # The arena handed out is assembled from the cache's owned copies,
         # in request order, so it aliases neither the cache nor the inner
         # controller's decode arena.
@@ -128,26 +144,7 @@ class CachedBlockController:
         return arena, max(hit_latency, device_latency)
 
     # ------------------------------------------------------------------
-    # write paths (invalidate, delegate)
-    # ------------------------------------------------------------------
-    def put(self, posting_id: int, data: PostingData) -> float:
-        self.invalidate(posting_id)
-        return self.inner.put(posting_id, data)
-
-    def create(self, posting_id: int, data: PostingData) -> float:
-        self.invalidate(posting_id)
-        return self.inner.create(posting_id, data)
-
-    def append(self, posting_id: int, data: PostingData) -> float:
-        self.invalidate(posting_id)
-        return self.inner.append(posting_id, data)
-
-    def delete(self, posting_id: int) -> None:
-        self.invalidate(posting_id)
-        self.inner.delete(posting_id)
-
-    # ------------------------------------------------------------------
-    # pure delegation
+    # pure delegation (writes included)
     # ------------------------------------------------------------------
     def __getattr__(self, name):
         return getattr(self.inner, name)

@@ -131,6 +131,16 @@ class BlockController:
             metas = [self._mapping.get(pid) for pid in posting_ids]
         return [None if meta is None else meta.length for meta in metas]
 
+    def mapping_entry(self, posting_id: int) -> object | None:
+        """The posting's current mapping entry, None if it does not exist.
+
+        PUT, APPEND and DELETE each install a new entry (or none), so an
+        entry that is still the current one vouches that the posting's
+        bytes have not changed since it was taken.
+        """
+        with self._lock:
+            return self._mapping.get(posting_id)
+
     def posting_ids(self) -> list[int]:
         with self._lock:
             return list(self._mapping.keys())

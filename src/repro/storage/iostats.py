@@ -52,11 +52,6 @@ class IOStats:
                 busy_us=self.busy_us,
             )
 
-    @property
-    def total_block_ios(self) -> int:
-        with self._lock:
-            return self.block_reads + self.block_writes
-
     def since(self, earlier: "IOWindow") -> "IOWindow":
         """Counters accumulated since ``earlier`` (a prior :meth:`snapshot`).
 

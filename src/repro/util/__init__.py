@@ -14,7 +14,6 @@ from repro.util.errors import (
     RecoveryError,
     ConfigError,
 )
-from repro.util.timer import Stopwatch
 from repro.util.mips import MipsSPFreshIndex, MipsTransform
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "IndexError_",
     "RecoveryError",
     "ConfigError",
-    "Stopwatch",
     "MipsSPFreshIndex",
     "MipsTransform",
 ]

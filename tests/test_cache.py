@@ -162,7 +162,7 @@ class TestDelegation:
 class TestWithSearcher:
     def test_cached_searches_reduce_device_reads(self, built_index, vectors):
         # The searcher is driven directly: a query through the index may
-        # drain merge jobs in between, and their writes invalidate entries.
+        # drain merge jobs in between, and their writes make entries stale.
         searcher = built_index.searcher
         cached = CachedBlockController(built_index.controller, capacity=512)
         searcher.controller = cached
@@ -177,3 +177,14 @@ class TestWithSearcher:
         assert stats.snapshot().delta(before).block_reads == 0
         assert cached.hit_rate > 0.5
         assert result.io_latency_us == cached.hit_latency_us
+
+    def test_writes_through_the_index_are_seen(self, built_index, vectors):
+        # The cache wraps only the searcher's handle: inserts still reach
+        # the device through ``index.controller``, never through the cache.
+        searcher = built_index.searcher
+        searcher.controller = CachedBlockController(built_index.controller)
+        searcher.search(vectors[5], k=5, nprobe=8)  # fills the cache
+        target = vectors[5] + np.float32(0.0005)
+        built_index.insert(999_999, target)
+        result = searcher.search(target, k=5, nprobe=8)
+        assert int(result.ids[0]) == 999_999

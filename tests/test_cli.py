@@ -16,6 +16,11 @@ class TestParser:
         assert args.dim == 32
         assert not args.skewed
 
+    def test_config_error_is_a_usage_error(self, capsys):
+        assert main(["serve-bench", "--workers", "0", "--base", "300"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: serve_num_workers must be at least 1\n"
+
     def test_simulate_flags(self):
         args = build_parser().parse_args(
             ["simulate", "--days", "3", "--rate", "0.05", "--skewed"]

@@ -36,30 +36,6 @@ class TestSelectReplicas:
     def test_empty_candidates(self):
         assert select_replicas(np.empty(0), np.empty(0), 3, 0.1) == []
 
-    def test_rng_rule_skips_dominated(self):
-        # Candidate 2 sits right next to candidate 1 (already chosen):
-        # the vector gains nothing from replicating there.
-        centroids = {
-            1: np.array([0.0, 0.0], dtype=np.float32),
-            2: np.array([0.1, 0.0], dtype=np.float32),
-            3: np.array([0.0, 1.2], dtype=np.float32),
-        }
-        ids = np.array([1, 2, 3])
-        dists = np.array([1.0, 1.1, 1.2], dtype=np.float32)
-        chosen = select_replicas(
-            ids, dists, 3, epsilon=1.0, centroid_getter=centroids.get
-        )
-        assert 2 not in chosen
-        assert chosen == [1, 3]
-
-    def test_missing_centroid_skipped(self):
-        ids = np.array([1, 2])
-        dists = np.array([1.0, 1.05], dtype=np.float32)
-        chosen = select_replicas(
-            ids, dists, 3, epsilon=1.0, centroid_getter=lambda pid: None
-        )
-        assert chosen == [1]
-
 
 class TestClosureAssign:
     def make(self, rng, n=200, m=8, dim=6):

@@ -142,8 +142,7 @@ class TestRoutedSearch:
         request = QueryRequest(vectors=vectors[:3], k=5)
         for result in cluster.query(request).results:
             floor = (
-                cluster.config.cluster.route_cost_us
-                + ClusterSPFresh.MERGE_COST_US
+                ClusterSPFresh.ROUTE_COST_US + ClusterSPFresh.MERGE_COST_US
             )
             assert result.latency_us > floor
             assert result.io_latency_us <= result.latency_us
@@ -385,7 +384,7 @@ class TestProcessPool:
         queries = (vectors[:12] + 0.01).astype(np.float32)
         batches = cluster._per_shard_batches(
             cluster.placement.shards_for_queries(
-                queries, cluster.config.cluster.nprobe
+                queries, cluster.config.cluster_nprobe
             )
         )
         # Fork BEFORE the parent runs anything: workers and the parent

@@ -1,7 +1,12 @@
 """Tests for configuration validation and presets."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.config import SPFreshConfig
 from repro.util.errors import ConfigError
 
@@ -51,6 +56,46 @@ class TestValidation:
     def test_background_workers_positive(self):
         with pytest.raises(ConfigError):
             SPFreshConfig(background_workers=0).validate()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"quant_kind": "opq"},
+            {"quant_subspaces": 0},
+            {"quant_codebook_size": 1},
+            {"quant_codebook_size": 257},
+            {"quant_rerank_k": 0},
+            {"quant_enabled": True, "dim": 30, "quant_subspaces": 8},
+            {"cluster_nprobe": 0},
+            {"cluster_centroids_per_shard": 0},
+            {"cluster_split_threshold": 1},
+            {"cluster_replication_factor": 0},
+            {"fresh_flush_threshold": 0},
+        ],
+    )
+    def test_subsystem_knobs(self, bad):
+        with pytest.raises(ConfigError):
+            SPFreshConfig(**bad).validate()
+
+    def test_tenant_weights_normalised_to_tuple(self):
+        config = SPFreshConfig(serve_tenant_weights=[1.0, 2.0]).validate()
+        assert config.serve_tenant_weights == (1.0, 2.0)
+
+
+def test_every_knob_is_read():
+    """A field no code outside config.py reads is a dead knob."""
+    package = Path(repro.__file__).parent
+    source = "\n".join(
+        path.read_text()
+        for path in package.rglob("*.py")
+        if path != package / "core" / "config.py"
+    )
+    dead = [
+        field.name
+        for field in dataclasses.fields(SPFreshConfig)
+        if not re.search(rf"\.{field.name}\b", source)
+    ]
+    assert dead == []
 
 
 class TestOverridesAndPresets:

@@ -187,7 +187,7 @@ class TestSearch:
         per_shard = [s.query(request).result for s in shards(sharded)]
         assert result.latency_us == pytest.approx(
             max(r.latency_us for r in per_shard)
-            + sharded.config.cluster.route_cost_us
+            + ClusterSPFresh.ROUTE_COST_US
             + ClusterSPFresh.MERGE_COST_US
         )
 

@@ -20,6 +20,7 @@ from repro.baselines import FlatIndex
 from repro.core.config import SPFreshConfig
 from repro.core.fresh_tier import FreshTier
 from repro.core.index import SPFreshIndex
+from repro.core.updater import FRESH_INSERT_CPU_US
 from repro.core.version_map import VersionMap
 from repro.spann.postings import _exact_dedup_top_k, dedup_top_k
 from repro.storage.snapshot import SnapshotManager
@@ -156,7 +157,7 @@ class TestInsertPath:
     def test_insert_lands_in_tier_not_on_disk(self, fresh_index, rng):
         sizes_before = fresh_index.posting_sizes().sum()
         latency = fresh_index.insert(9000, rng.normal(size=DIM).astype(np.float32))
-        assert latency == fresh_index.config.fresh_insert_cpu_us
+        assert latency == FRESH_INSERT_CPU_US
         assert len(fresh_index.fresh_tier) == 1
         assert 9000 in fresh_index.fresh_tier
         assert fresh_index.posting_sizes().sum() == sizes_before
