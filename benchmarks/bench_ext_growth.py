@@ -12,7 +12,7 @@ import numpy as np
 
 from benchmarks.conftest import DIM, run_once, spfresh_config
 from repro.api import QueryRequest
-from repro.bench.harness import SPFreshAdapter, run_update_simulation
+from repro.bench.harness import run_update_simulation
 from repro.bench.reporting import format_series
 from repro.core.index import SPFreshIndex
 from repro.datasets import workload_d
@@ -34,7 +34,7 @@ def test_ext_insert_only_growth(benchmark, scale):
         index = SPFreshIndex.build(
             workload.base_vectors, ids=workload.base_ids, config=config
         )
-        series = run_update_simulation(SPFreshAdapter(index), workload, k=10)
+        series = run_update_simulation(index, workload, k=10)
         # Freshness probe: the final epoch's inserts must be recallable now.
         last = workload.epochs[-1]
         probes = last.insert_vectors[:40] + np.float32(0.01)
@@ -49,7 +49,7 @@ def test_ext_insert_only_growth(benchmark, scale):
     print(
         format_series(
             series,
-            fields=("day", "recall", "search_p999_us", "memory_mb", "live_vectors", "postings"),
+            fields=("day", "recall", "search_p999_us", "memory_mb", "live_vectors"),
             every=max(1, scale.days // 8),
             title="Extension: insert-only growth (corpus doubles)",
         )

@@ -26,11 +26,11 @@ def test_ext_vearch_rebuild_story(benchmark, scale):
     dataset = make_spacev_like(total, churn, dim=DIM, seed=23, drift=0.9)
     queries = dataset.base[: scale.queries] + 0.01
 
-    def run_system(search, tracker, nprobe=8):
+    def run_system(engine, tracker, nprobe=8):
         gt = tracker.ground_truth(queries, 10)
         ids, latencies = [], []
         for q in queries:
-            r = search(q, 10, nprobe)
+            r = engine.query(QueryRequest.single(q, k=10, nprobe=nprobe))
             ids.append(r.ids)
             latencies.append(r.latency_us)
         return recall_at_k(ids, gt, 10), float(np.mean(latencies))
@@ -39,13 +39,9 @@ def test_ext_vearch_rebuild_story(benchmark, scale):
         vearch = VearchLikeIndex.build(dataset.base, num_partitions=64, seed=2)
         spfresh = SPFreshIndex.build(dataset.base, config=spfresh_config())
         tracker = GroundTruthTracker(np.arange(total), dataset.base)
-
-        def spfresh_search(q, k, nprobe):
-            return spfresh.query(QueryRequest.single(q, k=k, nprobe=nprobe)).result
-
         before = {
-            "vearch": run_system(vearch.search, tracker),
-            "spfresh": run_system(spfresh_search, tracker),
+            "vearch": run_system(vearch, tracker),
+            "spfresh": run_system(spfresh, tracker),
         }
         for i in range(churn):
             vid = total + i
@@ -57,14 +53,14 @@ def test_ext_vearch_rebuild_story(benchmark, scale):
             tracker.delete(i)
         spfresh.drain()
         after_churn = {
-            "vearch": run_system(vearch.search, tracker),
-            "spfresh": run_system(spfresh_search, tracker),
+            "vearch": run_system(vearch, tracker),
+            "spfresh": run_system(spfresh, tracker),
         }
         skew_before_rebuild = float(
             vearch.partition_sizes().max() / max(vearch.partition_sizes().mean(), 1)
         )
         rebuild_seconds = vearch.rebuild()
-        after_rebuild = run_system(vearch.search, tracker)
+        after_rebuild = run_system(vearch, tracker)
         skew_after_rebuild = float(
             vearch.partition_sizes().max() / max(vearch.partition_sizes().mean(), 1)
         )

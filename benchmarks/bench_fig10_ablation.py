@@ -10,7 +10,6 @@ and sweep nprobe to trace each system's curve.
 import numpy as np
 
 from benchmarks.conftest import DIM, run_once, spfresh_config
-from repro.api import QueryRequest
 from repro.bench.reporting import format_table
 from repro.core.index import SPFreshIndex
 from repro.datasets import GroundTruthTracker, make_spacev_like
@@ -32,11 +31,6 @@ def test_fig10_ablation(benchmark, scale):
     queries = dataset.base[: scale.queries] + 0.01
     base_config = spfresh_config(search_latency_budget_us=None)
 
-    def search_fn(index):
-        return lambda q, k, nprobe: index.query(
-            QueryRequest.single(q, k=k, nprobe=nprobe)
-        ).result
-
     def churn_into(index, tracker):
         for i in range(churn):
             vid = total + i
@@ -56,7 +50,7 @@ def test_fig10_ablation(benchmark, scale):
         static = SPFreshIndex.build(final_live, ids=final_ids, config=base_config)
         tracker = GroundTruthTracker(final_ids, final_live)
         gt = tracker.ground_truth(queries, 10)
-        curves["static"] = recall_curve(search_fn(static), queries, gt, 10, NPROBES)
+        curves["static"] = recall_curve(static, queries, gt, 10, NPROBES)
 
         for name, flags in VARIANTS.items():
             config = base_config.with_overrides(**flags)
@@ -64,7 +58,7 @@ def test_fig10_ablation(benchmark, scale):
             live = GroundTruthTracker(np.arange(total), dataset.base)
             churn_into(index, live)
             gt_v = live.ground_truth(queries, 10)
-            curves[name] = recall_curve(search_fn(index), queries, gt_v, 10, NPROBES)
+            curves[name] = recall_curve(index, queries, gt_v, 10, NPROBES)
         return curves
 
     curves = run_once(benchmark, experiment)

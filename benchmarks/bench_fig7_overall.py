@@ -14,12 +14,7 @@ Also prints the §5.2.2 micro-stats (rebalance frequency, reassign counts).
 
 from benchmarks.conftest import DIM, run_once, spfresh_config
 from repro.baselines import DiskANNConfig, FreshDiskANNIndex, build_spann_plus
-from repro.bench.harness import (
-    DiskANNAdapter,
-    SPFreshAdapter,
-    run_update_simulation,
-    summarize,
-)
+from repro.bench.harness import run_update_simulation, summarize
 from repro.bench.reporting import format_series, format_table
 from repro.core.index import SPFreshIndex
 from repro.datasets import workload_a
@@ -42,15 +37,13 @@ def test_fig7_overall_performance(benchmark, scale):
             workload.base_vectors, ids=workload.base_ids, config=config
         )
         build_snap = spfresh.stats.snapshot()
-        results["SPFresh"] = run_update_simulation(
-            SPFreshAdapter(spfresh), workload, k=10
-        )
+        results["SPFresh"] = run_update_simulation(spfresh, workload, k=10)
         results["_build_snap"] = build_snap
         spann_plus = build_spann_plus(
             workload.base_vectors, ids=workload.base_ids, config=config
         )
         results["SPANN+"] = run_update_simulation(
-            SPFreshAdapter(spann_plus, name="SPANN+", gc_every=7), workload, k=10
+            spann_plus, workload, k=10, gc_every=7
         )
         per_day = max(1, round(scale.base_vectors * scale.daily_rate))
         diskann = FreshDiskANNIndex.build(
@@ -62,9 +55,7 @@ def test_fig7_overall_performance(benchmark, scale):
                 merge_threshold=per_day * 3,  # paper: merge every ~3 epochs
             ),
         )
-        results["DiskANN"] = run_update_simulation(
-            DiskANNAdapter(diskann), workload, k=10
-        )
+        results["DiskANN"] = run_update_simulation(diskann, workload, k=10)
         return results, spfresh
 
     results, spfresh = run_once(benchmark, experiment)

@@ -9,7 +9,7 @@ counterpoint to their divergence on Workload A.
 
 from benchmarks.conftest import DIM, run_once, spfresh_config
 from repro.baselines import build_spann_plus
-from repro.bench.harness import SPFreshAdapter, run_update_simulation, summarize
+from repro.bench.harness import run_update_simulation, summarize
 from repro.bench.reporting import format_series, format_table
 from repro.core.index import SPFreshIndex
 from repro.datasets import workload_b
@@ -30,13 +30,11 @@ def test_fig7b_sift_uniform(benchmark, scale):
         spfresh = SPFreshIndex.build(
             workload.base_vectors, ids=workload.base_ids, config=config
         )
-        sp_series = run_update_simulation(SPFreshAdapter(spfresh), workload, k=10)
+        sp_series = run_update_simulation(spfresh, workload, k=10)
         spann_plus = build_spann_plus(
             workload.base_vectors, ids=workload.base_ids, config=config
         )
-        spp_series = run_update_simulation(
-            SPFreshAdapter(spann_plus, name="SPANN+", gc_every=5), workload, k=10
-        )
+        spp_series = run_update_simulation(spann_plus, workload, k=10, gc_every=5)
         return sp_series, spp_series
 
     sp_series, spp_series = run_once(benchmark, experiment)

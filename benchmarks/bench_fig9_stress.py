@@ -10,7 +10,7 @@ check stability: flat P99.9, flat accuracy above a floor, flat memory.
 import numpy as np
 
 from benchmarks.conftest import DIM, run_once, spfresh_config
-from repro.bench.harness import SPFreshAdapter, run_update_simulation
+from repro.bench.harness import run_update_simulation
 from repro.bench.reporting import format_series
 from repro.core.index import SPFreshIndex
 from repro.datasets import workload_c
@@ -21,9 +21,7 @@ def run_stress(workload, nprobe):
     index = SPFreshIndex.build(
         workload.base_vectors, ids=workload.base_ids, config=config
     )
-    return run_update_simulation(
-        SPFreshAdapter(index), workload, k=10, nprobe=nprobe
-    )
+    return run_update_simulation(index, workload, k=10, nprobe=nprobe)
 
 
 def test_fig9_stress(benchmark, scale):

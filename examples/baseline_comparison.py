@@ -10,12 +10,7 @@ Run:  python examples/baseline_comparison.py
 
 from repro import SPFreshConfig, SPFreshIndex
 from repro.baselines import DiskANNConfig, FreshDiskANNIndex, build_spann_plus
-from repro.bench.harness import (
-    DiskANNAdapter,
-    SPFreshAdapter,
-    run_update_simulation,
-    summarize,
-)
+from repro.bench.harness import run_update_simulation, summarize
 from repro.bench.reporting import format_table
 from repro.datasets import workload_a
 
@@ -32,16 +27,14 @@ def main() -> None:
     spfresh = SPFreshIndex.build(
         workload.base_vectors, ids=workload.base_ids, config=config
     )
-    results = {
-        "SPFresh": run_update_simulation(SPFreshAdapter(spfresh), workload, k=10)
-    }
+    results = {"SPFresh": run_update_simulation(spfresh, workload, k=10)}
 
     print("running SPANN+ (append-only)...")
     spann_plus = build_spann_plus(
         workload.base_vectors, ids=workload.base_ids, config=config
     )
     results["SPANN+"] = run_update_simulation(
-        SPFreshAdapter(spann_plus, name="SPANN+", gc_every=5), workload, k=10
+        spann_plus, workload, k=10, gc_every=5
     )
 
     print("running DiskANN (this one is slow — graph inserts + merges)...")
@@ -50,9 +43,7 @@ def main() -> None:
         ids=workload.base_ids,
         config=DiskANNConfig(dim=DIM, merge_threshold=200),
     )
-    results["DiskANN"] = run_update_simulation(
-        DiskANNAdapter(diskann), workload, k=10
-    )
+    results["DiskANN"] = run_update_simulation(diskann, workload, k=10)
 
     rows = []
     for name, series in results.items():

@@ -12,7 +12,7 @@ Run:  python examples/streaming_updates.py
 
 
 from repro import SPFreshConfig, SPFreshIndex
-from repro.bench.harness import SPFreshAdapter, run_update_simulation, summarize
+from repro.bench.harness import run_update_simulation, summarize
 from repro.bench.reporting import format_series
 from repro.datasets import workload_a
 
@@ -31,9 +31,7 @@ def main() -> None:
     print(f"serving a {index.live_vector_count}-item catalog "
           f"({index.num_postings} postings); running {DAYS} days of churn...\n")
 
-    series = run_update_simulation(
-        SPFreshAdapter(index), workload, k=10, progress=True
-    )
+    series = run_update_simulation(index, workload, k=10, progress="SPFresh")
 
     print()
     print(format_series(series, every=2, title="daily stability"))

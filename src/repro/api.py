@@ -1,16 +1,19 @@
-"""Typed query surface shared by every search facade.
+"""Typed query surface shared by every search engine.
 
 One request object — :class:`QueryRequest` — travels unchanged through
-``SPFreshIndex``, ``ClusterSPFresh`` (and, pickled, to its pool
-workers), the MIPS wrapper, tracing, the serving frontend and its
-replay, so adding a knob (rerank width, quantized toggle, tenant tag) is
-one field here instead of a signature change in six places. Facades answer with a :class:`SearchResponse` that keeps the
-per-query :class:`~repro.spann.searcher.SearchResult` objects and the
-request that produced them.
+every engine (``SPFreshIndex`` and SPANN+, ``ClusterSPFresh`` and,
+pickled, its pool workers, the MIPS wrapper, ``SpannSearcher``, the
+FreshDiskANN and Vearch baselines, the ``FlatIndex`` oracle), tracing,
+the update-simulation driver, the serving frontend and its replay, so
+adding a knob (rerank width, quantized toggle, tenant tag) is one field
+here instead of a signature change in six places. Engines answer with a
+:class:`SearchResponse` that keeps the per-query
+:class:`~repro.spann.searcher.SearchResult` objects and the request that
+produced them.
 
-``facade.query(QueryRequest)`` is the only search entry point of every
-facade; there is no positional ``search(vector, k, nprobe)`` form (see
-``docs/api.md``).
+``engine.query(QueryRequest)`` is the only search entry point of every
+engine; there is no positional ``search(vector, k, nprobe)`` form (see
+``docs/api.md``). :func:`respond` is the part every ``query`` shares.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-__all__ = ["QueryRequest", "SearchResponse"]
+__all__ = ["QueryRequest", "SearchResponse", "respond"]
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ class QueryRequest:
             raise ValueError(
                 f"vectors must be 1-D or 2-D, got shape {vectors.shape}"
             )
-        # An explicitly 2-D empty batch is well-defined: every facade's
+        # An explicitly 2-D empty batch is well-defined: every engine's
         # query() answers it with an empty SearchResponse (no shards or
         # postings probed). Only the single-vector form must be non-empty.
         object.__setattr__(self, "vectors", vectors)
@@ -159,3 +162,21 @@ class SearchResponse:
     @property
     def reranked_entries(self) -> int:
         return self.result.reranked_entries
+
+
+def respond(request: QueryRequest, answer) -> SearchResponse:
+    """The shell of every engine's ``query``.
+
+    Rejects anything but a :class:`QueryRequest`, answers an empty batch
+    with an empty response without calling ``answer`` (nothing probed),
+    and otherwise wraps ``answer(request)``: one result per query row,
+    in row order.
+    """
+    if not isinstance(request, QueryRequest):
+        raise TypeError(
+            f"query() wants a repro.api.QueryRequest, got "
+            f"{type(request).__name__}"
+        )
+    if len(request.vectors) == 0:
+        return SearchResponse(results=(), request=request)
+    return SearchResponse(results=tuple(answer(request)), request=request)

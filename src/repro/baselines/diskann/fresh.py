@@ -22,8 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.api import QueryRequest, SearchResponse, respond
 from repro.baselines.diskann.vamana import build_vamana, robust_prune
 from repro.quantize.pq import ProductQuantizer
+from repro.spann.searcher import SearchResult
 from repro.storage.ssd import SimulatedSSD, SSDProfile
 from repro.util.distance import as_matrix, as_vector
 from repro.util.errors import IndexError_, StorageError
@@ -126,17 +128,6 @@ class _NodeStore:
         return [self.decode(p) for p in payloads], latency
 
 
-@dataclass
-class DiskANNSearchResult:
-    """Same shape as the SPFresh SearchResult (duck-typed for the harness)."""
-
-    ids: np.ndarray
-    distances: np.ndarray
-    latency_us: float
-    hops: int = 0
-    nodes_read: int = 0
-
-
 class FreshDiskANNIndex:
     """Streaming DiskANN with tombstone deletes and global streamingMerge."""
 
@@ -160,6 +151,8 @@ class FreshDiskANNIndex:
         self._tombstones: set[int] = set()
         self._medoid: int | None = None  # a vector id
         self.merges_completed = 0
+        self._merges_at_drain = 0  # merges_completed at the last drain()
+        self._window_merges = 0  # merges in the window drain() last closed
         self.last_merge_io_us = 0.0
         self.background_io_us = 0.0
         self._interference_remaining = 0
@@ -261,13 +254,17 @@ class FreshDiskANNIndex:
                             heapq.heappop(best)
         return visited, io_latency, hops
 
-    def search(
-        self, query: np.ndarray, k: int, list_size: int | None = None
-    ) -> DiskANNSearchResult:
-        """Approximate k-NN over live (non-tombstoned) vectors."""
+    def query(self, request: QueryRequest) -> SearchResponse:
+        """Approximate k-NN over live (non-tombstoned) vectors, one beam
+        search per query row; ``nprobe`` has no meaning for a graph (the
+        configured search list size stands in)."""
+        return respond(request, lambda r: [self._search(q, r.k) for q in r.vectors])
+
+    def _search(self, query: np.ndarray, k: int) -> SearchResult:
         query = as_vector(query, self.config.dim)
-        list_size = list_size or self.config.search_list_size
-        visited, io_latency, hops = self._beam_traverse(query, max(list_size, k))
+        visited, io_latency, hops = self._beam_traverse(
+            query, max(self.config.search_list_size, k)
+        )
         ranked = sorted(
             (
                 (exact, vid)
@@ -285,20 +282,27 @@ class FreshDiskANNIndex:
             # behind the merge's bulk I/O (paper: >20 ms P99.9 spikes).
             self._interference_remaining -= 1
             latency += float(self._rng.uniform(0.4, 1.0)) * self.config.merge_blocking_us
-        return DiskANNSearchResult(
+        return SearchResult(
             ids=np.array([vid for _, vid in ranked], dtype=np.int64),
             distances=np.array([d for d, _ in ranked], dtype=np.float32),
             latency_us=latency,
-            hops=hops,
-            nodes_read=len(visited),
+            postings_probed=hops,  # beam reads stand in for posting probes
+            entries_scanned=len(visited),
+            io_latency_us=io_latency,
         )
 
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
     def insert(self, vector_id: int, vector: np.ndarray) -> float:
-        """Graph insert: greedy search + RobustPrune + reverse-edge patch."""
+        """Graph insert: greedy search + RobustPrune + reverse-edge patch.
+
+        The graph is keyed by vector id, so re-inserting a deleted id
+        first consolidates its tombstoned node away (``streaming_merge``).
+        """
         vector = as_vector(vector, self.config.dim)
+        if vector_id in self._tombstones:
+            self.streaming_merge()
         if vector_id in self._id_to_block:
             raise IndexError_(f"vector {vector_id} already present")
         if not self._id_to_block:
@@ -444,15 +448,27 @@ class FreshDiskANNIndex:
     def live_vector_count(self) -> int:
         return len(self._id_to_block) - len(self._tombstones)
 
-    def memory_bytes(self, during_merge: bool = False) -> int:
+    def drain(self) -> int:
+        """Close one maintenance window; returns the merges run in it.
+
+        Merges run inline when deletes cross the threshold, so there is
+        nothing to wait for: a window only records whether one ran, which
+        :meth:`memory_bytes` reads.
+        """
+        self._window_merges = self.merges_completed - self._merges_at_drain
+        self._merges_at_drain = self.merges_completed
+        return self._window_merges
+
+    def memory_bytes(self) -> int:
         """Modelled DRAM: PQ codes + codebooks + id mapping.
 
         During a merge, FreshDiskANN materializes substantial extra state
         (the paper measures an extra ~60 GB at 100M scale); modelled here
-        as the full adjacency working set.
+        as the full adjacency working set, counted while the window the
+        last :meth:`drain` closed ran a merge.
         """
         n = len(self._id_to_block)
         base = self.pq.memory_bytes(n) + n * 16  # id -> block mapping
-        if during_merge:
+        if self._window_merges:
             base += n * 8 * self.config.node_capacity()
         return base

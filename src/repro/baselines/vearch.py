@@ -1,8 +1,8 @@
 """Vearch-style in-memory cluster index (paper §2.3's early in-place system).
 
 Vearch keeps cluster-based postings *in memory*, inserts new vectors into
-their nearest partition, filters deletions through a tombstone bitmap —
-and still needs **weekly global rebuilds** because fixed centroids cannot
+their nearest partition, filters deleted rows out of results — and still
+needs **weekly global rebuilds** because fixed centroids cannot
 track distribution shift. This implementation exists to reproduce that
 §2.3 argument: in-place updates without rebalancing work until the data
 moves, and then only a full recluster (`rebuild()`) restores quality.
@@ -18,7 +18,9 @@ import time
 
 import numpy as np
 
+from repro.api import QueryRequest, SearchResponse, respond
 from repro.clustering.kmeans import kmeans
+from repro.spann.searcher import SearchResult
 from repro.util.distance import as_matrix, as_vector, sq_l2_batch, top_k_smallest
 from repro.util.errors import IndexError_
 
@@ -62,7 +64,9 @@ class VearchLikeIndex:
         self._rng = np.random.default_rng(seed)
         self._centroids = np.empty((0, dim), dtype=np.float32)
         self._partitions: list[_Partition] = []
-        self._tombstones: set[int] = set()
+        # id -> its one live row. A partition row is live iff it *is* its
+        # id's entry here, so a deleted row stays hidden after its id is
+        # inserted again (the storage is reclaimed by rebuild()).
         self._live: dict[int, np.ndarray] = {}
         self.rebuilds_completed = 0
 
@@ -88,10 +92,9 @@ class VearchLikeIndex:
         self._centroids = centroids
         self._partitions = [_Partition(self.dim) for _ in range(len(centroids))]
         self._live = {}
-        self._tombstones = set()
-        for row, (vid, part) in enumerate(zip(ids, assignments)):
-            self._partitions[int(part)].append(int(vid), vectors[row])
-            self._live[int(vid)] = vectors[row]
+        for vector, vid, part in zip(vectors, ids, assignments):
+            self._partitions[int(part)].append(int(vid), vector)
+            self._live[int(vid)] = vector
 
     # ------------------------------------------------------------------
     def insert(self, vector_id: int, vector: np.ndarray) -> float:
@@ -102,20 +105,22 @@ class VearchLikeIndex:
         dists = sq_l2_batch(vector, self._centroids)
         self._partitions[int(dists.argmin())].append(vector_id, vector)
         self._live[vector_id] = vector
-        self._tombstones.discard(vector_id)
         return self.cpu_cost_per_query_us
 
     def delete(self, vector_id: int) -> float:
-        """Tombstone-bitmap deletion (result filtering only)."""
-        if vector_id in self._live:
-            self._tombstones.add(vector_id)
-            del self._live[vector_id]
+        """Deletion by result filtering only: the row stays stored."""
+        self._live.pop(vector_id, None)
         return 1.0
 
-    def search(self, query: np.ndarray, k: int, nprobe: int = 8):
-        """Scan the nearest ``nprobe`` partitions; pure-CPU latency model."""
-        from repro.spann.searcher import SearchResult
+    def query(self, request: QueryRequest) -> SearchResponse:
+        """Scan the nearest ``nprobe`` partitions (default 8) per query
+        row; pure-CPU latency model."""
+        return respond(
+            request,
+            lambda r: [self._search(q, r.k, r.nprobe or 8) for q in r.vectors],
+        )
 
+    def _search(self, query: np.ndarray, k: int, nprobe: int) -> SearchResult:
         query = as_vector(query, self.dim)
         if len(self._centroids) == 0:
             return SearchResult(
@@ -134,8 +139,8 @@ class VearchLikeIndex:
             if not len(partition):
                 continue
             dists = sq_l2_batch(query, partition.matrix())
-            for vid, dist in zip(partition.ids, dists):
-                if vid in self._tombstones:
+            for vid, vector, dist in zip(partition.ids, partition.vectors, dists):
+                if self._live.get(vid) is not vector:
                     continue
                 all_ids.append(vid)
                 all_dists.append(float(dist))

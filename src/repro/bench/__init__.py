@@ -4,8 +4,6 @@ from repro.bench.harness import (
     TABLE2_THREAD_ALLOCATION,
     TABLE3_THREAD_ALLOCATION,
     DayMetrics,
-    DiskANNAdapter,
-    SPFreshAdapter,
     run_update_simulation,
 )
 from repro.bench.reporting import format_series, format_table
@@ -54,8 +52,6 @@ __all__ = [
     "TABLE2_THREAD_ALLOCATION",
     "TABLE3_THREAD_ALLOCATION",
     "DayMetrics",
-    "DiskANNAdapter",
-    "SPFreshAdapter",
     "run_update_simulation",
     "format_series",
     "format_table",

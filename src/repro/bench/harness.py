@@ -1,20 +1,22 @@
 """Day-by-day update-simulation driver (the engine behind Figures 7 & 9).
 
-The harness runs one system adapter through a :class:`repro.datasets.Workload`:
+The driver runs one engine through a :class:`repro.datasets.Workload`:
 each simulated day it interleaves the epoch's deletes and inserts, lets the
-system do its maintenance (drain LIRE jobs / GC / merge), recomputes exact
-ground truth over the live set, and measures search recall + latency
-percentiles, update latency/throughput, memory, and device I/O.
+engine do its maintenance (``drain``: LIRE jobs, or FreshDiskANN's merge
+window; plus SPANN+'s periodic GC), recomputes exact ground truth over the
+live set, and measures search recall + latency percentiles, update
+latency/throughput, memory, and device I/O.
 
-Adapters duck-type three systems onto one interface:
-:class:`SPFreshAdapter` (also serves SPANN+ — same code, LIRE disabled) and
-:class:`DiskANNAdapter`.
+An engine is anything that answers ``query(QueryRequest)``, ``insert``,
+``delete``, ``drain`` and ``memory_bytes`` and has a simulated ``ssd``:
+``SPFreshIndex`` (SPANN+ is the same class with LIRE switched off) and
+``FreshDiskANNIndex``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,126 +65,44 @@ class DayMetrics:
     memory_mb: float
     device_iops: float
     live_vectors: int
-    postings: int = 0
-    extra: dict = field(default_factory=dict)
-
-
-class SPFreshAdapter:
-    """Adapter for SPFreshIndex and the SPANN+ variant."""
-
-    def __init__(self, index, name: str = "SPFresh", gc_every: int | None = None):
-        self.index = index
-        self.name = name
-        # SPANN+ runs periodic background GC instead of split-time GC.
-        self.gc_every = gc_every
-        self._day = 0
-
-    def insert(self, vector_id: int, vector: np.ndarray) -> float:
-        return self.index.insert(vector_id, vector)
-
-    def delete(self, vector_id: int) -> float:
-        return self.index.delete(vector_id)
-
-    def search(self, query: np.ndarray, k: int, nprobe: int | None = None):
-        request = QueryRequest.single(query, k=k, nprobe=nprobe)
-        return self.index.query(request).result
-
-    def maintenance(self) -> None:
-        self._day += 1
-        self.index.drain()
-        if self.gc_every and self._day % self.gc_every == 0:
-            self.index.gc_pass()
-
-    def memory_bytes(self) -> int:
-        return self.index.memory_bytes()
-
-    def device_stats_window(self):
-        return self.index.ssd.stats.snapshot()
-
-    def day_extra(self) -> dict:
-        snap = self.index.stats.snapshot()
-        return {
-            "splits": snap.splits,
-            "merges": snap.merges,
-            "reassign_executed": snap.reassign_executed,
-            "reassign_evaluated": snap.reassign_evaluated,
-            "postings": self.index.num_postings,
-            "background_io_us": self.index.rebuilder.background_io_us,
-        }
-
-    @property
-    def postings(self) -> int:
-        return self.index.num_postings
-
-
-class DiskANNAdapter:
-    """Adapter for the FreshDiskANN baseline."""
-
-    def __init__(self, index, name: str = "DiskANN"):
-        self.index = index
-        self.name = name
-        self._merged_today = False
-        self._merges_seen = 0
-
-    def insert(self, vector_id: int, vector: np.ndarray) -> float:
-        return self.index.insert(vector_id, vector)
-
-    def delete(self, vector_id: int) -> float:
-        return self.index.delete(vector_id)
-
-    def search(self, query: np.ndarray, k: int, nprobe: int | None = None):
-        # nprobe has no meaning for a graph index; list size stands in.
-        return self.index.search(query, k)
-
-    def maintenance(self) -> None:
-        self._merged_today = self.index.merges_completed > self._merges_seen
-        self._merges_seen = self.index.merges_completed
-
-    def memory_bytes(self) -> int:
-        return self.index.memory_bytes(during_merge=self._merged_today)
-
-    def device_stats_window(self):
-        return self.index.ssd.stats.snapshot()
-
-    def day_extra(self) -> dict:
-        return {
-            "merges": self.index.merges_completed,
-            "merged_today": self._merged_today,
-        }
-
-    @property
-    def postings(self) -> int:
-        return 0
 
 
 def run_update_simulation(
-    adapter,
+    engine,
     workload: Workload,
     k: int = 10,
     nprobe: int | None = None,
     queries_per_day: int | None = None,
-    progress: bool = False,
+    progress: str = "",
+    gc_every: int | None = None,
 ) -> list[DayMetrics]:
-    """Run a full multi-day update workload and measure every day."""
+    """Run a full multi-day update workload and measure every day.
+
+    ``gc_every`` runs ``engine.gc_pass()`` after every that-many days'
+    drain: SPANN+'s periodic background GC in place of split-time GC. A
+    ``progress`` label prints one line per day under that name.
+    """
     tracker = GroundTruthTracker(workload.base_ids, workload.base_vectors)
     queries = workload.queries
     if queries_per_day is not None:
         queries = queries[:queries_per_day]
     results: list[DayMetrics] = []
-    for epoch in workload.epochs:
+    for day, epoch in enumerate(workload.epochs, 1):
         insert_lat = LatencyTracker()
-        io_before = adapter.device_stats_window()
+        io_before = engine.ssd.stats.snapshot()
         wall_start = time.perf_counter()
         # Interleave deletes and inserts, as a live service would see them.
         pairs = max(len(epoch.delete_ids), len(epoch.insert_ids))
         for i in range(pairs):
             if i < len(epoch.delete_ids):
-                adapter.delete(int(epoch.delete_ids[i]))
+                engine.delete(int(epoch.delete_ids[i]))
             if i < len(epoch.insert_ids):
                 insert_lat.record(
-                    adapter.insert(int(epoch.insert_ids[i]), epoch.insert_vectors[i])
+                    engine.insert(int(epoch.insert_ids[i]), epoch.insert_vectors[i])
                 )
-        adapter.maintenance()
+        engine.drain()
+        if gc_every and day % gc_every == 0:
+            engine.gc_pass()
         update_wall = time.perf_counter() - wall_start
 
         tracker.apply_epoch(epoch)
@@ -192,12 +112,12 @@ def run_update_simulation(
         result_ids = []
         search_start = time.perf_counter()
         for query in queries:
-            res = adapter.search(query, k, nprobe)
+            res = engine.query(QueryRequest.single(query, k=k, nprobe=nprobe))
             search_lat.record(res.latency_us)
             result_ids.append(res.ids)
         search_wall = time.perf_counter() - search_start
 
-        io_after = adapter.device_stats_window()
+        io_after = engine.ssd.stats.snapshot()
         window = io_after.delta(io_before)
         day_wall = update_wall + search_wall
         metrics = DayMetrics(
@@ -214,16 +134,14 @@ def run_update_simulation(
                 len(epoch.insert_ids) / update_wall if update_wall > 0 else 0.0
             ),
             search_wall_qps=len(queries) / search_wall if search_wall > 0 else 0.0,
-            memory_mb=adapter.memory_bytes() / (1024 * 1024),
+            memory_mb=engine.memory_bytes() / (1024 * 1024),
             device_iops=window.iops(day_wall),
             live_vectors=tracker.live_count,
-            postings=adapter.postings,
-            extra=adapter.day_extra(),
         )
         results.append(metrics)
         if progress:
             print(
-                f"[{adapter.name}] day {epoch.day:3d} "
+                f"[{progress}] day {epoch.day:3d} "
                 f"recall={metrics.recall:.3f} "
                 f"p99.9={metrics.search_p999_us / 1000:.2f}ms "
                 f"mem={metrics.memory_mb:.2f}MB"

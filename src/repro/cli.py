@@ -95,7 +95,7 @@ def cmd_overview(args) -> int:
 
 def cmd_simulate(args) -> int:
     """Run a Figure-7-style multi-day churn simulation on SPFresh."""
-    from repro.bench.harness import SPFreshAdapter, run_update_simulation, summarize
+    from repro.bench.harness import run_update_simulation, summarize
     from repro.bench.reporting import format_series
     from repro.datasets import workload_a, workload_b
 
@@ -113,9 +113,7 @@ def cmd_simulate(args) -> int:
         ids=workload.base_ids,
         config=SPFreshConfig(dim=args.dim, seed=args.seed),
     )
-    series = run_update_simulation(
-        SPFreshAdapter(index), workload, k=10, progress=True
-    )
+    series = run_update_simulation(index, workload, k=10, progress="SPFresh")
     print()
     print(format_series(series, every=max(1, args.days // 10)))
     stats = summarize(series)
@@ -132,12 +130,7 @@ def cmd_compare(args) -> int:
         FreshDiskANNIndex,
         build_spann_plus,
     )
-    from repro.bench.harness import (
-        DiskANNAdapter,
-        SPFreshAdapter,
-        run_update_simulation,
-        summarize,
-    )
+    from repro.bench.harness import run_update_simulation, summarize
     from repro.bench.reporting import format_table
     from repro.datasets import workload_a, workload_b
 
@@ -151,42 +144,28 @@ def cmd_compare(args) -> int:
         seed=args.seed,
     )
     config = SPFreshConfig(dim=args.dim, seed=args.seed)
-    adapters = [
-        SPFreshAdapter(
-            SPFreshIndex.build(
-                workload.base_vectors, ids=workload.base_ids, config=config
-            )
-        ),
-        SPFreshAdapter(
-            build_spann_plus(
-                workload.base_vectors, ids=workload.base_ids, config=config
-            ),
-            name="SPANN+",
-            gc_every=5,
-        ),
+
+    def build(make, config):
+        return make(workload.base_vectors, ids=workload.base_ids, config=config)
+
+    # (name, engine, SPANN+'s periodic GC: every that-many days)
+    systems = [
+        ("SPFresh", build(SPFreshIndex.build, config), None),
+        ("SPANN+", build(build_spann_plus, config), 5),
     ]
     if not args.skip_diskann:
-        adapters.append(
-            DiskANNAdapter(
-                FreshDiskANNIndex.build(
-                    workload.base_vectors,
-                    ids=workload.base_ids,
-                    config=DiskANNConfig(
-                        dim=args.dim,
-                        merge_threshold=max(
-                            60, int(args.base * args.rate * 3)
-                        ),
-                    ),
-                )
-            )
-        )
+        merge_threshold = max(60, int(args.base * args.rate * 3))
+        diskann = DiskANNConfig(dim=args.dim, merge_threshold=merge_threshold)
+        systems.append(("DiskANN", build(FreshDiskANNIndex.build, diskann), None))
     rows = []
-    for adapter in adapters:
-        print(f"running {adapter.name}...")
-        stats = summarize(run_update_simulation(adapter, workload, k=10))
+    for name, engine, gc_every in systems:
+        print(f"running {name}...")
+        stats = summarize(
+            run_update_simulation(engine, workload, k=10, gc_every=gc_every)
+        )
         rows.append(
             (
-                adapter.name,
+                name,
                 stats["mean_recall"],
                 stats["mean_p999_ms"],
                 stats["max_p999_ms"],
@@ -537,11 +516,7 @@ def cmd_sweep_nprobe(args) -> int:
     )
     queries = dataset.base[: args.queries] + 0.01
     truth = exact_knn(dataset.base, np.arange(args.base), queries, 10)
-
-    def search_fn(query, k, nprobe):
-        return index.query(QueryRequest.single(query, k=k, nprobe=nprobe)).result
-
-    curve = recall_curve(search_fn, queries, truth, 10, [1, 2, 4, 8, 16, 32])
+    curve = recall_curve(index, queries, truth, 10, [1, 2, 4, 8, 16, 32])
     print(
         format_table(
             ["nprobe", "recall10@10", "mean latency us"],

@@ -44,7 +44,7 @@ from repro.storage.layout import PostingCodec, PostingData
 from repro.storage.snapshot import SnapshotManager
 from repro.storage.ssd import SimulatedSSD, SSDProfile
 from repro.storage.wal import WriteAheadLog
-from repro.util.distance import as_matrix, as_vector
+from repro.util.distance import as_matrix
 from repro.util.errors import StalePostingError
 
 __all__ = ["SPFreshIndex", "SearchResult"]
@@ -248,48 +248,22 @@ class SPFreshIndex:
     def query(self, request: QueryRequest) -> SearchResponse:
         """Answer a typed :class:`~repro.api.QueryRequest`.
 
-        The one search entry point. Single-vector requests and batches
-        run the same searcher pipeline; a single query is additionally
-        subject to the latency budget. Both share the maintenance side
-        effect (undersized postings seen during the scan schedule merge
-        jobs).
+        The one search entry point: :meth:`SpannSearcher.query` answers
+        it (a single query is additionally subject to the latency
+        budget), and undersized postings seen during the scan schedule
+        merge jobs.
         """
-        if not isinstance(request, QueryRequest):
-            raise TypeError(
-                f"query() wants a repro.api.QueryRequest, got "
-                f"{type(request).__name__}"
-            )
-        if len(request.vectors) == 0:
-            # An empty batch is well-defined: nothing probed, no results.
-            return SearchResponse(results=(), request=request)
-        if request.is_single:
-            results = [
-                self.searcher.search(
-                    as_vector(request.vectors[0], self.config.dim),
-                    request.k,
-                    request.nprobe,
-                    rerank_k=request.rerank_k,
-                    quantized=request.quantized,
-                )
-            ]
-        else:
-            results = self.searcher.search_many(
-                as_matrix(request.vectors, self.config.dim),
-                request.k,
-                request.nprobe,
-                rerank_k=request.rerank_k,
-                quantized=request.quantized,
-            )
+        response = self.searcher.query(request)
         if self.config.enable_merge:
             scheduled = False
-            for result in results:
+            for result in response.results:
                 for pid in result.undersized_postings:
                     scheduled = (
                         self.job_queue.put(MergeJob(posting_id=pid)) or scheduled
                     )
             if scheduled and self.config.synchronous_rebuild:
                 self.rebuilder.drain()
-        return SearchResponse(results=tuple(results), request=request)
+        return response
 
     def insert(self, vector_id: int, vector: np.ndarray) -> float:
         """Insert one vector; returns foreground simulated latency (us)."""

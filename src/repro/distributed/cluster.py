@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.api import QueryRequest, SearchResponse
+from repro.api import QueryRequest, SearchResponse, respond
 from repro.core.config import SPFreshConfig
 from repro.core.index import SPFreshIndex
 from repro.core.invariants import check_cluster_invariants
@@ -291,31 +291,23 @@ class ClusterSPFresh:
         routing, replica choice, failover, counters and the merge stay
         here, so the simulated model is identical.
         """
-        if not isinstance(request, QueryRequest):
-            raise TypeError(
-                f"query() wants a repro.api.QueryRequest, got "
-                f"{type(request).__name__}"
+
+        def answer(request: QueryRequest) -> list[SearchResult]:
+            request = request.with_vectors(
+                as_matrix(request.vectors, self.config.dim)
             )
-        request = request.with_vectors(
-            as_matrix(request.vectors, self.config.dim)
-        )
-        n = len(request.vectors)
-        if n == 0:
-            # An empty batch is well-defined: nothing probed, no results.
-            return SearchResponse(results=(), request=request)
-        nprobe = None if broadcast else self.config.cluster_nprobe
-        plan = self.placement.shards_for_queries(request.vectors, nprobe)
-        self.stats.queries += n
-        self.stats.shards_probed += sum(len(p) for p in plan)
-        self.stats.broadcasts += sum(
-            1 for p in plan if len(p) == len(self.groups)
-        )
-        shard_batches = self._per_shard_batches(plan)
-        per_shard = self._run_shards(request, shard_batches, pool)
-        return SearchResponse(
-            results=tuple(self._merge(request, plan, shard_batches, per_shard)),
-            request=request,
-        )
+            nprobe = None if broadcast else self.config.cluster_nprobe
+            plan = self.placement.shards_for_queries(request.vectors, nprobe)
+            self.stats.queries += len(request.vectors)
+            self.stats.shards_probed += sum(len(p) for p in plan)
+            self.stats.broadcasts += sum(
+                1 for p in plan if len(p) == len(self.groups)
+            )
+            shard_batches = self._per_shard_batches(plan)
+            per_shard = self._run_shards(request, shard_batches, pool)
+            return self._merge(request, plan, shard_batches, per_shard)
+
+        return respond(request, answer)
 
     def _per_shard_batches(self, plan: list[np.ndarray]) -> dict[int, list[int]]:
         """Invert the routing plan: shard id -> query rows probing it."""

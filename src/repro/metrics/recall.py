@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.api import QueryRequest
+
 
 def recall_at_k(result_ids, ground_truth_ids, k: int | None = None) -> float:
     """Mean RecallK@K across queries.
@@ -31,20 +33,20 @@ def recall_at_k(result_ids, ground_truth_ids, k: int | None = None) -> float:
 
 
 def recall_curve(
-    search_fn, queries: np.ndarray, ground_truth: np.ndarray, k: int, nprobes: list[int]
+    engine, queries: np.ndarray, ground_truth: np.ndarray, k: int, nprobes: list[int]
 ) -> list[tuple[int, float, float]]:
     """Sweep nprobe and return (nprobe, recall, mean simulated latency us).
 
-    ``search_fn(query, k, nprobe)`` must return an object with ``ids`` and
-    ``latency_us``; this is the shape of both SPFresh and baseline search
-    results, so one curve function serves the Figure 10 ablation.
+    Each query goes to ``engine.query`` as ``QueryRequest.single(query,
+    k=k, nprobe=n)``, so one curve function serves every engine in the
+    Figure 10 ablation.
     """
     curve: list[tuple[int, float, float]] = []
     for nprobe in nprobes:
         all_ids = []
         latencies = []
         for query in queries:
-            result = search_fn(query, k, nprobe)
+            result = engine.query(QueryRequest.single(query, k=k, nprobe=nprobe))
             all_ids.append(result.ids)
             latencies.append(result.latency_us)
         recall = recall_at_k(all_ids, ground_truth, k)

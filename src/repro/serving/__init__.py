@@ -1,6 +1,6 @@
 """Serving front-end: open-loop admission, dynamic batching, SLO accounting.
 
-This package turns the engine's fast ``search_many`` hot path into a
+This package turns the engine's batched ``query`` hot path into a
 *service*: requests arrive on their own schedule (``repro.datasets.
 arrival``), pass an admission controller guarding a bounded queue, are
 coalesced by a dynamic batcher under a latency SLO, and leave with a

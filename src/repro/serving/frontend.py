@@ -55,33 +55,6 @@ from repro.serving.admission import AdmissionController
 from repro.serving.batcher import DwrrBatcher, DynamicBatcher
 
 
-def batch_surface(engine):
-    """The engine's batch entry point as ``answer(QueryRequest) -> list``.
-
-    Typed-API engines (``SPFreshIndex``, ``ClusterSPFresh``) take the
-    request through ``query``; bare searcher-level engines
-    (``SpannSearcher``) take ``search_many(queries, k, nprobe)`` and
-    none of the other knobs. The frontend and the replay workers both
-    answer batches through this, so a replay asks what was served.
-    """
-    query = getattr(engine, "query", None)
-    if query is not None:
-        return lambda request: list(query(request).results)
-    search = getattr(engine, "search_many", None)
-    if search is None:
-        raise TypeError("engine must expose query or search_many")
-
-    def answer(request: QueryRequest) -> list:
-        if request.rerank_k is not None or request.quantized is not None:
-            raise TypeError(
-                "rerank_k/quantized knobs need a QueryRequest-capable "
-                "engine (one exposing query())"
-            )
-        return search(request.vectors, request.k, request.nprobe)
-
-    return answer
-
-
 @dataclass
 class RequestOutcome:
     """Per-request accounting, filled in as the request moves through."""
@@ -293,7 +266,8 @@ class ServingFrontend:
             raise ValueError(
                 f"unknown fairness {fairness!r} (choose 'fifo' or 'dwrr')"
             )
-        self._answer = batch_surface(engine)
+        if not callable(getattr(engine, "query", None)):
+            raise TypeError("engine must answer query(QueryRequest)")
         self.engine = engine
         self.k = k
         self.nprobe = nprobe
@@ -398,7 +372,7 @@ class ServingFrontend:
             for r in batch:
                 queued_by_tenant[r.tenant] -= 1
             rows = [r.query_index for r in batch]
-            results = self._answer(
+            results = self.engine.query(
                 QueryRequest(
                     vectors=trace.queries[rows],
                     k=self.k,
@@ -406,7 +380,7 @@ class ServingFrontend:
                     rerank_k=self.rerank_k,
                     quantized=self.quantized,
                 )
-            )
+            ).results
             io_us = max(r.io_latency_us for r in results)
             cpu_us = sum(r.latency_us - r.io_latency_us for r in results)
             service_us = io_us + cpu_us

@@ -12,9 +12,10 @@ processes, so the wall-clock goodput speedup is *measured*, not modelled.
   included, and batched search is a pure function of it on a read-only
   searcher, so a pooled replay must return exactly the serial replay's
   ids/distances. :func:`count_mismatches` checks this seat by seat; the
-  perf scenario gates it at zero. Replay searcher-level engines (or any
-  read-only query surface): ``SPFreshIndex.query`` has maintenance side
-  effects and only holds parity from identical starting states.
+  perf scenario gates it at zero. Any engine's ``query`` replays, but
+  parity needs a read-only one such as ``SpannSearcher``:
+  ``SPFreshIndex.query`` has maintenance side effects and only holds
+  parity from identical starting states.
 * **informational only** — wall-clock numbers depend on the host; they
   are reported, never gated.
 
@@ -35,7 +36,6 @@ import numpy as np
 
 from repro.api import QueryRequest
 from repro.metrics.profiling import NULL_PROFILER
-from repro.serving.frontend import batch_surface
 from repro.util.workers import WorkerPool
 
 
@@ -59,10 +59,12 @@ class ReplayResult:
 def _replay_slice(engine, job, profiler=NULL_PROFILER) -> list:
     """What a replay worker runs: its batches, in order, under its stage."""
     stage, requests = job
-    answer = batch_surface(engine)
     with profiler.section(stage):
         return [
-            [(np.array(r.ids), np.array(r.distances)) for r in answer(request)]
+            [
+                (np.array(r.ids), np.array(r.distances))
+                for r in engine.query(request)
+            ]
             for request in requests
         ]
 

@@ -44,6 +44,7 @@ from itertools import chain
 
 import numpy as np
 
+from repro.api import QueryRequest, SearchResponse, respond
 from repro.centroids.base import CentroidIndex, CentroidSearchResult
 from repro.metrics.profiling import NULL_PROFILER, Profiler
 from repro.quantize.base import adc_scan, adc_scan_pairs
@@ -166,6 +167,20 @@ class SpannSearcher:
             return []
         queries = as_matrix(queries, self.centroid_index.dim)
         return self._run(queries, k, nprobe, rerank_k, quantized, apply_budget=False)
+
+    def query(self, request: QueryRequest) -> SearchResponse:
+        """Answer a typed request: one query row runs :meth:`search` (the
+        latency budget included), a batch runs :meth:`search_many`."""
+
+        def answer(request: QueryRequest) -> list[SearchResult]:
+            knobs = dict(rerank_k=request.rerank_k, quantized=request.quantized)
+            if request.is_single:
+                return [
+                    self.search(request.vectors[0], request.k, request.nprobe, **knobs)
+                ]
+            return self.search_many(request.vectors, request.k, request.nprobe, **knobs)
+
+        return respond(request, answer)
 
     def _run(
         self, queries: np.ndarray, k, nprobe, rerank_k, quantized, *, apply_budget: bool

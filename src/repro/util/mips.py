@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api import QueryRequest, SearchResponse
+from repro.api import QueryRequest, SearchResponse, respond
 from repro.util.distance import as_matrix, as_vector
 
 
@@ -118,21 +118,20 @@ class MipsSPFreshIndex:
         inner products in place (``SearchResult`` is mutable even though
         the response wrapper is frozen).
         """
-        if not isinstance(request, QueryRequest):
-            raise TypeError(
-                f"query() wants a repro.api.QueryRequest, got "
-                f"{type(request).__name__}"
+
+        def answer(request: QueryRequest) -> tuple:
+            raw = as_matrix(request.vectors, self.transform.dim)
+            augmented = np.vstack(
+                [self.transform.transform_query(q) for q in raw]
             )
-        raw = as_matrix(request.vectors, self.transform.dim)
-        augmented = np.vstack(
-            [self.transform.transform_query(q) for q in raw]
-        )
-        response = self._index.query(request.with_vectors(augmented))
-        for query, result in zip(raw, response.results):
-            result.distances = self.transform.inner_products_from_sq_l2(
-                query, result.distances
-            ).astype(np.float32)
-        return SearchResponse(results=response.results, request=request)
+            results = self._index.query(request.with_vectors(augmented)).results
+            for query, result in zip(raw, results):
+                result.distances = self.transform.inner_products_from_sq_l2(
+                    query, result.distances
+                ).astype(np.float32)
+            return results
+
+        return respond(request, answer)
 
     def drain(self) -> int:
         return self._index.drain()

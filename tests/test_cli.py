@@ -62,3 +62,9 @@ class TestCommands:
         ) == 0
         out = capsys.readouterr().out
         assert "SPFresh" in out and "SPANN+" in out
+
+    def test_compare_drives_all_three_engines(self, capsys):
+        assert main(["compare", "--base", "600", "--days", "2"]) == 0
+        out = capsys.readouterr().out
+        for name in ("SPFresh", "SPANN+", "DiskANN"):
+            assert f"running {name}..." in out

@@ -354,10 +354,11 @@ class TestDifferentialOracle:
     STEPS = 180
 
     def _check_search(self, index, oracle, query, k):
-        want_ids, want_dists = oracle.search(query, k)
-        result = index.query(QueryRequest.single(query, k=k, nprobe=FULL_PROBE)).result
-        assert set(map(int, result.ids)) == set(map(int, want_ids))
-        np.testing.assert_array_equal(result.distances, want_dists)
+        request = QueryRequest.single(query, k=k, nprobe=FULL_PROBE)
+        want = oracle.query(request).result
+        result = index.query(request).result
+        assert set(map(int, result.ids)) == set(map(int, want.ids))
+        np.testing.assert_array_equal(result.distances, want.distances)
 
     def test_lockstep_interleaving_with_mid_flush_states(self):
         base = _clustered(120)
@@ -396,7 +397,7 @@ class TestDifferentialOracle:
         assert index.check_invariants().ok
         for vid in live[:10]:
             # Perturbed live vectors probe the near-duplicate regime.
-            query = oracle._vectors[vid] + np.float32(0.01)
+            query = oracle.vector(vid) + np.float32(0.01)
             self._check_search(index, oracle, query, 8)
 
 

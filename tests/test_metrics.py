@@ -39,18 +39,11 @@ class TestRecall:
 
 class TestRecallCurve:
     def test_sweep_shape(self, built_index, vectors):
-        from repro.api import QueryRequest
         from repro.datasets import exact_knn
 
         queries = vectors[:10]
         gt = exact_knn(vectors, np.arange(len(vectors)), queries, 5)
-
-        def search_fn(query, k, nprobe):
-            return built_index.query(
-                QueryRequest.single(query, k=k, nprobe=nprobe)
-            ).result
-
-        curve = recall_curve(search_fn, queries, gt, k=5, nprobes=[1, 4, 16])
+        curve = recall_curve(built_index, queries, gt, k=5, nprobes=[1, 4, 16])
         assert len(curve) == 3
         nprobes, recalls, latencies = zip(*curve)
         assert nprobes == (1, 4, 16)

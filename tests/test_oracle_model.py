@@ -1,11 +1,12 @@
-"""Model-based testing: SPFreshIndex vs a brute-force oracle.
+"""Model-based testing: SPFreshIndex vs the ``FlatIndex`` oracle.
 
 A hypothesis state machine drives random interleaved inserts, deletes,
-rebuild drains, GC passes, and checkpoints against both the real index and
-a trivially correct in-memory oracle. After every step, exhaustive-probe
-search results must match the oracle's exact answer — the strongest
-end-to-end statement that no LIRE operation loses, duplicates, or
-resurrects a vector.
+delete-then-re-inserts of one id (ABA), rebuild drains, GC passes, and
+checkpoints against both the real index and the exact ``FlatIndex``,
+asking both through the one ``query(QueryRequest)`` protocol. After every
+step, exhaustive-probe search results must match the oracle's exact
+answer — the strongest end-to-end statement that no LIRE operation loses,
+duplicates, or resurrects a vector.
 """
 
 import numpy as np
@@ -20,9 +21,9 @@ from hypothesis.stateful import (
 )
 
 from repro.api import QueryRequest
+from repro.baselines import FlatIndex
 from repro.core.config import SPFreshConfig
 from repro.core.index import SPFreshIndex
-from repro.datasets import exact_knn
 from repro.storage.snapshot import SnapshotManager
 from repro.storage.wal import WriteAheadLog
 
@@ -49,8 +50,10 @@ class SPFreshOracleMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.rng = np.random.default_rng(99)
-        self.oracle: dict[int, np.ndarray] = {}
+        self.oracle = FlatIndex(DIM)
+        self.deleted: dict[int, np.ndarray] = {}  # id -> its last vector
         self.next_id = 0
+        self.probe: np.ndarray | None = None  # last vector written
         self.index: SPFreshIndex | None = None
 
     @initialize(n=st.integers(8, 40))
@@ -63,24 +66,48 @@ class SPFreshOracleMachine(RuleBasedStateMachine):
             snapshots=SnapshotManager(),
         )
         for i in range(n):
-            self.oracle[i] = vectors[i]
+            self.oracle.insert(i, vectors[i])
         self.next_id = n
+        self.probe = vectors[0]
+
+    def _write(self, vector_id: int, vector: np.ndarray) -> None:
+        self.index.insert(vector_id, vector)
+        self.oracle.insert(vector_id, vector)
+        self.probe = vector
+
+    def _matches_oracle(self, query: np.ndarray) -> None:
+        request = QueryRequest.single(query, k=5, nprobe=10**6)
+        want = self.oracle.query(request).result
+        got = self.index.query(request).result
+        assert set(map(int, got.ids)) == set(map(int, want.ids))
 
     @rule(cluster=st.floats(-3, 3))
     def insert(self, cluster: float) -> None:
         vector = (
             self.rng.normal(size=DIM) + cluster
         ).astype(np.float32)
-        self.index.insert(self.next_id, vector)
-        self.oracle[self.next_id] = vector
+        self._write(self.next_id, vector)
         self.next_id += 1
 
     @precondition(lambda self: len(self.oracle) > 1)
     @rule(pick=st.integers(0, 10**6))
     def delete(self, pick: int) -> None:
-        victim = sorted(self.oracle)[pick % len(self.oracle)]
+        live = self.oracle.ids()
+        victim = int(live[pick % len(live)])
+        self.deleted[victim] = self.oracle.vector(victim)
         self.index.delete(victim)
-        del self.oracle[victim]
+        self.oracle.delete(victim)
+
+    @precondition(lambda self: self.deleted)
+    @rule(pick=st.integers(0, 10**6), shift=st.floats(-6, 6))
+    def reinsert(self, pick: int, shift: float) -> None:
+        """ABA: a deleted id comes back at a new vector and is not found
+        at its old one (the invariant then probes the new one)."""
+        vector_id = sorted(self.deleted)[pick % len(self.deleted)]
+        old = self.deleted.pop(vector_id)
+        vector = (self.rng.normal(size=DIM) + shift).astype(np.float32)
+        self._write(vector_id, vector)
+        self._matches_oracle(old + np.float32(0.01))
 
     @rule()
     def drain(self) -> None:
@@ -106,14 +133,9 @@ class SPFreshOracleMachine(RuleBasedStateMachine):
 
     @invariant()
     def exhaustive_search_matches_oracle(self) -> None:
-        if self.index is None or not self.oracle:
+        if self.index is None or not len(self.oracle):
             return
-        ids = np.array(sorted(self.oracle), dtype=np.int64)
-        vectors = np.vstack([self.oracle[int(v)] for v in ids])
-        query = vectors[0] + 0.01
-        truth = exact_knn(vectors, ids, query.reshape(1, -1), k=5)[0]
-        result = self.index.query(QueryRequest.single(query, k=5, nprobe=10**6)).result
-        assert set(map(int, result.ids)) == set(map(int, truth))
+        self._matches_oracle(self.probe + np.float32(0.01))
 
 
 TestSPFreshOracle = SPFreshOracleMachine.TestCase

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.datasets import make_arrival_trace
 from repro.datasets.arrival import ArrivalTrace
-from repro.api import QueryRequest
+from repro.api import QueryRequest, SearchResponse
 from repro.metrics.profiling import Profiler
 from repro.serving import (
     ServingFrontend,
@@ -30,7 +30,6 @@ from repro.serving import (
     replay,
     replay_pool,
 )
-from repro.serving.frontend import batch_surface
 from repro.util.workers import fork_available
 from tests.conftest import DIM
 
@@ -390,7 +389,7 @@ class TestEnginePools:
         class _Bg:
             _background_running = True
 
-            def search_many(self, vectors, k, nprobe=None):  # pragma: no cover
+            def query(self, request):  # pragma: no cover
                 return []
 
         with pytest.raises(RuntimeError, match="background"):
@@ -433,7 +432,7 @@ class TestEnginePools:
 
     def test_thread_pool_surfaces_worker_errors(self):
         class _Boom:
-            def search_many(self, vectors, k, nprobe=None):
+            def query(self, request):
                 raise RuntimeError("engine exploded")
 
         with replay_pool(_Boom(), 2, fork=False) as pool:
@@ -441,12 +440,15 @@ class TestEnginePools:
                 replay(_Boom(), [np.zeros((1, DIM))], 5, pool=pool)
 
     def test_answer_batch_rejects_surfaceless_engine(self, built_index):
-        with pytest.raises(TypeError):
-            batch_surface(object())
-        # A searcher-level engine has no rerank_k/quantized to honour.
-        request = QueryRequest(vectors=np.zeros((1, DIM)), k=5, rerank_k=2)
-        with pytest.raises(TypeError, match="rerank_k"):
-            batch_surface(built_index.searcher)(request)
+        with pytest.raises(AttributeError, match="query"):
+            replay(object(), [np.zeros((1, DIM))], 5)
+        # The searcher answers every knob a served request carries.
+        request = QueryRequest(vectors=np.zeros((2, DIM)), k=5, rerank_k=2)
+        answers = replay(built_index.searcher, [request.vectors], 5, rerank_k=2)
+        want = built_index.searcher.query(request)
+        for (ids, dists), result in zip(answers.batch_answers[0], want):
+            np.testing.assert_array_equal(ids, result.ids)
+            np.testing.assert_array_equal(dists, result.distances)
 
     def test_pool_validation(self, built_index):
         with pytest.raises(ValueError):
@@ -513,10 +515,10 @@ class _StubEngine:
         self.io_us = io_us
         self.cpu_us = cpu_us
 
-    def search_many(self, vectors, k, nprobe=None):
-        return [
-            _StubResult(self.io_us, self.cpu_us) for _ in range(len(vectors))
-        ]
+    def query(self, request):
+        return SearchResponse(
+            [_StubResult(self.io_us, self.cpu_us) for _ in request.vectors]
+        )
 
 
 _POOL = np.zeros((4, DIM), dtype=np.float32)
