@@ -24,9 +24,9 @@ time is measured by ``benchmarks/e2e`` and tracked in
   baseline_dir/ --tolerance 0.05`` exits nonzero when any metric
   regresses beyond tolerance relative to the baseline.
 
-Run from the CLI (``python -m repro.bench.perf`` is the same command)::
+Run from the CLI::
 
-    PYTHONPATH=src python -m repro perf --quick --out bench-out
+    PYTHONPATH=src python -m repro perf --out bench-out
     PYTHONPATH=src python -m repro perf --compare-only \\
         --compare baseline/ --out bench-out --tolerance 0.05
 """
@@ -37,7 +37,6 @@ import argparse
 import json
 import math
 import operator
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -1572,14 +1571,15 @@ def compare_dirs(
 # CLI
 # ----------------------------------------------------------------------
 def add_perf_arguments(parser: argparse.ArgumentParser) -> None:
-    """Register the harness's own flags on the ``repro perf`` subparser.
-
-    ``--scale``, ``--seed`` and ``--report`` come from the parent parsers
-    every benchmark-shaped ``repro`` subcommand shares.
-    """
+    """Register the harness's flags on the ``repro perf`` subparser
+    (``--seed`` comes from the parent parser every subcommand shares)."""
     parser.add_argument(
-        "--quick", action="store_true",
-        help="alias for --scale quick (the CI tier)",
+        "--scale", choices=sorted(PERF_SCALES), default="quick",
+        help="workload scale preset (see repro.bench.scales.PERF_SCALES)",
+    )
+    parser.add_argument(
+        "--report", metavar="PATH", default=None,
+        help="also write the run's markdown summary to this file",
     )
     parser.add_argument(
         "--out", default=".",
@@ -1612,8 +1612,6 @@ def run_cli(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     or missing claim; ``--compare`` exits 1 on a regression against the
     baseline.
     """
-    if args.quick:
-        args.scale = "quick"
     scale = PERF_SCALES[args.scale]
 
     summary_parts: list[str] = []
@@ -1646,13 +1644,3 @@ def run_cli(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             fh.write(summary + "\n")
     return exit_code
 
-
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.bench.perf ARGS`` is ``python -m repro perf ARGS``."""
-    from repro.cli import main as cli_main
-
-    return cli_main(["perf", *(sys.argv[1:] if argv is None else argv)])
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -68,7 +68,8 @@ class PerfScale:
 
 
 PERF_SCALES = {
-    # CI-tier run: the `--quick` flag; a couple of minutes end to end.
+    # CI-tier run and the default of `repro perf --scale`; a couple of
+    # minutes end to end.
     "quick": PerfScale(
         name="quick",
         base_vectors=4000,

@@ -132,8 +132,8 @@ class SPFreshConfig:
     cluster_replication_factor: int = 1
 
     # --- misc ---
-    # Wall-clock profiler (repro.metrics.profiling). Off by default: the
-    # disabled cost is one attribute check per instrumented section.
+    # Wall-clock time of the searcher's stages (repro.metrics.profiling).
+    # Off by default: the disabled cost is one attribute check per stage.
     enable_profiling: bool = False
     centroid_index_kind: str = "brute"  # or "graph" / "bkt" (SPTAG stand-ins)
     seed: int = 0

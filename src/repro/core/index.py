@@ -35,7 +35,7 @@ from repro.core.rebuilder import LocalRebuilder
 from repro.core.stats import LireStats
 from repro.core.updater import PostingWriter, Updater
 from repro.core.version_map import VersionMap
-from repro.metrics.profiling import Profiler, format_report
+from repro.metrics.profiling import Profiler
 from repro.spann.build import build_plan
 from repro.spann.searcher import SearchResult, SpannSearcher
 from repro.storage.controller import BlockController
@@ -75,10 +75,8 @@ class SPFreshIndex:
         self.stats = LireStats()
         self.locks = PostingLockManager(stats=self.stats)
         self.job_queue = JobQueue()
-        # One profiler instance spans the whole engine so a snapshot shows
-        # where wall-clock time went across search, storage and rebuilds.
+        # Wall-clock time of the searcher's stages (repro.metrics.profiling).
         self.profiler = Profiler(enabled=config.enable_profiling)
-        controller.profiler = self.profiler
         # LSM-style memory tier for fresh writes (docs/fresh-tier.md).
         # None when disabled so every component keeps the classic path.
         self.fresh_tier = (
@@ -101,14 +99,12 @@ class SPFreshIndex:
             self.writer,
             version_map,
             wal=wal,
-            profiler=self.profiler,
             fresh_tier=self.fresh_tier,
         )
         self.rebuilder = LocalRebuilder(
             self.writer,
             version_map,
             rng=np.random.default_rng(config.seed + 1),
-            profiler=self.profiler,
             fresh_tier=self.fresh_tier,
         )
         # The fitted quantizer lives on the codec when the index stores
@@ -330,12 +326,9 @@ class SPFreshIndex:
     # maintenance / introspection
     # ------------------------------------------------------------------
     def profile_snapshot(self) -> dict[str, dict]:
-        """Wall-clock profile per stage (empty unless ``enable_profiling``)."""
+        """Wall-clock time per searcher stage (empty unless
+        ``enable_profiling``)."""
         return self.profiler.snapshot()
-
-    def profile_report(self, title: str = "wall-clock profile") -> str:
-        """Human-readable table of :meth:`profile_snapshot`."""
-        return format_report(self.profile_snapshot(), title)
 
     def check_invariants(self, **kwargs):
         """Audit the index against the LIRE end-state invariants.

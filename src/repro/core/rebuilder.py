@@ -38,7 +38,6 @@ from repro.core.fresh_tier import FreshTier
 from repro.core.jobs import FlushJob, MergeJob, ReassignJob, SplitJob
 from repro.core.updater import Landing, PostingWriter
 from repro.core.version_map import VersionMap
-from repro.metrics.profiling import NULL_PROFILER, Profiler
 from repro.spann.postings import live_view
 from repro.storage.layout import PostingData
 from repro.util.errors import IndexError_
@@ -52,10 +51,8 @@ class LocalRebuilder:
         writer: PostingWriter,
         version_map: VersionMap,
         rng: np.random.Generator | None = None,
-        profiler: Profiler | None = None,
         fresh_tier: FreshTier | None = None,
     ) -> None:
-        self.profiler = profiler or NULL_PROFILER
         # Locks, queue, device and counters must be the write path's own
         # (a split has to exclude the appends the writer makes), so they
         # are read off the writer rather than wired in a second time.
@@ -91,24 +88,23 @@ class LocalRebuilder:
     # job dispatch
     # ------------------------------------------------------------------
     def process(self, job: object) -> None:
-        with self.profiler.section("maintenance"):
-            before = self.background_io_us
-            if isinstance(job, SplitJob):
-                self._current_job_kind = "split"
-                self._run_split(job)
-            elif isinstance(job, MergeJob):
-                self._current_job_kind = "merge"
-                self._run_merge(job)
-            elif isinstance(job, ReassignJob):
-                self._current_job_kind = "reassign"
-                self._run_reassign(job)
-            elif isinstance(job, FlushJob):
-                self._current_job_kind = "flush"
-                self._run_flush(job)
-            else:
-                raise IndexError_(f"unknown rebuild job type: {type(job).__name__}")
-            self.io_by_job[self._current_job_kind] += self.background_io_us - before
-            self._current_job_kind = "other"
+        before = self.background_io_us
+        if isinstance(job, SplitJob):
+            self._current_job_kind = "split"
+            self._run_split(job)
+        elif isinstance(job, MergeJob):
+            self._current_job_kind = "merge"
+            self._run_merge(job)
+        elif isinstance(job, ReassignJob):
+            self._current_job_kind = "reassign"
+            self._run_reassign(job)
+        elif isinstance(job, FlushJob):
+            self._current_job_kind = "flush"
+            self._run_flush(job)
+        else:
+            raise IndexError_(f"unknown rebuild job type: {type(job).__name__}")
+        self.io_by_job[self._current_job_kind] += self.background_io_us - before
+        self._current_job_kind = "other"
 
     def drain(self, max_jobs: int | None = None) -> int:
         """Synchronously run queued jobs (and their cascades) to exhaustion.

@@ -26,7 +26,6 @@ from repro.core.ids import IdAllocator
 from repro.core.jobs import FlushJob, JobQueue, PostingLockManager, SplitJob
 from repro.core.stats import LireStats
 from repro.core.version_map import VersionMap
-from repro.metrics.profiling import NULL_PROFILER, Profiler
 from repro.spann.closure import select_replicas
 from repro.storage.controller import BlockController
 from repro.storage.layout import PostingData
@@ -165,7 +164,6 @@ class Updater:
         writer: PostingWriter,
         version_map: VersionMap,
         wal: WriteAheadLog | None = None,
-        profiler: Profiler | None = None,
         fresh_tier: FreshTier | None = None,
     ) -> None:
         self.writer = writer
@@ -174,7 +172,6 @@ class Updater:
         self.stats = writer.stats
         self.config = writer.config
         self.wal = wal
-        self.profiler = profiler or NULL_PROFILER
         self.fresh_tier = fresh_tier
         # Foreground ops since the current fresh-tier batch started
         # buffering; drives the age-based flush trigger.
@@ -191,34 +188,33 @@ class Updater:
         (docs/fresh-tier.md) — or landed on its nearest posting (plus
         boundary replicas when ``insert_replicas > 1``): a flush of one.
         """
-        with self.profiler.section("update"):
-            vector = as_vector(vector, self.config.dim)
-            self.version_map.check_registrable(vector_id)
-            if log and self.wal is not None:
-                self.wal.log_insert(vector_id, vector)
-            version = self.version_map.register(vector_id)
-            if self.fresh_tier is not None:
-                self._buffer(vector_id, vector, version)
-                return FRESH_INSERT_CPU_US
-            # PostingData.from_rows minus the checks as_vector already made.
-            ids, versions = np.array([vector_id], np.int64), np.array([version], np.uint8)
-            row = PostingData(ids, versions, vector[None])
-            replicas = self.config.insert_replicas
-            landing = Landing([False])
-            self.writer.land(row, [self.writer.route(vector, replicas)], replicas, 0, landing)
-            if not landing.copies:
-                # Registered but never landed on disk: tombstone it so the
-                # version map does not advertise a live id with zero
-                # replicas (a conservation violation every audit and
-                # future reassign would trip over).
-                self.version_map.delete(vector_id)
-                raise IndexError_(
-                    f"insert of vector {vector_id} kept racing with posting splits"
-                )
-            self.stats.incr("inserts")
-            self.stats.incr("appends", landing.copies)
-            # One centroid navigation plus the appends' device time.
-            return self.config.cpu_cost_per_query_us + landing.io_us
+        vector = as_vector(vector, self.config.dim)
+        self.version_map.check_registrable(vector_id)
+        if log and self.wal is not None:
+            self.wal.log_insert(vector_id, vector)
+        version = self.version_map.register(vector_id)
+        if self.fresh_tier is not None:
+            self._buffer(vector_id, vector, version)
+            return FRESH_INSERT_CPU_US
+        # PostingData.from_rows minus the checks as_vector already made.
+        ids, versions = np.array([vector_id], np.int64), np.array([version], np.uint8)
+        row = PostingData(ids, versions, vector[None])
+        replicas = self.config.insert_replicas
+        landing = Landing([False])
+        self.writer.land(row, [self.writer.route(vector, replicas)], replicas, 0, landing)
+        if not landing.copies:
+            # Registered but never landed on disk: tombstone it so the
+            # version map does not advertise a live id with zero
+            # replicas (a conservation violation every audit and
+            # future reassign would trip over).
+            self.version_map.delete(vector_id)
+            raise IndexError_(
+                f"insert of vector {vector_id} kept racing with posting splits"
+            )
+        self.stats.incr("inserts")
+        self.stats.incr("appends", landing.copies)
+        # One centroid navigation plus the appends' device time.
+        return self.config.cpu_cost_per_query_us + landing.io_us
 
     def _buffer(self, vector_id: int, vector: np.ndarray, version: int) -> None:
         """Buffer a logged insert in the fresh tier; maybe request a flush."""
@@ -251,16 +247,15 @@ class Updater:
 
     def delete(self, vector_id: int, log: bool = True) -> float:
         """Tombstone a vector; actual removal happens lazily during GC."""
-        with self.profiler.section("update"):
-            if log and self.wal is not None:
-                self.wal.log_delete(vector_id)
-            if self.version_map.delete(vector_id):
-                self.stats.incr("deletes")
-            # A buffered copy dies immediately: the tombstone already masks
-            # any disk-resident duplicates of the same id.
-            if self.fresh_tier is not None and self.fresh_tier.discard(vector_id):
-                self.stats.incr("fresh_discards")
-            # Deletes age any still-buffered batch toward its flush.
-            self._age_fresh_tier()
-            # Tombstones touch only the in-memory map: negligible latency.
-            return 1.0
+        if log and self.wal is not None:
+            self.wal.log_delete(vector_id)
+        if self.version_map.delete(vector_id):
+            self.stats.incr("deletes")
+        # A buffered copy dies immediately: the tombstone already masks
+        # any disk-resident duplicates of the same id.
+        if self.fresh_tier is not None and self.fresh_tier.discard(vector_id):
+            self.stats.incr("fresh_discards")
+        # Deletes age any still-buffered batch toward its flush.
+        self._age_fresh_tier()
+        # Tombstones touch only the in-memory map: negligible latency.
+        return 1.0

@@ -1,26 +1,25 @@
-"""Scoped wall-clock profiler for the real (not simulated) hot path.
+"""Scoped wall-clock profiler for the searcher's query path.
 
 The repo runs two clocks. The *simulated* clock — device waves, modelled
 CPU cost — is deterministic and gated by the perf harness. The *wall*
 clock is how fast this Python process actually executes; it is machine-
-dependent, informational, and exactly what the vectorized-engine work
-optimizes. This module measures the second clock with near-zero overhead:
+dependent and informational. This module splits the searcher's share of
+the second clock into SPANN's query stages:
 
 * ``Profiler.section("scan")`` is a context manager around a code region;
   enabled profilers aggregate ``perf_counter_ns`` deltas per stage
   (calls, total, max), disabled ones return a shared no-op context whose
   enter/exit do nothing — the disabled cost is one attribute check per
-  section, far below the 5% overhead budget.
-* Stages are free-form strings; the engine uses ``navigate`` (centroid
-  index), ``io`` (device reads/writes), ``decode`` (posting codec),
-  ``scan`` (distance kernels), ``topk`` (dedup + selection), ``update``
-  (foreground updater) and ``maintenance`` (LIRE rebuild jobs). The
-  serving engine pools add ``serve_worker<i>`` (one stage per wall-clock
-  pool worker, so skew across workers is visible) and
-  ``serve_replay_serial`` (the parity baseline replay).
-* ``snapshot()`` returns plain dicts for JSON emission; ``format_report``
-  renders the human table the ``python -m repro profile`` subcommand and
-  the CI artifact use.
+  section.
+* ``SpannSearcher`` records five stages: ``navigate`` (centroid index),
+  ``tables`` (PQ distance tables), ``scan`` (distance kernels over the
+  fetched postings and the fresh tier), ``rerank`` (exact re-scoring of
+  compressed candidates) and ``topk`` (dedup + selection).
+  ``SPFreshIndex.profile_snapshot()`` returns them and
+  ``benchmarks/e2e/run.py --trace 1`` reports them as
+  ``searcher.stage_*_frac``. The posting fetch is not a stage: the e2e
+  trace times it as the controller and device layers.
+* ``snapshot()`` returns plain dicts for JSON emission.
 
 Thread-safety: counters are guarded by a lock taken only on section *exit*
 of an enabled profiler; the disabled path is lock-free.
@@ -97,9 +96,8 @@ class _Section:
 class Profiler:
     """Per-stage wall-clock aggregator, disabled by default.
 
-    One profiler instance is shared by every component of an index
-    (searcher, block controller, updater, rebuilder), so a snapshot shows
-    where real time went across the whole engine.
+    An index owns one and hands it to its searcher; a snapshot shows where
+    the searcher's wall-clock time went, stage by stage.
     """
 
     def __init__(self, enabled: bool = False) -> None:
@@ -126,10 +124,6 @@ class Profiler:
             if elapsed_ns > stats.max_ns:
                 stats.max_ns = elapsed_ns
 
-    def reset(self) -> None:
-        with self._lock:
-            self._stages.clear()
-
     def snapshot(self) -> dict[str, dict]:
         """Stage name → aggregate dict, sorted by descending total time."""
         with self._lock:
@@ -138,31 +132,6 @@ class Profiler:
             )
             return {stage: stats.to_dict() for stage, stats in items}
 
-    @property
-    def total_us(self) -> float:
-        with self._lock:
-            return sum(s.total_us for s in self._stages.values())
-
 
 NULL_PROFILER = Profiler(enabled=False)
 
-
-def format_report(snapshot: dict[str, dict], title: str = "wall-clock profile") -> str:
-    """Render a snapshot as the ASCII table the CLI and CI artifact print."""
-    if not snapshot:
-        return f"{title}: no sections recorded (profiler disabled or idle)"
-    total = sum(s["total_us"] for s in snapshot.values()) or 1.0
-    lines = [
-        title,
-        f"| {'stage':<20} | {'calls':>9} | {'total ms':>10} | "
-        f"{'mean us':>9} | {'max us':>9} | {'share':>6} |",
-        "|" + "-" * 22 + "|" + "-" * 11 + "|" + "-" * 12 + "|"
-        + "-" * 11 + "|" + "-" * 11 + "|" + "-" * 8 + "|",
-    ]
-    for stage, stats in snapshot.items():
-        lines.append(
-            f"| {stage:<20} | {stats['calls']:>9} | "
-            f"{stats['total_us'] / 1000.0:>10.2f} | {stats['mean_us']:>9.1f} | "
-            f"{stats['max_us']:>9.1f} | {stats['total_us'] / total:>6.1%} |"
-        )
-    return "\n".join(lines)

@@ -20,22 +20,17 @@ processes, so the wall-clock goodput speedup is *measured*, not modelled.
   are reported, never gated.
 
 Worker ``w`` of K takes batches ``w::K`` — a deterministic assignment
-that keeps the reassembled answers independent of scheduling — under a
-profiler stage ``serve_worker<w>`` (the serial replay under
-``serve_replay_serial``), so per-worker wall time shows up in
-``repro.metrics.profiling`` reports.
+that keeps the reassembled answers independent of scheduling.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from repro.api import QueryRequest
-from repro.metrics.profiling import NULL_PROFILER
 from repro.util.workers import WorkerPool
 
 
@@ -56,40 +51,27 @@ class ReplayResult:
     num_workers: int
 
 
-def _replay_slice(engine, job, profiler=NULL_PROFILER) -> list:
-    """What a replay worker runs: its batches, in order, under its stage."""
-    stage, requests = job
-    with profiler.section(stage):
-        return [
-            [
-                (np.array(r.ids), np.array(r.distances))
-                for r in engine.query(request)
-            ]
-            for request in requests
-        ]
+def _replay_slice(engine, requests) -> list:
+    """What a replay worker runs: its batches, in order."""
+    return [
+        [(np.array(r.ids), np.array(r.distances)) for r in engine.query(request)]
+        for request in requests
+    ]
 
 
-def replay_pool(
-    engine, num_workers: int, *, fork: bool, profiler=NULL_PROFILER
-) -> WorkerPool:
+def replay_pool(engine, num_workers: int, *, fork: bool) -> WorkerPool:
     """``num_workers`` replay workers over one engine, for :func:`replay`."""
-    return WorkerPool(
-        [engine] * num_workers,
-        partial(_replay_slice, profiler=profiler),
-        fork=fork,
-    )
+    return WorkerPool([engine] * num_workers, _replay_slice, fork=fork)
 
 
-def replay(
-    engine, jobs, k: int, nprobe=None, *, pool=None, profiler=NULL_PROFILER, **knobs
-) -> ReplayResult:
+def replay(engine, jobs, k: int, nprobe=None, *, pool=None, **knobs) -> ReplayResult:
     """Answer the batch schedule again and time it.
 
     ``k``, ``nprobe`` and every further :class:`QueryRequest` knob the
     frontend ran with (``rerank_k=``, ``quantized=``) go into each
     batch's request. Without a ``pool`` the batches run one at a time on
     ``engine`` — the parity baseline; a pool from :func:`replay_pool`
-    brings its own engine copies and profiler.
+    brings its own engine copies.
     """
     requests = [
         QueryRequest(vectors=vectors, k=k, nprobe=nprobe, **knobs)
@@ -98,12 +80,10 @@ def replay(
     start = time.perf_counter()
     if pool is None:
         workers = 1
-        answers = _replay_slice(engine, ("serve_replay_serial", requests), profiler)
+        answers = _replay_slice(engine, requests)
     else:
         workers = len(pool)
-        slices = pool.run(
-            {w: (f"serve_worker{w}", requests[w::workers]) for w in range(workers)}
-        )
+        slices = pool.run({w: requests[w::workers] for w in range(workers)})
         answers = [None] * len(requests)
         for w, piece in slices.items():
             answers[w::workers] = piece

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.metrics.profiling import NULL_PROFILER, Profiler
 from repro.storage.layout import (
     PostingArena,
     PostingCodec,
@@ -54,13 +53,11 @@ class BlockController:
         self,
         ssd: SimulatedSSD,
         codec: PostingCodec,
-        profiler: Profiler | None = None,
     ) -> None:
         if codec.block_size != ssd.block_size:
             raise StorageError("codec block size must match device block size")
         self.ssd = ssd
         self.codec = codec
-        self.profiler = profiler or NULL_PROFILER
         self._lock = threading.RLock()
         self._mapping: dict[int, _PostingMeta] = {}
         self._free: deque[int] = deque(range(ssd.num_blocks))
@@ -155,10 +152,9 @@ class BlockController:
         payloads = self.codec.encode(data)
         with self._lock:
             new_blocks = self._alloc(len(payloads))
-            with self.profiler.section("io"):
-                latency = (
-                    self.ssd.write_blocks(new_blocks, payloads) if payloads else 0.0
-                )
+            latency = (
+                self.ssd.write_blocks(new_blocks, payloads) if payloads else 0.0
+            )
             old = self._mapping.get(posting_id)
             self._mapping[posting_id] = _PostingMeta(len(data), new_blocks)
             if old is not None:
@@ -178,10 +174,8 @@ class BlockController:
             meta = self._mapping.get(posting_id)
             if meta is None:
                 raise StalePostingError(f"posting {posting_id} does not exist")
-            with self.profiler.section("io"):
-                payloads, latency = self.ssd.read_blocks(meta.blocks)
-            with self.profiler.section("decode"):
-                return self.codec.decode(payloads, meta.length), latency
+            payloads, latency = self.ssd.read_blocks(meta.blocks)
+            return self.codec.decode(payloads, meta.length), latency
 
     def parallel_get(self, posting_ids: list[int]) -> tuple[PostingArena, float]:
         """Read many postings in one batched device submission.
@@ -213,10 +207,8 @@ class BlockController:
                     all_blocks.extend(meta.blocks)
                 else:
                     all_blocks.extend(meta.blocks[: codec.blocks_needed(meta.length, sections)])
-            with self.profiler.section("io"):
-                payloads, latency = self.ssd.read_blocks(all_blocks)
-            with self.profiler.section("decode"):
-                return codec.decode_batch(payloads, lengths, present, sections), latency
+            payloads, latency = self.ssd.read_blocks(all_blocks)
+            return codec.decode_batch(payloads, lengths, present, sections), latency
 
     def append(self, posting_id: int, data: PostingData) -> float:
         """Append entries to a posting's tail (paper's APPEND).
@@ -254,8 +246,7 @@ class BlockController:
             tails = [kept[i].pop() for i in partial]
             latency = 0.0
             if tails:
-                with self.profiler.section("io"):
-                    tail_payloads, latency = self.ssd.read_blocks(tails)
+                tail_payloads, latency = self.ssd.read_blocks(tails)
                 for i, payload in zip(partial, tail_payloads):
                     per_block, record_size = codec.sections[i]
                     head = join_valid(
@@ -266,8 +257,7 @@ class BlockController:
                     )
             payloads = [payload for section in new for payload in section]
             new_blocks = self._alloc(len(payloads))
-            with self.profiler.section("io"):
-                latency += self.ssd.write_blocks(new_blocks, payloads)
+            latency += self.ssd.write_blocks(new_blocks, payloads)
             blocks: list[int] = []
             at = 0
             for old, section in zip(kept, new):
@@ -337,15 +327,13 @@ class BlockController:
                 served.append(pid)
                 fetched_rows.append(held)
                 base += held
-            with self.profiler.section("io"):
-                payloads, latency = self.ssd.read_blocks(all_blocks)
-            with self.profiler.section("decode"):
-                # Arena decode: view every fetched block's valid rows as one
-                # float32 matrix, then ONE fancy gather pulls all requested
-                # rows across every posting.
-                arena = codec.section_view(payloads, fetched_rows)["vectors"]
-                picks = np.concatenate(gather) if gather else np.empty(0, dtype=np.intp)
-                return served, arena[picks], latency
+            payloads, latency = self.ssd.read_blocks(all_blocks)
+            # Arena decode: view every fetched block's valid rows as one
+            # float32 matrix, then ONE fancy gather pulls all requested
+            # rows across every posting.
+            arena = codec.section_view(payloads, fetched_rows)["vectors"]
+            picks = np.concatenate(gather) if gather else np.empty(0, dtype=np.intp)
+            return served, arena[picks], latency
 
     def delete(self, posting_id: int) -> None:
         """Remove a posting and release its blocks."""

@@ -1,8 +1,12 @@
 """Smoke tests for the `python -m repro` CLI."""
 
+from functools import partial
+
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.core.config import SPFreshConfig
 
 
 class TestParser:
@@ -16,10 +20,36 @@ class TestParser:
         assert args.dim == 32
         assert not args.skewed
 
-    def test_config_error_is_a_usage_error(self, capsys):
-        assert main(["serve-bench", "--workers", "0", "--base", "300"]) == 2
+    def test_config_error_is_a_usage_error(self, capsys, monkeypatch):
+        # No CLI flag reaches a config that validate() refuses, so
+        # overview is handed one.
+        monkeypatch.setattr(
+            cli, "SPFreshConfig", partial(SPFreshConfig, default_nprobe=0)
+        )
+        assert main(["overview", "--base", "300"]) == 2
         err = capsys.readouterr().err
-        assert err == "error: serve_num_workers must be at least 1\n"
+        assert err == "error: default_nprobe must be at least 1\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["overview", "--base", "0"],
+            ["overview", "--dim", "0"],
+            ["sweep-nprobe", "--queries", "0"],
+            ["simulate", "--days", "0"],
+            ["compare", "--days", "-3"],
+            ["overview", "--base", "many"],
+        ],
+        ids=["base", "dim", "queries", "days", "negative", "not-a-number"],
+    )
+    def test_shape_flags_must_be_positive(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert f"argument {argv[1]}: must be a positive integer" in errors[0]
 
     def test_simulate_flags(self):
         args = build_parser().parse_args(

@@ -25,12 +25,17 @@ from repro.bench.perf import (
     compare_dirs,
     compare_documents,
     load_documents,
-    main,
     run_markdown_summary,
     run_scenarios,
     write_results,
 )
 from repro.bench.scales import PERF_SCALES
+from repro.cli import main as cli_main
+
+
+def main(argv: list[str]) -> int:
+    """``python -m repro perf ARGV``."""
+    return cli_main(["perf", *argv])
 
 
 @pytest.fixture(scope="module")
@@ -356,8 +361,6 @@ class TestCli:
         capsys.readouterr()
 
     def test_repro_cli_subcommand(self, tmp_path, capsys):
-        from repro.cli import main as cli_main
-
         assert (
             cli_main(
                 [

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from repro.datasets import make_arrival_trace
 from repro.datasets.arrival import ArrivalTrace
 from repro.api import QueryRequest, SearchResponse
-from repro.metrics.profiling import Profiler
 from repro.serving import (
     ServingFrontend,
     batch_jobs,
@@ -348,19 +347,6 @@ class TestEnginePools:
             pooled = replay(built_index.searcher, jobs, 5, pool=pool)
         assert pooled.num_workers == 3
         assert count_mismatches(baseline, pooled) == 0
-
-    def test_thread_pool_records_worker_stages(
-        self, built_index, replay_setup
-    ):
-        jobs, _ = replay_setup
-        profiler = Profiler(enabled=True)
-        engine = built_index.searcher
-        replay(engine, jobs, 5, profiler=profiler)
-        with replay_pool(engine, 2, fork=False, profiler=profiler) as pool:
-            replay(engine, jobs, 5, pool=pool)
-        snapshot = profiler.snapshot()
-        assert "serve_replay_serial" in snapshot
-        assert "serve_worker0" in snapshot and "serve_worker1" in snapshot
 
     @pytest.mark.skipif(
         not fork_available(), reason="needs the 'fork' start method"
