@@ -33,15 +33,24 @@ from repro.core.index import SPFreshIndex
 from repro.util.errors import ConfigError
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer of at least 1."""
+def _int_at_least(text: str, low: int, kind: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    return _int_at_least(text, 1, "positive")
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer of at least 0 (numpy refuses negative seeds)."""
+    return _int_at_least(text, 0, "non-negative")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -214,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.bench.perf import add_perf_arguments
 
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0)
+    seeded.add_argument("--seed", type=_non_negative_int, default=0)
 
     parser = argparse.ArgumentParser(
         prog="repro", description="SPFresh reproduction CLI"

@@ -67,18 +67,34 @@ def kmeans(
     for _ in range(max_iters):
         dists = pairwise_sq_l2(points, centroids)
         new_assignments = dists.argmin(axis=1)
-        moved = 0.0
-        for j in range(k):
-            members = points[new_assignments == j]
-            if len(members) == 0:
-                # Re-seed empty cluster at the globally worst-served point.
-                worst = int(dists[np.arange(n), new_assignments].argmax())
-                new_centroid = points[worst]
-                new_assignments[worst] = j
-            else:
-                new_centroid = members.mean(axis=0)
-            moved += float(np.abs(new_centroid - centroids[j]).max())
-            centroids[j] = new_centroid
+        counts = np.bincount(new_assignments, minlength=k)
+        if counts.all():
+            # Every centroid at once. np.add.at adds each cluster's rows
+            # in row order, as the axis-0 sum inside ``mean`` does, and the
+            # division rounds the same, so this is bit-identical to the
+            # per-centroid loop below.
+            sums = np.zeros_like(centroids)
+            np.add.at(sums, new_assignments, points)
+            np.true_divide(sums, counts[:, None], out=sums, casting="unsafe")
+            moved = 0.0
+            for step in np.abs(sums - centroids).max(axis=1).tolist():
+                moved += step  # not sum(): it compensates since Python 3.12
+            centroids = sums
+        else:
+            # A re-seed moves a point between clusters, which changes the
+            # members of later ones: go one centroid at a time.
+            moved = 0.0
+            for j in range(k):
+                members = points[new_assignments == j]
+                if len(members) == 0:
+                    # Re-seed empty cluster at the globally worst-served point.
+                    worst = int(dists[np.arange(n), new_assignments].argmax())
+                    new_centroid = points[worst]
+                    new_assignments[worst] = j
+                else:
+                    new_centroid = members.mean(axis=0)
+                moved += float(np.abs(new_centroid - centroids[j]).max())
+                centroids[j] = new_centroid
         converged = bool(np.array_equal(new_assignments, assignments)) or moved < tol
         assignments = new_assignments
         if converged:

@@ -233,6 +233,18 @@ class SPFreshConfig:
                 f"dim {self.dim} must be divisible by quant_subspaces "
                 f"{self.quant_subspaces}"
             )
+        # No record spans a block (storage.layout.PostingCodec): the exact
+        # layout stores <id i8, version u1, float32 vector>; a quantized one
+        # stores <id, version, code> records and the raw rows apart.
+        record_bytes = 9 + 4 * self.dim
+        if self.quant_enabled:
+            code_bytes = self.quant_subspaces if self.quant_kind == "pq" else self.dim
+            record_bytes = max(9 + code_bytes, 4 * self.dim)
+        if record_bytes > self.block_size:
+            raise ConfigError(
+                f"block_size {self.block_size} cannot hold one {record_bytes}-byte "
+                f"posting record (dim={self.dim})"
+            )
         return self
 
     def with_overrides(self, **kwargs) -> "SPFreshConfig":

@@ -157,13 +157,24 @@ def pairwise_sq_l2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Uses the expanded ``|a|^2 - 2ab + |b|^2`` form for speed and clamps tiny
     negative values produced by floating-point cancellation to zero.
+
+    One GEMM, then the elementwise passes run in place on row blocks of
+    its output of about ``PAIR_CHUNK_ELEMS`` scalars, so each block stays
+    in cache across them. Same operations in the same order as
+    ``a2 + b2 - 2.0 * (a @ b.T)``, so the output is bit-identical to that
+    one-liner for float32 and float64 inputs, mixed or not.
     """
     if len(a) == 0 or len(b) == 0:
         return np.zeros((len(a), len(b)), dtype=np.float32)
     a2 = np.einsum("ij,ij->i", a, a)[:, None]
     b2 = np.einsum("ij,ij->i", b, b)[None, :]
-    out = a2 + b2 - 2.0 * (a @ b.T)
-    np.maximum(out, 0.0, out=out)
+    out = a @ b.T
+    step = max(1, PAIR_CHUNK_ELEMS // len(b))
+    for start in range(0, len(a), step):
+        block = out[start : start + step]
+        block *= 2.0
+        np.subtract(a2[start : start + step] + b2, block, out=block)
+        np.maximum(block, 0.0, out=block)
     return out.astype(np.float32, copy=False)
 
 

@@ -21,8 +21,7 @@ class TestParser:
         assert not args.skewed
 
     def test_config_error_is_a_usage_error(self, capsys, monkeypatch):
-        # No CLI flag reaches a config that validate() refuses, so
-        # overview is handed one.
+        # overview is handed a config that validate() refuses.
         monkeypatch.setattr(
             cli, "SPFreshConfig", partial(SPFreshConfig, default_nprobe=0)
         )
@@ -50,6 +49,24 @@ class TestParser:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1
         assert f"argument {argv[1]}: must be a positive integer" in errors[0]
+
+    @pytest.mark.parametrize("value", ["-1", "x"])
+    def test_seed_must_be_non_negative(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["overview", "--seed", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "argument --seed: must be a non-negative integer" in errors[0]
+        assert build_parser().parse_args(["overview", "--seed", "0"]).seed == 0
+
+    def test_record_too_big_for_a_block_is_a_usage_error(self, capsys):
+        # One exact record is 9 + 4 * 1100 bytes, more than a 4096-byte block.
+        assert main(["overview", "--base", "300", "--dim", "1100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "block_size 4096" in err
 
     def test_simulate_flags(self):
         args = build_parser().parse_args(

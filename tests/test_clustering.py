@@ -119,6 +119,86 @@ def balanced_kmeans_numpy_loop(points, k, rng, max_iters=12, balance_weight=4.0)
     return centroids.astype(np.float32, copy=False), assignments
 
 
+def kmeans_reference_loop(
+    points: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+    max_iters: int = 25,
+    tol: float = 1e-4,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``kmeans`` as it was written before the centroid update became one
+    ``np.add.at`` pass: one ``members.mean(axis=0)`` per centroid. Kept
+    here as the oracle the production update must match bit for bit."""
+    points = np.ascontiguousarray(points, dtype=np.float32)
+    n = len(points)
+    k = min(k, n)
+    if k == 0:
+        return np.empty((0, points.shape[1]), dtype=np.float32), np.empty(
+            0, dtype=np.int64
+        )
+    centroids = kmeans_plus_plus_init(points, k, rng)
+    assignments = np.zeros(n, dtype=np.int64)
+    for _ in range(max_iters):
+        dists = pairwise_sq_l2(points, centroids)
+        new_assignments = dists.argmin(axis=1)
+        moved = 0.0
+        for j in range(k):
+            members = points[new_assignments == j]
+            if len(members) == 0:
+                # Re-seed empty cluster at the globally worst-served point.
+                worst = int(dists[np.arange(n), new_assignments].argmax())
+                new_centroid = points[worst]
+                new_assignments[worst] = j
+            else:
+                new_centroid = members.mean(axis=0)
+            moved += float(np.abs(new_centroid - centroids[j]).max())
+            centroids[j] = new_centroid
+        converged = bool(np.array_equal(new_assignments, assignments)) or moved < tol
+        assignments = new_assignments
+        if converged:
+            break
+    return centroids.astype(np.float32, copy=False), assignments
+
+
+def _repeated_rows():
+    """20 points, 5 distinct rows: k-means++ runs out of distinct seeds,
+    so two centroids coincide and the first Lloyd step has an empty
+    cluster to re-seed."""
+    rows = np.random.default_rng(3).normal(size=(5, 6)).astype(np.float32)
+    return np.repeat(rows, 4, axis=0)
+
+
+class TestKMeansLoopParity:
+    """The one-pass centroid update is the per-centroid loop, bit for bit."""
+
+    CASES = {
+        # (points, k, max_iters); the first is one PQ subspace fit.
+        "pq-subspace": (
+            lambda: np.random.default_rng(0).normal(size=(3000, 4)), 256, 8
+        ),
+        "300x32-k16": (lambda: blobs(np.random.default_rng(1), n_per=75, dim=32)[0], 16, 25),
+        "k-equals-n": (lambda: np.random.default_rng(2).normal(size=(12, 4)), 12, 25),
+        "empty-cluster": (_repeated_rows, 8, 25),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_reference_loop(self, case):
+        make, k, max_iters = self.CASES[case]
+        points = make().astype(np.float32)
+        ours = kmeans(points, k, np.random.default_rng(11), max_iters=max_iters)
+        theirs = kmeans_reference_loop(
+            points, k, np.random.default_rng(11), max_iters=max_iters
+        )
+        assert np.array_equal(ours[1], theirs[1])
+        assert ours[0].tobytes() == theirs[0].tobytes()  # array_equal, and -0.0 too
+
+    def test_empty_cluster_case_reseeds(self):
+        points = _repeated_rows()
+        init = kmeans_plus_plus_init(points, 8, np.random.default_rng(11))
+        first = pairwise_sq_l2(points, init).argmin(axis=1)
+        assert (np.bincount(first, minlength=8) == 0).any()
+
+
 class TestBalancedLoopParity:
     """The Python-float pass is the numpy pass: same doubles, same ties."""
 

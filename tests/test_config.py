@@ -8,7 +8,9 @@ import pytest
 
 import repro
 from repro.core.config import SPFreshConfig
-from repro.util.errors import ConfigError
+from repro.quantize import make_quantizer
+from repro.storage.layout import PostingCodec
+from repro.util.errors import ConfigError, StorageError
 
 
 class TestValidation:
@@ -76,6 +78,37 @@ class TestValidation:
     def test_subsystem_knobs(self, bad):
         with pytest.raises(ConfigError):
             SPFreshConfig(**bad).validate()
+
+    @pytest.mark.parametrize(
+        "fits,knobs",
+        [
+            # exact records: 9 + 4 * dim bytes
+            (True, {"dim": 1021}),
+            (False, {"dim": 1022}),
+            # quantized: the raw rows (4 * dim) are their own section ...
+            (True, {"dim": 1024, "quant_enabled": True, "quant_subspaces": 8}),
+            (False, {"dim": 1032, "quant_enabled": True, "quant_subspaces": 8}),
+            # ... and so are the <id, version, code> records (9 + code bytes)
+            (True, {"dim": 2, "block_size": 11, "quant_enabled": True, "quant_kind": "sq8"}),
+            (False, {"dim": 2, "block_size": 10, "quant_enabled": True, "quant_kind": "sq8"}),
+        ],
+    )
+    def test_one_record_fits_a_block(self, fits, knobs):
+        config = SPFreshConfig(**knobs)
+        quantizer = None
+        if config.quant_enabled:
+            quantizer = make_quantizer(
+                config.quant_kind, config.dim, subspaces=config.quant_subspaces
+            )
+        if fits:
+            config.validate()
+            PostingCodec(config.dim, config.block_size, quantizer)
+        else:
+            with pytest.raises(ConfigError, match="cannot hold one"):
+                config.validate()
+            # validate() refuses exactly what the codec would.
+            with pytest.raises(StorageError):
+                PostingCodec(config.dim, config.block_size, quantizer)
 
     def test_tenant_weights_normalised_to_tuple(self):
         config = SPFreshConfig(serve_tenant_weights=[1.0, 2.0]).validate()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.util.distance import (
+    PAIR_CHUNK_ELEMS,
     as_matrix,
     as_vector,
     pairwise_sq_l2,
@@ -97,6 +98,59 @@ class TestPairwise:
         b = np.ones((2, 4), dtype=np.float32)
         assert pairwise_sq_l2(a, b).shape == (0, 2)
         assert pairwise_sq_l2(b, a).shape == (2, 0)
+
+
+def pairwise_sq_l2_one_line(a, b):
+    """``pairwise_sq_l2`` as one full-size expression, before it ran the
+    elementwise passes on row blocks: the oracle the blocks must match."""
+    a2 = np.einsum("ij,ij->i", a, a)[:, None]
+    b2 = np.einsum("ij,ij->i", b, b)[None, :]
+    out = a2 + b2 - 2.0 * (a @ b.T)
+    np.maximum(out, 0.0, out=out)
+    return out.astype(np.float32, copy=False)
+
+
+class TestPairwiseBlocks:
+    """Row blocks do the one-liner's float operations in its order."""
+
+    # (rows of a, rows of b, dim): one block, a partial last block, and a
+    # b wider than one block so every block is a single row.
+    SHAPES = [
+        (0, 5, 4),
+        (1, 5, 4),
+        (1, 300, 16),
+        (3 * (PAIR_CHUNK_ELEMS // 100) + 7, 100, 4),
+        (3, PAIR_CHUNK_ELEMS + 9, 2),
+    ]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize(
+        "dtypes",
+        [
+            (np.float32, np.float32),
+            (np.float64, np.float64),
+            (np.float32, np.float64),
+            (np.float64, np.float32),
+        ],
+        ids=lambda d: "-".join(np.dtype(t).name for t in d),
+    )
+    def test_bit_identical_to_one_line(self, shape, dtypes):
+        rows_a, rows_b, dim = shape
+        rng = np.random.default_rng(rows_a * 7 + rows_b)
+        a = rng.normal(scale=3.0, size=(rows_a, dim)).astype(dtypes[0])
+        b = rng.normal(scale=3.0, size=(rows_b, dim)).astype(dtypes[1])
+        ours = pairwise_sq_l2(a, b)
+        assert ours.dtype == np.float32 and ours.shape == (rows_a, rows_b)
+        assert ours.tobytes() == pairwise_sq_l2_one_line(a, b).tobytes()
+
+    def test_strided_subspace_view(self, rng):
+        # ProductQuantizer.encode passes column slices of a wider matrix.
+        wide = rng.normal(size=(1500, 64)).astype(np.float32)
+        books = rng.normal(size=(256, 4)).astype(np.float32)
+        chunk = wide[:, 8:12]
+        assert pairwise_sq_l2(chunk, books).tobytes() == (
+            pairwise_sq_l2_one_line(chunk, books).tobytes()
+        )
 
 
 class TestTopK:

@@ -7,6 +7,8 @@ exact index, and the LIRE lifecycle keeps the code column coherent with
 the vectors it summarizes.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,6 +141,21 @@ class TestProductQuantizerProperties:
             assert tables.shape == looped.shape and np.array_equal(tables, looped)
         single = pq.distance_tables(queries[0])  # a bare vector is a batch of one
         assert np.array_equal(single, pq.distance_tables(queries[:1]))
+
+
+# sha256 of the codebooks a seeded ProductQuantizer(64, 16) learns: the
+# PQ analogue of the on-disk block pin in tests/test_layout.py. Every
+# stored code and every ADC table derives from these bytes, so a change to
+# k-means or to pairwise_sq_l2 that moves one bit shows up here as a
+# format change, not as a drift in recall.
+PQ_CODEBOOK_SHA256 = "ff058fd37a82131daf9c1f97ee1eb4626bfbd5102d87fbc5c3400eb8acb51fc1"
+
+
+def test_pq_codebooks_pinned():
+    base = np.random.default_rng(7).normal(size=(3000, 64)).astype(np.float32)
+    pq = ProductQuantizer(64, 16).fit(base, rng=np.random.default_rng(0))
+    assert pq.codebooks.shape == (16, 256, 4)
+    assert hashlib.sha256(pq.codebooks.tobytes()).hexdigest() == PQ_CODEBOOK_SHA256
 
 
 class TestScalarQuantizerProperties:
