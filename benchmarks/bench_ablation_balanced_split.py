@@ -10,7 +10,7 @@ import numpy as np
 from benchmarks.conftest import DIM, run_once
 from repro.bench.reporting import format_table
 from repro.clustering.balanced import split_in_two
-from repro.clustering.kmeans import kmeans
+from repro.clustering.lloyd import kmeans
 
 TRIALS = 60
 POSTING_SIZE = 120

@@ -78,21 +78,29 @@ class DiskANNConfig:
 
 
 class _NodeStore:
-    """One graph node per SSD block: vector + padded adjacency list."""
+    """One graph node per SSD block: vector + padded adjacency list.
+
+    Blocks are handed out LIFO: the most recently released block first,
+    then the never-used range ``[next, num_blocks)`` in order.
+    """
 
     def __init__(self, ssd: SimulatedSSD, config: DiskANNConfig) -> None:
         self.ssd = ssd
         self.config = config
-        self._free = list(range(ssd.num_blocks - 1, -1, -1))
+        self._next = 0
+        self._released: list[int] = []
 
     def allocate(self) -> int:
-        if not self._free:
+        if self._released:
+            return self._released.pop()
+        if self._next == self.ssd.num_blocks:
             raise StorageError("DiskANN node store out of blocks")
-        return self._free.pop()
+        self._next += 1
+        return self._next - 1
 
     def release(self, block_id: int) -> None:
         self.ssd.trim([block_id])
-        self._free.append(block_id)
+        self._released.append(block_id)
 
     def encode(self, vector: np.ndarray, neighbors: np.ndarray) -> bytes:
         cap = self.config.node_capacity()

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from repro.api import QueryRequest, SearchResponse, respond
-from repro.clustering.kmeans import kmeans
+from repro.clustering.lloyd import kmeans
 from repro.spann.searcher import SearchResult
 from repro.util.distance import as_matrix, as_vector, sq_l2_batch, top_k_smallest
 from repro.util.errors import IndexError_

@@ -19,7 +19,7 @@ from operator import add
 
 import numpy as np
 
-from repro.clustering.kmeans import kmeans_plus_plus_init
+from repro.clustering.lloyd import kmeans_plus_plus_init
 from repro.util.distance import pairwise_sq_l2
 
 

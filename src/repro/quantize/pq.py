@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.clustering.kmeans import kmeans
+from repro.clustering.lloyd import kmeans
 from repro.quantize.base import VectorQuantizer
 from repro.util.distance import pairwise_sq_l2
 

@@ -27,7 +27,7 @@ from repro.serving.frontend import (
     ServingFrontend,
     ServingReport,
 )
-from repro.serving.replay import (
+from repro.serving.wallclock import (
     ReplayResult,
     batch_jobs,
     count_mismatches,

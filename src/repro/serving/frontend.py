@@ -36,7 +36,7 @@ deficit-weighted round robin across tenants (see
 monopolize dispatch; ``tenant_quota_fraction`` additionally bounds any
 one tenant's share of the queue at admission. Wall-clock execution of
 the same batches on real threads/processes lives in
-``repro.serving.replay`` — informational only, never gated.
+``repro.serving.wallclock`` — informational only, never gated.
 """
 
 from __future__ import annotations

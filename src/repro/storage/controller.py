@@ -6,6 +6,9 @@ Responsibilities, mirroring the paper:
   memory; one entry is modelled at 40 bytes as in the paper.
 * **Free Block Pool** — allocation and (optionally deferred) release of
   blocks; deferral implements the pre-release buffer used by snapshots.
+  The pool is FIFO and held compactly: the never-allocated range
+  ``[next, num_blocks)`` comes out first, in order, then released blocks
+  in release order, so its cost follows the data, not the device size.
 * **Posting API** — GET, ParallelGET, APPEND (tail-block read-modify-write
   only), PUT, DELETE. All return simulated device latency so callers can
   attribute I/O time to foreground/background work.
@@ -24,6 +27,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -60,7 +64,8 @@ class BlockController:
         self.codec = codec
         self._lock = threading.RLock()
         self._mapping: dict[int, _PostingMeta] = {}
-        self._free: deque[int] = deque(range(ssd.num_blocks))
+        self._next = 0  # blocks [_next, num_blocks) were never handed out
+        self._released: deque[int] = deque()
         self._defer_release = False
         self._pre_release: list[int] = []
 
@@ -68,11 +73,15 @@ class BlockController:
     # free pool
     # ------------------------------------------------------------------
     def _alloc(self, n: int) -> list[int]:
-        if len(self._free) < n:
-            raise OutOfSpaceError(
-                f"need {n} free blocks, only {len(self._free)} available"
-            )
-        return [self._free.popleft() for _ in range(n)]
+        untouched = self.ssd.num_blocks - self._next
+        available = untouched + len(self._released)
+        if available < n:
+            raise OutOfSpaceError(f"need {n} free blocks, only {available} available")
+        take = min(n, untouched)
+        blocks = list(range(self._next, self._next + take))
+        self._next += take
+        blocks.extend(self._released.popleft() for _ in range(n - take))
+        return blocks
 
     def _release(self, blocks: list[int]) -> None:
         if not blocks:
@@ -81,7 +90,7 @@ class BlockController:
             self._pre_release.extend(blocks)
         else:
             self.ssd.trim(blocks)
-            self._free.extend(blocks)
+            self._released.extend(blocks)
 
     def begin_defer_release(self) -> None:
         """Route freed blocks to the pre-release buffer (snapshot window)."""
@@ -98,13 +107,21 @@ class BlockController:
             released = self._pre_release
             self._pre_release = []
             self.ssd.trim(released)
-            self._free.extend(released)
+            self._released.extend(released)
             return released
 
     @property
     def free_block_count(self) -> int:
         with self._lock:
-            return len(self._free)
+            return self.ssd.num_blocks - self._next + len(self._released)
+
+    def free_blocks(self) -> list[int]:
+        """Every free block id in the order the pool hands them out.
+
+        O(device capacity): for tests and audits, not for the data path.
+        """
+        with self._lock:
+            return list(range(self._next, self.ssd.num_blocks)) + list(self._released)
 
     # ------------------------------------------------------------------
     # posting API
@@ -357,13 +374,18 @@ class BlockController:
             return sum(m.length for m in self._mapping.values())
 
     def state_dict(self) -> dict:
-        """Serializable snapshot of mapping + free pool (for SnapshotManager)."""
+        """Serializable snapshot of mapping + free pool (for SnapshotManager).
+
+        The free pool is ``{"next": n, "released": [...]}``: every block
+        from ``n`` up is free and untouched, and ``released`` lists the
+        blocks freed since, in the order they will be handed out again.
+        """
         with self._lock:
             return {
                 "mapping": {
                     pid: (m.length, list(m.blocks)) for pid, m in self._mapping.items()
                 },
-                "free": list(self._free),
+                "free": {"next": self._next, "released": list(self._released)},
                 "pre_release": list(self._pre_release),
             }
 
@@ -376,20 +398,67 @@ class BlockController:
         that passes its CRC footer but fails these checks describes a
         device the controller cannot safely write to — raising here turns
         silent future corruption into an explicit recovery failure.
+
+        The check runs over the explicit ids only (posting blocks,
+        released blocks, pre-release buffer): all of them must lie below
+        ``next``, since the pool's untouched range claims the rest, and
+        none may repeat. Only a state that fails it pays for the
+        block-by-block walk that names the offending block.
         """
+        free = state["free"]
+        if not isinstance(free, dict):
+            raise StorageError(
+                "snapshot state carries the free pool in the old list format "
+                "(one entry per free block); this controller reads only "
+                "{'next', 'released'} snapshots"
+            )
         mapping = {
             int(pid): _PostingMeta(int(length), [int(b) for b in blocks])
             for pid, (length, blocks) in state["mapping"].items()
         }
-        free = deque(int(b) for b in state["free"])
+        next_block = int(free["next"])
+        released = deque(int(b) for b in free["released"])
         pre_release = [int(b) for b in state.get("pre_release", [])]
 
+        num_blocks = self.ssd.num_blocks
+        if not 0 <= next_block <= num_blocks:
+            raise StorageError(
+                f"snapshot free pool starts its untouched range at block "
+                f"{next_block}, outside the device geometry [0, {num_blocks}]"
+            )
+        owned = chain.from_iterable(meta.blocks for meta in mapping.values())
+        ids = np.fromiter(chain(owned, released, pre_release), dtype=np.int64)
+        if ids.size and (
+            ids.min() < 0 or ids.max() >= next_block or np.bincount(ids).max() > 1
+        ):
+            self._reject(mapping, next_block, released, pre_release)
+
+        with self._lock:
+            self._mapping = mapping
+            self._next = next_block
+            self._released = released
+            self._pre_release = pre_release
+
+    def _reject(
+        self,
+        mapping: dict[int, _PostingMeta],
+        next_block: int,
+        released: deque[int],
+        pre_release: list[int],
+    ) -> None:
+        """Raise the StorageError naming the first block a state claims
+        badly, claiming blocks one by one in pool order. Called only for a
+        state with such a block: one outside the device, one claimed
+        twice, or one at or above ``next`` (claimed by the untouched
+        range too)."""
+        num_blocks = self.ssd.num_blocks
         claimed: set[int] = set()
+
         def _claim(block_id: int, owner: str) -> None:
-            if not 0 <= block_id < self.ssd.num_blocks:
+            if not 0 <= block_id < num_blocks:
                 raise StorageError(
                     f"snapshot state references block {block_id} outside the "
-                    f"device geometry [0, {self.ssd.num_blocks})"
+                    f"device geometry [0, {num_blocks})"
                 )
             if block_id in claimed:
                 raise StorageError(
@@ -401,12 +470,7 @@ class BlockController:
         for pid, meta in mapping.items():
             for block_id in meta.blocks:
                 _claim(block_id, f"posting {pid}")
-        for block_id in free:
+        for block_id in chain(range(next_block, num_blocks), released):
             _claim(block_id, "free pool")
         for block_id in pre_release:
             _claim(block_id, "pre-release buffer")
-
-        with self._lock:
-            self._mapping = mapping
-            self._free = free
-            self._pre_release = pre_release

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.clustering.balanced import _balance_lambda, balanced_kmeans, split_in_two
 from repro.clustering.hierarchical import hierarchical_balanced_clustering
-from repro.clustering.kmeans import kmeans, kmeans_plus_plus_init
+from repro.clustering.lloyd import kmeans, kmeans_plus_plus_init
 from repro.util.distance import pairwise_sq_l2
 
 

@@ -112,7 +112,7 @@ class ControllerMachine(RuleBasedStateMachine):
     def blocks_partition_device(self) -> None:
         state = self.controller.state_dict()
         owned = [b for _, blocks in state["mapping"].values() for b in blocks]
-        everything = owned + state["free"] + state["pre_release"]
+        everything = owned + self.controller.free_blocks() + state["pre_release"]
         assert len(everything) == NUM_BLOCKS
         assert len(set(everything)) == NUM_BLOCKS
 

@@ -4,7 +4,7 @@ Covers the simulated K-worker engine pool in ``ServingFrontend.run``
 (determinism, goodput scaling, worker-occupancy invariants), the DWRR
 fairness path end to end (victim p99 protection on a skewed trace), the
 degenerate inputs a report must survive (empty trace, shed-only
-tenants), the wall-clock replay in ``repro.serving.replay`` (thread and
+tenants), the wall-clock replay in ``repro.serving.wallclock`` (thread and
 forked-worker parity against the serial replay), and a hypothesis suite
 for the batcher's two-trigger edges under the event loop. See the
 "Concurrency model" section of docs/serving.md.
