@@ -78,29 +78,21 @@ class DiskANNConfig:
 
 
 class _NodeStore:
-    """One graph node per SSD block: vector + padded adjacency list.
-
-    Blocks are handed out LIFO: the most recently released block first,
-    then the never-used range ``[next, num_blocks)`` in order.
-    """
+    """One graph node per SSD block: vector + padded adjacency list."""
 
     def __init__(self, ssd: SimulatedSSD, config: DiskANNConfig) -> None:
         self.ssd = ssd
         self.config = config
-        self._next = 0
-        self._released: list[int] = []
+        self._free = list(range(ssd.num_blocks - 1, -1, -1))
 
     def allocate(self) -> int:
-        if self._released:
-            return self._released.pop()
-        if self._next == self.ssd.num_blocks:
+        if not self._free:
             raise StorageError("DiskANN node store out of blocks")
-        self._next += 1
-        return self._next - 1
+        return self._free.pop()
 
     def release(self, block_id: int) -> None:
         self.ssd.trim([block_id])
-        self._released.append(block_id)
+        self._free.append(block_id)
 
     def encode(self, vector: np.ndarray, neighbors: np.ndarray) -> bytes:
         cap = self.config.node_capacity()

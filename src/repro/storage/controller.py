@@ -115,14 +115,6 @@ class BlockController:
         with self._lock:
             return self.ssd.num_blocks - self._next + len(self._released)
 
-    def free_blocks(self) -> list[int]:
-        """Every free block id in the order the pool hands them out.
-
-        O(device capacity): for tests and audits, not for the data path.
-        """
-        with self._lock:
-            return list(range(self._next, self.ssd.num_blocks)) + list(self._released)
-
     # ------------------------------------------------------------------
     # posting API
     # ------------------------------------------------------------------

@@ -26,12 +26,9 @@ device's, identical on both. ``faults=`` attaches a
 
 from __future__ import annotations
 
-import errno
 import math
 import os
 import threading
-
-import numpy as np
 
 from repro.storage.faults import FaultEvent, FaultPlan
 from repro.storage.iostats import IOStats
@@ -85,9 +82,7 @@ class _FileBlocks:
     (``get``, ``update``, ``pop``, ``items``, ``clear``, ``len``), so both
     media share one device code path. ``_held`` plays the dict's keys —
     blocks written and not trimmed — and is rebuilt from the file's
-    non-zero blocks on open. Only the file's data extents are read for
-    that: holes read as zeros, so a sparse device reopens in time
-    proportional to what was written, not to its size.
+    non-zero blocks on open.
     """
 
     def __init__(self, path: str, num_blocks: int, block_size: int) -> None:
@@ -101,34 +96,10 @@ class _FileBlocks:
         self._fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
         os.ftruncate(self._fd, size)
         self._size = block_size
-        self._held = self._nonzero_blocks(current // block_size * block_size)
-
-    def _nonzero_blocks(self, length: int) -> set[int]:
-        """Ids of the blocks in the file's first ``length`` bytes that hold
-        a non-zero byte, reading only data extents (the whole file is one
-        extent where the OS cannot tell holes apart)."""
-        size = self._size
-        step = max(1, (1 << 20) // size) * size  # whole blocks, ~1 MiB per pread
-        held: set[int] = set()
-        pos = 0
-        while pos < length:
-            start, end = pos, length
-            if hasattr(os, "SEEK_DATA"):
-                try:
-                    start = os.lseek(self._fd, pos, os.SEEK_DATA)
-                except OSError as exc:
-                    if exc.errno != errno.ENXIO:
-                        raise
-                    break  # no data past pos
-                end = os.lseek(self._fd, start, os.SEEK_HOLE)
-            start -= start % size
-            end = min(length, -(-end // size) * size)
-            for at in range(start, end, step):
-                chunk = os.pread(self._fd, min(step, end - at), at)
-                rows = np.frombuffer(chunk, dtype=np.uint8).reshape(-1, size)
-                held.update((np.flatnonzero(rows.any(axis=1)) + at // size).tolist())
-            pos = end
-        return held
+        zero = bytes(block_size)
+        self._held = {
+            bid for bid in range(current // block_size) if self._read(bid) != zero
+        }
 
     def _read(self, bid: int) -> bytes:
         return os.pread(self._fd, self._size, bid * self._size)

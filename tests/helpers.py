@@ -25,6 +25,13 @@ EXECUTORS = [
 ]
 
 
+def free_pool(controller) -> list[int]:
+    """A ``BlockController``'s free block ids in hand-out order, expanded
+    from its snapshot's ``{"next", "released"}``."""
+    free = controller.state_dict()["free"]
+    return list(range(free["next"], controller.ssd.num_blocks)) + free["released"]
+
+
 def assert_same_results(got, want) -> None:
     """Two result sequences agree in every ``SearchResult`` field."""
     assert len(got) == len(want)

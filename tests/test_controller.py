@@ -18,6 +18,7 @@ from repro.util.errors import (
     StorageError,
 )
 from tests.conftest import DIM, make_posting
+from tests.helpers import free_pool
 
 
 class TestPutGet:
@@ -189,7 +190,7 @@ class TestDeleteAndFreePool:
         assert len(owned) == len(set(owned))
         assert state["pre_release"]
         assert sorted(
-            owned + controller.free_blocks() + state["pre_release"]
+            owned + free_pool(controller) + state["pre_release"]
         ) == list(range(ssd.num_blocks))
 
 
@@ -379,7 +380,7 @@ class TestCompactPoolParity:
             if len(outcome) == 2:
                 assert outcome[0] == outcome[1]  # released ids, or the error text
             assert new.state_dict()["mapping"] == ref.state_dict()["mapping"]
-            assert new.free_blocks() == ref.free_blocks()
+            assert free_pool(new) == ref.free_blocks()
             assert new.free_block_count == ref.free_block_count
             assert new._pre_release == ref._pre_release
             assert new.ssd.export_blocks() == ref.ssd.export_blocks()
@@ -402,10 +403,10 @@ class TestCompactPoolParity:
         controller = BlockController(tiny, codec)
         controller.put(0, make_posting(rng, 1))
         controller.delete(0)
-        before = controller.free_blocks()
+        before = free_pool(controller)
         with pytest.raises(OutOfSpaceError, match="need 5 free blocks, only 4 available"):
             controller.put(1, make_posting(rng, codec.sections[0][0] * 5))
-        assert controller.free_blocks() == before == [1, 2, 3, 0]
+        assert free_pool(controller) == before == [1, 2, 3, 0]
 
 
 class TestLoadStateRejections:
@@ -478,13 +479,13 @@ class TestLoadStateRejections:
         state = self._state(controller, rng)
         other = BlockController(ssd, codec)
         other.load_state_dict(state)
-        assert other.free_blocks() == controller.free_blocks()
+        assert free_pool(other) == free_pool(controller)
 
     def test_old_list_format_is_a_recovery_error(self, vectors, small_config):
         snapshots = SnapshotManager()
         index = SPFreshIndex.build(vectors, config=small_config, snapshots=snapshots)
         state = collect_state(index)
-        state["controller"]["free"] = index.controller.free_blocks()
+        state["controller"]["free"] = free_pool(index.controller)
         with pytest.raises(StorageError, match="old list format"):
             BlockController(index.ssd, index.controller.codec).load_state_dict(
                 state["controller"]

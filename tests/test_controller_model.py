@@ -21,6 +21,7 @@ from hypothesis.stateful import (
 from repro.storage.controller import BlockController
 from repro.storage.layout import PostingCodec, PostingData
 from repro.storage.ssd import SimulatedSSD, SSDProfile
+from tests.helpers import free_pool
 
 DIM = 4
 NUM_BLOCKS = 256
@@ -112,7 +113,7 @@ class ControllerMachine(RuleBasedStateMachine):
     def blocks_partition_device(self) -> None:
         state = self.controller.state_dict()
         owned = [b for _, blocks in state["mapping"].values() for b in blocks]
-        everything = owned + self.controller.free_blocks() + state["pre_release"]
+        everything = owned + free_pool(self.controller) + state["pre_release"]
         assert len(everything) == NUM_BLOCKS
         assert len(set(everything)) == NUM_BLOCKS
 

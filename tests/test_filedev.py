@@ -71,38 +71,6 @@ class TestDevice:
         assert data.startswith(b"durable")
         dev2.close()
 
-    def test_sparse_reopen_keeps_held_set_and_contents(self, tmp_path):
-        """Reopen reads only data extents; the held set is what a scan of
-        every block finds, and an all-zero write stays un-held."""
-        path = str(tmp_path / "sparse.img")
-        profile = SSDProfile(block_size=512)
-        num_blocks = 8192  # 4 MiB: several 1 MiB read chunks
-        dev = SimulatedSSD(num_blocks, profile, path=path)
-        written = [0, 1, 2, 2047, 2048, 2049, 5000, 8191]
-        dev.write_blocks(written, [bytes([i + 1]) * (i + 1) for i in range(len(written))])
-        dev.write_block(4000, bytes(512))
-        dev.write_block(4001, b"short")  # zero-padded to the block size
-        dev.trim([2048])
-        dev.sync()
-        before = dev.export_blocks()
-        used = dev.used_blocks()
-        dev.close()
-
-        reopened = SimulatedSSD.reopen(path, num_blocks, profile)
-        assert reopened.used_blocks() == used - 1  # the all-zero block 4000
-        assert reopened.export_blocks() == {
-            bid: data for bid, data in before.items() if any(data)
-        }
-        assert 4000 not in reopened.export_blocks()
-        assert 2048 not in reopened.export_blocks()
-        with open(path, "rb") as f:
-            raw = f.read()
-        scanned = {
-            bid for bid in range(num_blocks) if any(raw[bid * 512 : (bid + 1) * 512])
-        }
-        assert set(reopened.export_blocks()) == scanned
-        reopened.close()
-
     def test_reopen_missing_file(self, tmp_path):
         with pytest.raises(StorageError):
             SimulatedSSD.reopen(str(tmp_path / "nope.img"), 16)

@@ -139,35 +139,3 @@ class TestMemoryModel:
         assert index.memory_bytes() > quiet  # the merge window's working set
         assert index.drain() == 0
         assert index.memory_bytes() < quiet  # merged: fewer nodes, no spike
-
-
-
-class TestNodeStorePool:
-    def test_same_order_as_the_reversed_list_pool(self):
-        """The compact pool hands out the ids the old pool did: a list of
-        every block, reversed, popped from the end, released ids pushed."""
-        from repro.baselines.diskann.fresh import _NodeStore
-        from repro.storage.ssd import SimulatedSSD, SSDProfile
-        from repro.util.errors import StorageError
-
-        store = _NodeStore(
-            SimulatedSSD(24, SSDProfile(block_size=512)), DiskANNConfig(dim=8)
-        )
-        reference = list(range(23, -1, -1))
-        rng = np.random.default_rng(0)
-        held: list[int] = []
-        exhausted = 0
-        for _ in range(400):
-            if held and rng.random() < 0.4:
-                bid = held.pop(int(rng.integers(len(held))))
-                store.release(bid)
-                reference.append(bid)
-            elif reference:
-                bid = store.allocate()
-                assert bid == reference.pop()
-                held.append(bid)
-            else:
-                exhausted += 1
-                with pytest.raises(StorageError, match="out of blocks"):
-                    store.allocate()
-        assert exhausted > 0 and store._next == 24
